@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from litclust import __version__
@@ -23,7 +23,7 @@ from litclust import probe as _probe
 from litclust import sweep as _sweep
 from litclust import vectorize as _vec
 from litclust.corpus import load_corpus, save_jsonl
-from litclust.errors import ComputeError, ConfigError, DataError, LitclustError
+from litclust.errors import ComputeError, ConfigError, DataError, LitclustError, ParseError
 from litclust.evaluate import metrics_json, score_clustering
 
 EXIT_OK = 0
@@ -343,12 +343,12 @@ def cmd_sweep(cfg: PipelineConfig, args) -> dict:
         _sweep.render_report(rows, top_n=getattr(args, "top", None) or 5),
         encoding="utf-8",
     )
-    curve = _sweep.v_curve(
-        corpus,
-        k_values=spec.k_values,
-        seed=cfg.seed,
-        restarts=spec.restarts,
+    # The curve is drawn at the config's (d, r, n_dims) over the sweep's
+    # K values; K that did not run are left out.
+    curve_spec = replace(
+        spec, d_values=(cfg.d,), r_values=(cfg.r,), n_values=(cfg.n_dims,), budget=None
     )
+    curve = [(row.k, row.v_measure) for row in _sweep.run_sweep(corpus, curve_spec) if row.ok]
     curve_path = out / "vk_curve.tsv"
     _sweep.write_v_curve(curve, curve_path)
     _update_manifest(cfg, out, [report_path, curve_path])
@@ -391,7 +391,10 @@ def cmd_export(cfg: PipelineConfig, args) -> dict:
     source = getattr(args, "report", None) or str(out / "probe_report.json")
     if not Path(source).exists():
         raise DataError(f"probe report not found: {source}")
-    report = _probe.report_from_json(Path(source).read_text(encoding="utf-8"))
+    try:
+        report = _probe.report_from_json(Path(source).read_text(encoding="utf-8"))
+    except ParseError as exc:
+        raise ParseError(f"{source}: {exc}") from exc
     net = _probe.build_network(report, top_n=cfg.probe_top)
     net_path = out / f"network.{cfg.network_format}"
     net_path.write_bytes(_probe.export_network(net, format=cfg.network_format))

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from litclust.base import BaseEstimator, check_positive_int, check_vectors
-from litclust.errors import ConfigError, EmptyCluster, KTooLarge
+from litclust.errors import ComputeError, ConfigError, EmptyCluster, KTooLarge, ParseError
 
 MAX_ITER = 300
 # Documented bounds for the cluster count.
@@ -130,8 +130,8 @@ def _lloyd(
 
     # Lloyd's objective can never go up between iterations; tolerate only
     # float accumulation noise.
-    diffs = np.diff(trace)
-    assert np.all(diffs <= 1e-9 * (1.0 + trace[0])), "objective increased during Lloyd iterations"
+    if np.any(np.diff(trace) > 1e-9 * (1.0 + trace[0])):
+        raise ComputeError("objective increased during Lloyd iterations")
 
     sizes = np.bincount(labels, minlength=k)
     empty = tuple(int(c) for c in np.flatnonzero(sizes == 0))
@@ -275,14 +275,18 @@ def dump_assignments(clustering: Clustering, docs, path: str | Path) -> None:
 
 
 def load_assignments(path: str | Path) -> dict[str, int]:
+    """Read a TSV dump; a line that is not ``id<TAB>cluster`` raises ParseError."""
     out: dict[str, int] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            doc_id, label = line.split("\t")
-            out[doc_id] = int(label)
+    with Path(path).open("rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").rstrip("\n")
+                if not line:
+                    continue
+                doc_id, label = line.split("\t")
+                out[doc_id] = int(label)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: expected '<doc id>\\t<cluster index>'") from exc
     return out
 
 

@@ -426,21 +426,25 @@ def report_to_json(report: ProbeReport) -> str:
 
 
 def report_from_json(text: str) -> ProbeReport:
-    doc = json.loads(text)
-    clusters = tuple(
-        ClusterRanking(
-            cluster=int(cid),
-            entries=tuple(
-                (rec["entity"], int(rec["count"]), float(rec["relative_weight"]))
-                for rec in entries
-            ),
+    """Parse :func:`report_to_json` output; malformed text raises ParseError."""
+    try:
+        doc = json.loads(text)
+        clusters = tuple(
+            ClusterRanking(
+                cluster=int(cid),
+                entries=tuple(
+                    (rec["entity"], int(rec["count"]), float(rec["relative_weight"]))
+                    for rec in entries
+                ),
+            )
+            for cid, entries in sorted(doc["clusters"].items(), key=lambda kv: int(kv[0]))
         )
-        for cid, entries in sorted(doc["clusters"].items(), key=lambda kv: int(kv[0]))
-    )
-    return ProbeReport(
-        mode=doc["mode"],
-        clusters=clusters,
-        entity_globals={k: int(v) for k, v in doc["entity_globals"].items()},
-        cluster_sizes={int(k): int(v) for k, v in doc["cluster_sizes"].items()},
-        total_docs=int(doc["total_docs"]),
-    )
+        return ProbeReport(
+            mode=doc["mode"],
+            clusters=clusters,
+            entity_globals={k: int(v) for k, v in doc["entity_globals"].items()},
+            cluster_sizes={int(k): int(v) for k, v in doc["cluster_sizes"].items()},
+            total_docs=int(doc["total_docs"]),
+        )
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"malformed probe report ({exc!r})") from exc

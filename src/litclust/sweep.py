@@ -1,10 +1,13 @@
 """Randomized traversal of the (D, R, N, K) parameter grid.
 
 The full Cartesian product is enumerated, shuffled deterministically by
-seed, optionally truncated to a budget, and each combination runs the
-whole pipeline.  Expensive shared prefixes (counting, singleton
-ablation, per-D filtering, per-(D,R) weighting, per-(D,R,N) embeddings)
-are computed once and reused; rows are checkpointed as they complete.
+seed and optionally truncated to a budget; that selects the
+combinations.  They then run, and come back, sorted by (d, r, n, k), so
+each shared prefix (counting and singleton ablation once, the D filter
+per d, weighting per (d, r), the embedding per (d, r, n)) is built once
+and only the current one is held.  Rows are checkpointed as they
+complete; a checkpoint line torn by a crash mid-write is dropped on
+resume.  The V-vs-K curve is a one-(d, r, n) sweep of the same kind.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from litclust.errors import (
     ConvergenceFailure,
     EmptySpec,
     NoLabeledDocuments,
+    ParseError,
 )
 from litclust.evaluate import score_clustering
 
@@ -158,41 +162,79 @@ def run_sweep(
     corpus: Corpus,
     spec: SweepSpec,
     checkpoint_path: str | Path | None = None,
-    use_cache: bool = True,
 ) -> list[SweepRow]:
     """Execute every enumerated combination and score it against the labels.
 
-    Combinations that cannot run (the filters removed everything, the
-    embedding dimensionality exceeds the matrix rank bound, more clusters
-    than documents) become skip rows with a reason rather than errors.
-    Completed rows are appended to ``checkpoint_path`` as they finish and
-    are not recomputed on a rerun; a checkpoint is only meaningful for
-    the same corpus and spec (rows are a pure function of those), which
-    is the caller's responsibility to ensure.
+    The combinations run, and come back, sorted by (d, r, n, k), so each
+    filtered matrix, weighted matrix and embedding is built once and only
+    the current one of each is held.  Combinations that cannot run (the
+    filters removed everything, the embedding dimensionality exceeds the
+    matrix rank bound, more clusters than documents) become skip rows with
+    a reason rather than errors.  Completed rows are appended to
+    ``checkpoint_path`` as they finish and are not recomputed on a rerun;
+    a checkpoint is only meaningful for the same corpus and spec (rows are
+    a pure function of those), which is the caller's responsibility to
+    ensure.
     """
     spec.validate()
     if not corpus.label_set:
         raise NoLabeledDocuments("the sweep needs gold labels to score against")
 
-    combos = enumerate_grid(spec)
     done: dict[tuple, SweepRow] = {}
     if checkpoint_path is not None and Path(checkpoint_path).exists():
-        for row in read_rows(checkpoint_path):
-            done[row.key] = row
-
-    runner = _ComboRunner(corpus, spec, use_cache=use_cache)
+        done = _resume(Path(checkpoint_path))
     labels = corpus.labels()
 
     rows: list[SweepRow] = []
+    ablated = filtered = weighted = emb = reason = None
+    prefix: tuple = ()  # the (d, r, n) that filtered, weighted and emb belong to
     out = None
     if checkpoint_path is not None:
         out = Path(checkpoint_path).open("a", encoding="utf-8")
     try:
-        for d, r, n, k in combos:
+        for d, r, n, k in sorted(enumerate_grid(spec)):
             if (d, r, n, k) in done:
                 rows.append(done[(d, r, n, k)])
                 continue
-            row = runner.run(d, r, n, k, labels)
+            start = time.perf_counter()
+            if ablated is None:
+                # Built on first use so a fully checkpointed rerun touches
+                # nothing.  A corpus where every term is a singleton raises
+                # here, aborting the sweep: that is a corpus-level failure,
+                # not a skippable combo.
+                ablated = _vec.ablate_singletons(_vec.count_matrix(corpus))
+            if prefix[:1] != (d,):
+                try:
+                    filtered = _vec.apply_df_threshold(
+                        ablated, d, enforce_bounds=spec.enforce_bounds
+                    )
+                except AllTermsRemoved:
+                    filtered = None
+            if prefix[:2] != (d, r):
+                weighted = None
+                if filtered is not None:
+                    weighted = _vec.l2_normalize(
+                        _vec.apply_rank_cutoff(_vec.tfidf(filtered), r)
+                    )
+            if prefix != (d, r, n):
+                emb, reason = _embed(weighted, spec.seed, d, r, n)
+                prefix = (d, r, n)
+
+            row = SweepRow(d=d, r=r, n=n, k=k, skip_reason=reason)
+            if reason is None and k > weighted.shape[1]:
+                row.skip_reason = "k_too_large"
+            elif reason is None:
+                clus = _cluster.kmeans(
+                    emb.vectors,
+                    k,
+                    seed=derive_seed(spec.seed, "kmeans", d, r, n, k),
+                    restarts=spec.restarts,
+                )
+                report = score_clustering(clus.assignments, labels)
+                row.completeness = report.completeness
+                row.homogeneity = report.homogeneity
+                row.v_measure = report.v_measure
+                row.runtime_ms = int((time.perf_counter() - start) * 1000)
             rows.append(row)
             if out is not None:
                 out.write(row.to_json() + "\n")
@@ -203,97 +245,32 @@ def run_sweep(
     return rows
 
 
-class _ComboRunner:
-    """Pipeline execution with per-stage caches keyed by the parameters."""
+def _embed(weighted, seed: int, d: float, r: int, n: int):
+    """The (d, r, n) embedding and None, or None and the reason every row
+    under that prefix is skipped."""
+    if weighted is None:
+        return None, "all_terms_removed"
+    if n > min(weighted.shape):
+        return None, "n_dims_too_large"
+    try:
+        return _lsa.reduce(weighted, n, seed=derive_seed(seed, "lsa", d, r, n)), None
+    except ConvergenceFailure:
+        return None, "svd_convergence_failure"
 
-    def __init__(self, corpus: Corpus, spec: SweepSpec, use_cache: bool = True):
-        self.corpus = corpus
-        self.spec = spec
-        self.use_cache = use_cache
-        self._ablated = None
-        self._filtered: dict[float, object] = {}
-        self._weighted: dict[tuple, object] = {}
-        self._embedded: dict[tuple, object] = {}
 
-    @property
-    def ablated(self):
-        # Built on first use so a fully checkpointed rerun touches nothing.
-        # A corpus where every term is a singleton raises here, aborting
-        # the sweep: that is a corpus-level failure, not a skippable combo.
-        if self._ablated is None:
-            self._ablated = _vec.ablate_singletons(_vec.count_matrix(self.corpus))
-        return self._ablated
+def _resume(path: Path) -> dict[tuple, SweepRow]:
+    """Rows already checkpointed at ``path``, keyed by (d, r, n, k).
 
-    def run(self, d: float, r: int, n: int, k: int, labels) -> SweepRow:
-        start = time.perf_counter()
-        row = SweepRow(d=d, r=r, n=n, k=k)
-
-        filtered = self._get_filtered(d)
-        if filtered is None:
-            row.skip_reason = "all_terms_removed"
-            return row
-        weighted = self._get_weighted(d, r, filtered)
-        n_terms, n_docs = weighted.shape
-        if n > min(n_terms, n_docs):
-            row.skip_reason = "n_dims_too_large"
-            return row
-        emb = self._get_embedded(d, r, n, weighted)
-        if emb is None:
-            row.skip_reason = "svd_convergence_failure"
-            return row
-        if k > n_docs:
-            row.skip_reason = "k_too_large"
-            return row
-
-        clus = _cluster.kmeans(
-            emb.vectors,
-            k,
-            seed=derive_seed(self.spec.seed, "kmeans", d, r, n, k),
-            restarts=self.spec.restarts,
-        )
-        report = score_clustering(clus.assignments, labels)
-        row.completeness = report.completeness
-        row.homogeneity = report.homogeneity
-        row.v_measure = report.v_measure
-        row.runtime_ms = int((time.perf_counter() - start) * 1000)
-        return row
-
-    def _get_filtered(self, d: float):
-        if self.use_cache and d in self._filtered:
-            return self._filtered[d]
-        ablated = self.ablated  # corpus-level failure propagates from here
-        try:
-            value = _vec.apply_df_threshold(
-                ablated, d, enforce_bounds=self.spec.enforce_bounds
-            )
-        except AllTermsRemoved:
-            value = None
-        if self.use_cache:
-            self._filtered[d] = value
-        return value
-
-    def _get_weighted(self, d: float, r: int, filtered):
-        key = (d, r)
-        if self.use_cache and key in self._weighted:
-            return self._weighted[key]
-        value = _vec.l2_normalize(_vec.apply_rank_cutoff(_vec.tfidf(filtered), r))
-        if self.use_cache:
-            self._weighted[key] = value
-        return value
-
-    def _get_embedded(self, d: float, r: int, n: int, weighted):
-        key = (d, r, n)
-        if self.use_cache and key in self._embedded:
-            return self._embedded[key]
-        try:
-            value = _lsa.reduce(
-                weighted, n, seed=derive_seed(self.spec.seed, "lsa", d, r, n)
-            )
-        except ConvergenceFailure:
-            value = None
-        if self.use_cache:
-            self._embedded[key] = value
-        return value
+    Every row is written as one line ending in a newline, so a final line
+    without one was torn by a crash mid-write.  It is dropped and cut from
+    the file, so the next appended row starts on a line of its own.
+    """
+    data = path.read_bytes()
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        with path.open("r+b") as fh:
+            fh.truncate(end)
+    return {row.key: row for row in read_rows(path)}
 
 
 def render_report(rows: Iterable[SweepRow], top_n: int = 5, title: str | None = None) -> str:
@@ -329,20 +306,20 @@ def v_curve(
     seed: int = 0,
     restarts: int = 1,
 ) -> list[tuple[int, float]]:
-    """V-measure as a function of K at fixed (d, r, n_dims)."""
-    weighted = _vec.build_weighted_matrix(corpus, d_percent=d, rank_cutoff=r)
-    emb = _lsa.reduce(weighted, n_dims, seed=derive_seed(seed, "lsa", d, r, n_dims))
-    labels = corpus.labels()
-    curve = []
-    for k in k_values:
-        clus = _cluster.kmeans(
-            emb.vectors,
-            int(k),
-            seed=derive_seed(seed, "kmeans", d, r, n_dims, int(k)),
-            restarts=restarts,
-        )
-        curve.append((int(k), score_clustering(clus.assignments, labels).v_measure))
-    return curve
+    """V-measure as a function of K at fixed (d, r, n_dims).
+
+    A one-(d, r, n) sweep, so the parameters are checked against the
+    documented bounds and the curve holds only the K that ran.
+    """
+    spec = SweepSpec(
+        d_values=(d,),
+        r_values=(r,),
+        n_values=(n_dims,),
+        k_values=tuple(k_values),
+        seed=seed,
+        restarts=restarts,
+    )
+    return [(row.k, row.v_measure) for row in run_sweep(corpus, spec) if row.ok]
 
 
 def write_v_curve(curve: Sequence[tuple[int, float]], path: str | Path) -> None:
@@ -359,10 +336,14 @@ def write_rows(rows: Iterable[SweepRow], path: str | Path) -> None:
 
 
 def read_rows(path: str | Path) -> list[SweepRow]:
+    """Rows of a JSONL file; a line that is not a row raises ParseError."""
     rows = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(SweepRow.from_json(line))
+    with Path(path).open("rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rows.append(SweepRow.from_json(line.decode("utf-8")))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ParseError(f"{path}:{lineno}: not a sweep row ({exc})") from exc
     return rows

@@ -9,6 +9,8 @@ import pytest
 from litclust.cli import main
 from litclust.corpus import Corpus, Document, save_jsonl
 
+from helpers import make_planted_corpus
+
 DATA = Path(__file__).parent / "data"
 
 TOPIC_GENES = ["brca1", "tp53", "her2", "esr1"]
@@ -195,6 +197,38 @@ class TestSweepCommand:
                        "--out", "out2") == 0
 
 
+    def test_corrupt_checkpoint_line_exits_3(self, workspace, capsys):
+        self.sweep_config(workspace)
+        assert run_cli("sweep", "--config", "config.json") == 0
+        rows_path = workspace / "out" / "rows.jsonl"
+        lines = rows_path.read_text().splitlines(keepends=True)
+        lines[1] = "{not json\n"
+        rows_path.write_text("".join(lines))
+        assert run_cli("sweep", "--config", "config.json") == 3
+        assert "rows.jsonl:2:" in capsys.readouterr().err
+
+    def test_curve_at_config_point_leaves_out_skipped_k(self, workspace):
+        # 12 documents: the baseline n_dims=15 cannot embed and K=20
+        # cannot cluster; the curve follows the config's n_dims instead.
+        save_jsonl(
+            make_planted_corpus(n_topics=2, docs_per_topic=6, vocab_per_topic=12, tokens_per_doc=20),
+            workspace / "tiny.jsonl",
+        )
+        config = {
+            "corpus": "tiny.jsonl",
+            "out": "tiny",
+            "n_dims": 2,
+            "sweep": {"d_values": [0.5], "r_values": [5], "n_values": [2], "k_values": [2, 20]},
+        }
+        (workspace / "tiny.json").write_text(json.dumps(config))
+        assert run_cli("sweep", "--config", "tiny.json") == 0
+        out = workspace / "tiny"
+        curve = (out / "vk_curve.tsv").read_text().splitlines()
+        row = json.loads((out / "rows.jsonl").read_text().splitlines()[0])
+        assert (row["n"], row["k"]) == (2, 2)
+        assert curve == ["k\tv_measure", f"2\t{row['v_measure']:.6f}"]
+
+
 class TestComposition:
     def test_staged_metrics_equal_sweep_row(self, workspace):
         """cluster + evaluate at fixed parameters reproduce the sweep's
@@ -262,6 +296,18 @@ class TestExitCodes:
             "--d", "0.1", "--n-dims", "1", "--k", "2", "--allow-out-of-bounds",
         )
         assert code == 3
+
+    def test_malformed_assignments_exit_3(self, workspace, capsys):
+        (workspace / "bad.tsv").write_text("d0000\t1\nd0001 2\n", encoding="utf-8")
+        code = run_cli("evaluate", "--config", "config.json", "--assignments", "bad.tsv")
+        assert code == 3
+        assert "bad.tsv:2:" in capsys.readouterr().err
+
+    def test_malformed_probe_report_exit_3(self, workspace, capsys):
+        (workspace / "out").mkdir()
+        (workspace / "out" / "probe_report.json").write_text('{"mode": "gene"}', encoding="utf-8")
+        assert run_cli("export", "--config", "config.json") == 3
+        assert "probe_report.json" in capsys.readouterr().err
 
     def test_compute_error_exit_4(self, workspace):
         code = run_cli(

@@ -1,6 +1,14 @@
+import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import litclust.cluster as cluster_mod
 from litclust.cluster import (
     KMeans,
     dump_assignments,
@@ -9,7 +17,7 @@ from litclust.cluster import (
     run_metadata,
     variability,
 )
-from litclust.errors import ConfigError, EmptyCluster, KTooLarge
+from litclust.errors import ComputeError, ConfigError, EmptyCluster, KTooLarge, ParseError
 
 
 def blobs(n_per, centers, spread, seed=0):
@@ -142,6 +150,40 @@ class TestKmeans:
         assert kmeans(x, k=3, seed=0, restarts=5).restarts_used == 5
 
 
+    def test_rising_objective_raises_compute_error(self, monkeypatch):
+        # Centers that drift further from every point on each update make
+        # the objective rise, which Lloyd's iterations can never do.
+        means, step = cluster_mod._means, itertools.count(1)
+        monkeypatch.setattr(
+            cluster_mod, "_means",
+            lambda x, labels, k, fallback: means(x, labels, k, fallback) + 10.0 * next(step),
+        )
+        x = np.random.default_rng(15).random((30, 2))
+        with pytest.raises(ComputeError, match="objective increased"):
+            kmeans(x, k=3, seed=0)
+
+    def test_rising_objective_check_survives_python_O(self):
+        script = textwrap.dedent("""
+            import itertools
+            import numpy as np
+            from litclust import cluster
+            from litclust.errors import ComputeError
+            means, step = cluster._means, itertools.count(1)
+            cluster._means = lambda x, labels, k, fallback: means(x, labels, k, fallback) + 10.0 * next(step)
+            try:
+                cluster.kmeans(np.random.default_rng(15).random((30, 2)), k=3, seed=0)
+            except ComputeError as exc:
+                print(__debug__, exc)
+        """)
+        src = str(Path(cluster_mod.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False objective increased during Lloyd iterations"
+
+
 class TestEstimator:
     def test_fit_predict_roundtrip(self):
         x, _ = blobs(20, centers=[(0, 0), (9, 9)], spread=0.5, seed=11)
@@ -176,6 +218,14 @@ def test_assignment_dump_roundtrip(tmp_path):
     dump_assignments(clustering, docs, path)
     back = load_assignments(path)
     assert [back[d] for d in docs] == clustering.assignments.tolist()
+
+
+@pytest.mark.parametrize("bad", [b"doc01\tone", b"doc01 1", b"doc01\t1\t2", b"doc01\t\xff"])
+def test_malformed_assignment_line_names_file_and_line(tmp_path, bad):
+    path = tmp_path / "assignments.tsv"
+    path.write_bytes(b"doc00\t0\n" + bad + b"\n")
+    with pytest.raises(ParseError, match=r"assignments\.tsv:2:"):
+        load_assignments(path)
 
 
 def test_run_metadata_fields():

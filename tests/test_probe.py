@@ -378,3 +378,8 @@ def test_report_json_roundtrip():
     assert back.cluster_sizes == report.cluster_sizes
     assert back.clusters == report.clusters
     assert build_network(back) == build_network(report)
+
+
+def test_malformed_report_json_raises_parse_error():
+    with pytest.raises(ParseError, match="malformed probe report"):
+        report_from_json('{"mode": "gene"}')

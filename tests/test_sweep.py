@@ -1,9 +1,17 @@
 import json
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from litclust.errors import EmptySpec, NoLabeledDocuments
+import litclust.sweep as sweep_mod
+from litclust.cluster import kmeans
+from litclust.errors import AllTermsRemoved, EmptySpec, NoLabeledDocuments, ParseError
+from litclust.evaluate import score_clustering
+from litclust.lsa import reduce as lsa_reduce
 from litclust.sweep import (
     BASELINE_PRESET,
     SweepRow,
@@ -17,6 +25,7 @@ from litclust.sweep import (
     write_rows,
     write_v_curve,
 )
+from litclust.vectorize import build_weighted_matrix
 
 from helpers import make_planted_corpus
 
@@ -48,6 +57,40 @@ def strip_runtime(rows):
         {k: v for k, v in json.loads(r.to_json()).items() if k != "runtime_ms"}
         for r in rows
     ]
+
+
+def tiny_corpus():
+    # 12 documents: n above 12 cannot embed, k above 12 cannot cluster.
+    return make_planted_corpus(
+        n_topics=2, docs_per_topic=6, vocab_per_topic=12, tokens_per_doc=20
+    )
+
+
+def standalone_row(corpus, spec, d, r, n, k):
+    """One pipeline run at (d, r, n, k) with the sweep's documented sub-seeds."""
+    row = SweepRow(d=d, r=r, n=n, k=k)
+    try:
+        weighted = build_weighted_matrix(
+            corpus, d_percent=d, rank_cutoff=r, enforce_bounds=spec.enforce_bounds
+        )
+    except AllTermsRemoved:
+        row.skip_reason = "all_terms_removed"
+        return row
+    if n > min(weighted.shape):
+        row.skip_reason = "n_dims_too_large"
+        return row
+    emb = lsa_reduce(weighted, n, seed=derive_seed(spec.seed, "lsa", d, r, n))
+    if k > weighted.shape[1]:
+        row.skip_reason = "k_too_large"
+        return row
+    clus = kmeans(
+        emb.vectors, k, seed=derive_seed(spec.seed, "kmeans", d, r, n, k), restarts=spec.restarts
+    )
+    report = score_clustering(clus.assignments, corpus.labels())
+    row.completeness = report.completeness
+    row.homogeneity = report.homogeneity
+    row.v_measure = report.v_measure
+    return row
 
 
 class TestEnumerate:
@@ -91,6 +134,7 @@ class TestRunSweep:
         spec = small_spec()
         rows = run_sweep(corpus, spec)
         assert len(rows) == len(enumerate_grid(spec))
+        assert [r.key for r in rows] == sorted(enumerate_grid(spec))
         assert all(r.ok for r in rows)
         for r in rows:
             assert 0.0 <= r.v_measure <= 1.0
@@ -116,10 +160,7 @@ class TestRunSweep:
             run_sweep(unlabeled, small_spec())
 
     def test_oversized_n_recorded_as_skip(self):
-        # 12 documents: any n above 12 cannot embed.
-        corpus = make_planted_corpus(
-            n_topics=2, docs_per_topic=6, vocab_per_topic=12, tokens_per_doc=20
-        )
+        corpus = tiny_corpus()
         spec = small_spec(n_values=(2, 20), k_values=(2,), r_values=(5,))
         rows = run_sweep(corpus, spec)
         reasons = {r.key: r.skip_reason for r in rows}
@@ -128,12 +169,45 @@ class TestRunSweep:
         skips = [r for r in rows if not r.ok]
         assert len(rows) == len(skips) + sum(1 for r in rows if r.ok)
 
-    def test_cache_and_nocache_agree(self):
+    def test_rows_equal_standalone_pipeline_runs(self):
+        # d=60% keeps only terms in 8 of 12 documents, and topic terms
+        # occur in at most 6: every skip reason but a solver failure shows.
+        corpus = tiny_corpus()
+        spec = small_spec(
+            d_values=(0.5, 60.0), r_values=(5, 6), n_values=(2, 20), k_values=(2, 3, 20),
+            enforce_bounds=False, restarts=2,
+        )
+        rows = run_sweep(corpus, spec)
+        expected = [standalone_row(corpus, spec, *key) for key in sorted(enumerate_grid(spec))]
+        assert strip_runtime(rows) == strip_runtime(expected)
+        reasons = {r.skip_reason for r in rows}
+        assert reasons == {None, "all_terms_removed", "n_dims_too_large", "k_too_large"}
+
+    def test_each_prefix_is_built_once(self, tmp_path, monkeypatch):
         corpus = small_corpus()
-        spec = small_spec(budget=50, n_values=(4, 8), k_values=(2, 3, 4, 5, 6))
-        cached = run_sweep(corpus, spec, use_cache=True)
-        uncached = run_sweep(corpus, spec, use_cache=False)
-        assert strip_runtime(cached) == strip_runtime(uncached)
+        first = small_spec(
+            d_values=(0.5, 0.8), r_values=(5, 6), n_values=(4, 8), k_values=(2, 3, 4, 5, 6),
+            budget=10,
+        )
+        spec = replace(first, budget=30)
+        ckpt = tmp_path / "rows.jsonl"
+        run_sweep(corpus, first, checkpoint_path=ckpt)
+        todo = set(enumerate_grid(spec)) - set(enumerate_grid(first))
+
+        calls = {"reduce": 0, "tfidf": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sweep_mod._lsa, "reduce", counted("reduce", sweep_mod._lsa.reduce))
+        monkeypatch.setattr(sweep_mod._vec, "tfidf", counted("tfidf", sweep_mod._vec.tfidf))
+        rows = run_sweep(corpus, spec, checkpoint_path=ckpt)
+        assert all(r.ok for r in rows)
+        assert calls["reduce"] == len({key[:3] for key in todo})
+        assert calls["tfidf"] == len({key[:2] for key in todo})
 
     def test_checkpoint_resume_skips_done_rows(self, tmp_path):
         corpus = small_corpus()
@@ -148,7 +222,7 @@ class TestRunSweep:
         ckpt = tmp_path / "rows.jsonl"
         ckpt.write_text(sentinel.to_json() + "\n", encoding="utf-8")
         rows = run_sweep(corpus, spec, checkpoint_path=ckpt)
-        assert rows[0].v_measure == 0.789
+        assert next(r for r in rows if r.key == combos[0]).v_measure == 0.789
         # All four rows are now checkpointed.
         assert len(read_rows(ckpt)) == 4
         # A second resume recomputes nothing and appends nothing.
@@ -156,10 +230,20 @@ class TestRunSweep:
         run_sweep(corpus, spec, checkpoint_path=ckpt)
         assert ckpt.read_text() == before
 
+    @pytest.mark.parametrize("corrupt", [b'{"d": 0.5, "r"', b"\xff\xfe", b'{"r": 5}', b"[1, 2]"])
+    def test_corrupt_checkpoint_line_raises_parse_error(self, tmp_path, corrupt):
+        corpus = small_corpus()
+        spec = small_spec(budget=4)
+        ckpt = tmp_path / "rows.jsonl"
+        run_sweep(corpus, spec, checkpoint_path=ckpt)
+        lines = ckpt.read_bytes().splitlines(keepends=True)
+        lines[1] = corrupt + b"\n"
+        ckpt.write_bytes(b"".join(lines))
+        with pytest.raises(ParseError, match=r"rows\.jsonl:2:"):
+            run_sweep(corpus, spec, checkpoint_path=ckpt)
+
     def test_oversized_k_recorded_as_skip(self):
-        corpus = make_planted_corpus(
-            n_topics=2, docs_per_topic=6, vocab_per_topic=12, tokens_per_doc=20
-        )
+        corpus = tiny_corpus()
         spec = small_spec(n_values=(2,), k_values=(2, 20), r_values=(5,))
         rows = run_sweep(corpus, spec)
         reasons = {r.key: r.skip_reason for r in rows}
@@ -212,6 +296,32 @@ class TestRunSweep:
             top = max(rows, key=lambda r: (r.v_measure, r.completeness))
             winners.append(top.k)
         assert sum(1 for k in winners if k == 4) >= 3
+
+
+@pytest.fixture(scope="module")
+def uninterrupted():
+    corpus = small_corpus()
+    spec = small_spec(budget=8)
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "rows.jsonl"
+        rows = run_sweep(corpus, spec, checkpoint_path=ckpt)
+        return corpus, spec, rows, ckpt.read_bytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_resume_after_torn_checkpoint_line(uninterrupted, data):
+    """A crash mid-write leaves a partial last line; resume drops it and
+    ends with the rows and checkpoint of an uninterrupted run."""
+    corpus, spec, rows, blob = uninterrupted
+    cut = data.draw(st.integers(1, len(blob) - 1), label="cut")
+    assume(blob[cut - 1 : cut] != b"\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "rows.jsonl"
+        ckpt.write_bytes(blob[:cut])
+        resumed = run_sweep(corpus, spec, checkpoint_path=ckpt)
+        assert strip_runtime(resumed) == strip_runtime(rows)
+        assert strip_runtime(read_rows(ckpt)) == strip_runtime(rows)
 
 
 class TestReport:
@@ -286,6 +396,13 @@ def test_v_curve_over_k(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "k\tv_measure"
     assert len(lines) == 5
+
+
+def test_v_curve_leaves_out_skipped_k_and_checks_bounds():
+    corpus = tiny_corpus()
+    assert [k for k, _ in v_curve(corpus, k_values=(2, 20), n_dims=2)] == [2]
+    with pytest.raises(EmptySpec):
+        v_curve(corpus, k_values=(2,), n_dims=25)
 
 
 def test_rows_roundtrip(tmp_path):
