@@ -344,11 +344,19 @@ def cmd_sweep(cfg: PipelineConfig, args) -> dict:
         encoding="utf-8",
     )
     # The curve is drawn at the config's (d, r, n_dims) over the sweep's
-    # K values; K that did not run are left out.
-    curve_spec = replace(
-        spec, d_values=(cfg.d,), r_values=(cfg.r,), n_values=(cfg.n_dims,), budget=None
-    )
-    curve = [(row.k, row.v_measure) for row in _sweep.run_sweep(corpus, curve_spec) if row.ok]
+    # K values, from the grid's rows where it holds them (a row depends
+    # only on its key, the seed and the restarts); K that did not run are
+    # left out.
+    point = (float(cfg.d), cfg.r, cfg.n_dims)
+    at_point = {row.k: row for row in rows if row.key[:3] == point}
+    missing = tuple(k for k in spec.k_values if k not in at_point)
+    if missing:
+        curve_spec = replace(
+            spec, d_values=(cfg.d,), r_values=(cfg.r,), n_values=(cfg.n_dims,),
+            k_values=missing, budget=None,
+        )
+        at_point.update((row.k, row) for row in _sweep.run_sweep(corpus, curve_spec))
+    curve = [(k, row.v_measure) for k, row in sorted(at_point.items()) if row.ok]
     curve_path = out / "vk_curve.tsv"
     _sweep.write_v_curve(curve, curve_path)
     _update_manifest(cfg, out, [report_path, curve_path])

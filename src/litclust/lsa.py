@@ -4,10 +4,25 @@ Documents are embedded as the document-side singular vectors scaled by
 the singular values, so Euclidean distances between embedding rows
 approximate distances between the weighted matrix's document columns,
 which is what the downstream clustering objective measures.
+
+Matrices whose smaller side is at most ``DENSE_CUTOFF`` go through a
+dense SVD.  Larger ones go through block Krylov (block Lanczos)
+iteration on the Gram operator of the smaller side, ``x -> A^T (A x)``
+or ``x -> A (A^T x)``, which is applied and never formed.  The basis
+starts from a seeded Gaussian block and keeps every block it grows, each
+orthogonalized twice against all earlier ones; a Rayleigh-Ritz step
+every ``RITZ_INTERVAL`` columns stops the iteration once every wanted
+Ritz pair's residual is at most ``RESIDUAL_TOL`` of the largest Ritz
+value, or once the basis spans the whole side, where the result is
+exact.  Singular values and the other side then come from an SVD of A
+times the Ritz vectors.  Both paths use numpy's linear algebra only:
+importing scipy's dense or sparse linear algebra would add 8-10 MB to
+every process.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,12 +33,21 @@ from litclust.base import BaseEstimator, check_positive_int
 from litclust.errors import ConfigError, ConvergenceFailure, DimsTooLarge
 from litclust.vectorize import WeightedMatrix
 
+logger = logging.getLogger(__name__)
+
 # Below this size an exact dense SVD is cheaper and unconditionally stable.
 DENSE_CUTOFF = 64
-OVERSAMPLE = 8
-MIN_POWER_ITERS = 4
-MAX_POWER_ITERS = 200
-SV_TOL = 1e-8
+# Width of each Krylov block.  A singular value repeated up to this many
+# times is resolved in full, which single-vector Lanczos can miss.
+BLOCK = 4
+# Basis columns added between two Rayleigh-Ritz steps.
+RITZ_INTERVAL = 16
+# A Ritz pair has converged when its residual is at most this fraction of
+# the largest Ritz value.
+RESIDUAL_TOL = 1e-12
+# Columns the basis may hold beyond the k wanted; running out of them
+# before convergence raises ConvergenceFailure.
+BASIS_MARGIN = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,54 +88,119 @@ def truncated_svd(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-``k`` singular triplets of a sparse or dense matrix.
 
-    Small problems go through an exact dense SVD; larger ones use seeded
-    randomized subspace iteration with power steps repeated until the
-    leading singular values stabilize.
+    Small problems go through an exact dense SVD; larger ones through
+    seeded block Krylov iteration on the smaller side's Gram operator
+    (see the module docstring).
     """
     m, n = a.shape
     if k > min(m, n):
         raise DimsTooLarge(f"k={k} exceeds min(shape)={min(m, n)}")
-    if min(m, n) <= DENSE_CUTOFF or k + OVERSAMPLE >= min(m, n):
+    if min(m, n) <= DENSE_CUTOFF:
+        logger.debug("truncated_svd: dense SVD of a %d x %d matrix", m, n)
         dense = a.toarray() if sparse.issparse(a) else np.asarray(a, dtype=np.float64)
         u, s, vt = np.linalg.svd(dense, full_matrices=False)
         return _fix_signs(u[:, :k], s[:k].copy(), vt[:k].copy())
-    return _randomized_svd(a, k, seed)
+    if m < n:
+        v, s, ut = _block_krylov_svd(a.T, k, seed)
+        return _fix_signs(ut.T, s, v.T)
+    return _fix_signs(*_block_krylov_svd(a, k, seed))
 
 
-def _randomized_svd(a, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    m, n = a.shape
-    width = min(k + OVERSAMPLE, min(m, n))
+def _block_krylov_svd(a, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-``k`` singular triplets of ``a``, which has no more columns than rows."""
+    side = a.shape[1]
+    at = a.T
+    limit = min(side, k + BASIS_MARGIN)
     rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(a @ rng.standard_normal((n, width)))
-
-    prev: np.ndarray | None = None
-    for iteration in range(1, MAX_POWER_ITERS + 1):
-        q, _ = np.linalg.qr(a.T @ q)
-        q, _ = np.linalg.qr(a @ q)
-        b = q.T @ a
-        b = b.toarray() if sparse.issparse(b) else b
-        u_small, s, vt = np.linalg.svd(b, full_matrices=False)
-        current = s[:k]
-        if prev is not None and iteration >= MIN_POWER_ITERS:
-            scale = np.where(prev > 0, prev, 1.0)
-            if np.max(np.abs(current - prev) / scale) <= SV_TOL:
-                u = q @ u_small
-                return _fix_signs(u[:, :k], current.copy(), vt[:k].copy())
-        prev = current
-    raise ConvergenceFailure(
-        f"singular values did not stabilize within {MAX_POWER_ITERS} power iterations"
+    # Column-major, so appending a block writes only that block's pages.
+    q = np.empty((side, limit), order="F")
+    # q^T A^T A q one block column at a time, as (first column, its rows
+    # down to the diagonal): the upper triangle, which is all eigh reads.
+    # Assembled at each Rayleigh-Ritz step; a limit x limit buffer held
+    # throughout raised the peak RSS of repeated solves by 2-3 MB.
+    projections = []
+    q[:, :BLOCK], _ = np.linalg.qr(rng.standard_normal((side, BLOCK)))
+    start, end = 0, BLOCK
+    scale = 0.0  # largest column norm of A^T A q so far, at most theta_1
+    checked = rounds = 0
+    while True:
+        y = at @ (a @ q[:, start:end])
+        scale = max(scale, float(np.linalg.norm(y, axis=0).max()))
+        basis = q[:, :end]
+        coef = basis.T @ y
+        y -= basis @ coef
+        width = min(BLOCK, limit - end)
+        if width:
+            new, more, tail = _extend(y, basis, width, RESIDUAL_TOL * scale, rng)
+            coef += more
+            q[:, end:end + width] = new
+        else:
+            tail = y
+        # A^T A q[:, start:end] = basis @ coef + new @ tail, so a Ritz
+        # vector's residual is tail times its coordinates on this block.
+        projections.append((start, coef))
+        if end >= k and (end - checked >= RITZ_INTERVAL or not width):
+            rounds += 1
+            checked = end
+            h = np.zeros((end, end))
+            for col, block in projections:
+                h[:len(block), col:col + block.shape[1]] = block
+            theta, coords = np.linalg.eigh(h, UPLO="U")
+            theta, coords = theta[::-1][:k], coords[:, ::-1][:, :k]
+            top = max(float(theta[0]), 0.0)
+            residual = float(np.linalg.norm(tail @ coords[start:end], axis=0).max())
+            if end == side or residual <= RESIDUAL_TOL * top:
+                break
+            if not width:
+                raise ConvergenceFailure(
+                    f"Ritz residual {residual:.2e} of the top {k} is above "
+                    f"{RESIDUAL_TOL:g} x {top:.3g} with the basis at its "
+                    f"{limit}-column limit"
+                )
+        start, end = end, end + width
+    logger.debug(
+        "truncated_svd: block Krylov on a side of %d, %d basis columns, "
+        "%d Rayleigh-Ritz rounds, largest residual %.2e of the top Ritz value",
+        side, end, rounds, residual / top if top > 0 else 0.0,
     )
+    ritz = q[:, :end] @ coords
+    u, s, wt = np.linalg.svd(a @ ritz, full_matrices=False)
+    return u, s, wt @ ritz.T
+
+
+def _extend(y, basis, width: int, floor: float, rng):
+    """``width`` orthonormal columns that extend ``basis`` towards ``y``.
+
+    ``y`` has been orthogonalized against ``basis`` once; the second pass
+    runs on its normalized directions.  Returns ``(new, coef, tail)`` with
+    ``y = basis @ coef + new @ tail`` up to directions of norm at most
+    ``floor``.  Those are dropped (they cannot move a residual past the
+    stopping test) and their columns filled with seeded random directions,
+    so the basis keeps growing once the Krylov space is invariant, as it
+    is when the matrix has rank below k.
+    """
+    u, s, vh = np.linalg.svd(y, full_matrices=False)
+    u, s, vh = u[:, :width], s[:width], vh[:width]
+    mix = s[:, None] * vh
+    weak = s <= floor
+    if weak.any():
+        mix[weak] = 0.0
+        fill = rng.standard_normal((len(u), int(weak.sum())))
+        u[:, weak] = fill - basis @ (basis.T @ fill)
+    coef = basis.T @ u
+    u -= basis @ coef
+    new, r = np.linalg.qr(u)
+    return new, coef @ mix, r @ mix
 
 
 def _fix_signs(
     u: np.ndarray, s: np.ndarray, vt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Make the largest-magnitude coordinate of each right singular vector positive."""
-    for i in range(vt.shape[0]):
-        j = int(np.argmax(np.abs(vt[i])))
-        if vt[i, j] < 0:
-            vt[i] = -vt[i]
-            u[:, i] = -u[:, i]
+    peak = np.take_along_axis(vt, np.argmax(np.abs(vt), axis=1)[:, None], axis=1)
+    signs = np.where(peak < 0, -1.0, 1.0)
+    vt *= signs
+    u *= signs.T
     return u, s, vt
 
 

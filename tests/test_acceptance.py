@@ -125,7 +125,7 @@ def test_criterion_4_svd_correctness():
             eigvals = np.linalg.eigvalsh(dense.T @ dense)[::-1][:10]
             expected = np.sqrt(np.maximum(eigvals, 0.0))
             assert np.max(np.abs(s - expected) / expected) <= 1e-6
-        # Same tolerance through the randomized path (no dense fallback).
+        # Same tolerance through the block Krylov path (min(shape) > 64).
         big = rng.random((150, 120)) * (rng.random((150, 120)) < 0.3)
         _, s_big, _ = truncated_svd(big, 10, seed=0)
         ref = np.linalg.svd(big, compute_uv=False)[:10]

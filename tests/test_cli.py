@@ -207,6 +207,48 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", "config.json") == 3
         assert "rows.jsonl:2:" in capsys.readouterr().err
 
+    @staticmethod
+    def count_calls(monkeypatch, module, name, calls):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def test_curve_from_grid_rows_recomputes_nothing(self, workspace, monkeypatch):
+        import litclust.lsa
+        import litclust.vectorize
+
+        # The grid holds every K at the config point (0.5, 5, 15).
+        self.sweep_config(workspace, n_values=[5, 15], budget=None)
+        calls = {}
+        self.count_calls(monkeypatch, litclust.vectorize, "count_matrix", calls)
+        self.count_calls(monkeypatch, litclust.lsa, "reduce", calls)
+        assert run_cli("sweep", "--config", "config.json") == 0
+        assert calls == {"count_matrix": 1, "reduce": 2}
+        out = workspace / "out"
+        rows = [json.loads(l) for l in (out / "rows.jsonl").read_text().splitlines()]
+        expected = [f"{r['k']}\t{r['v_measure']:.6f}" for r in rows if r["n"] == 15]
+        assert (out / "vk_curve.tsv").read_text().splitlines() == ["k\tv_measure", *expected]
+
+    def test_curve_runs_only_missing_k(self, workspace, monkeypatch):
+        import litclust.cluster
+
+        self.sweep_config(workspace, n_values=[5, 15], k_values=[2, 3, 4], budget=None)
+        assert run_cli("sweep", "--config", "config.json", "--out", "full") == 0
+        self.sweep_config(workspace, n_values=[5, 15], k_values=[2, 3, 4], budget=3)
+        calls = {}
+        self.count_calls(monkeypatch, litclust.cluster, "kmeans", calls)
+        assert run_cli("sweep", "--config", "config.json") == 0
+        rows = [json.loads(l) for l in (workspace / "out" / "rows.jsonl").read_text().splitlines()]
+        # The budget keeps K = 3, 4 at the config point; only K = 2 runs again.
+        assert sorted(r["k"] for r in rows if r["n"] == 15) == [3, 4]
+        assert calls["kmeans"] == 3 + 1
+        curve = (workspace / "out" / "vk_curve.tsv").read_text()
+        assert curve == (workspace / "full" / "vk_curve.tsv").read_text()
+
     def test_curve_at_config_point_leaves_out_skipped_k(self, workspace):
         # 12 documents: the baseline n_dims=15 cannot embed and K=20
         # cannot cluster; the curve follows the config's n_dims instead.

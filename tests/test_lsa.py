@@ -1,16 +1,27 @@
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from litclust.errors import ConfigError, DimsTooLarge
+import litclust.lsa as lsa_mod
+from litclust.corpus import save_jsonl
+from litclust.errors import ConfigError, ConvergenceFailure, DimsTooLarge
 from litclust.lsa import (
     EmbeddingMatrix,
     TruncatedLsa,
+    _fix_signs,
     dump_embedding,
     reduce,
     truncated_svd,
 )
 from litclust.vectorize import WeightedMatrix
+
+from helpers import make_planted_corpus
 
 
 def as_weighted(dense):
@@ -54,7 +65,7 @@ def test_small_sparse_matches_gram_eigensolve():
 
 
 def test_randomized_path_matches_dense_svd():
-    # Big enough to bypass the dense fallback (min(shape) > 64).
+    # Big enough for the block Krylov path (min(shape) > DENSE_CUTOFF).
     dense = random_sparse(150, 120, density=0.2, seed=2)
     u, s, vt = truncated_svd(sparse.csr_array(dense), 12, seed=3)
     reference = np.linalg.svd(dense, compute_uv=False)[:12]
@@ -127,14 +138,124 @@ def test_dims_too_large():
         reduce(as_weighted(np.ones((3, 5))), 4)
 
 
-def test_iteration_cap_raises_convergence_failure(monkeypatch):
-    import litclust.lsa as lsa_mod
-    from litclust.errors import ConvergenceFailure
-
-    monkeypatch.setattr(lsa_mod, "MAX_POWER_ITERS", 1)
+def test_basis_column_cap_raises_convergence_failure(monkeypatch):
+    monkeypatch.setattr(lsa_mod, "BASIS_MARGIN", 4)
     dense = random_sparse(100, 80, seed=12)
-    with pytest.raises(ConvergenceFailure):
-        lsa_mod._randomized_svd(sparse.csr_array(dense), 5, seed=0)
+    with pytest.raises(ConvergenceFailure, match="9-column limit"):
+        truncated_svd(sparse.csr_array(dense), 5, seed=0)
+
+
+def sign_fixed_reference(dense, k):
+    u, s, vt = np.linalg.svd(dense, full_matrices=False)
+    return _fix_signs(u[:, :k], s[:k].copy(), vt[:k].copy())
+
+
+@pytest.mark.parametrize("shape", [(150, 120), (120, 150)], ids=["doc-side", "term-side"])
+def test_vectors_match_dense_svd(shape):
+    dense = random_sparse(*shape, density=0.2, seed=13)
+    u, s, vt = truncated_svd(sparse.csr_array(dense), 12, seed=4)
+    u_ref, s_ref, vt_ref = sign_fixed_reference(dense, 12)
+    assert np.max(np.abs(s - s_ref) / s_ref) <= 1e-12
+    assert np.max(np.abs(vt - vt_ref)) <= 1e-9
+    assert np.max(np.abs(u - u_ref)) <= 1e-9
+
+
+@pytest.mark.parametrize("copies, block", [(2, (300, 250)), (4, (150, 120))])
+def test_repeated_singular_values_match_dense(copies, block):
+    # Every singular value appears `copies` times; a block of width 4
+    # must find all copies of each.
+    one = sparse.csr_array(random_sparse(*block, density=0.3, seed=copies))
+    a = sparse.csr_array(sparse.block_diag([one] * copies))
+    u, s, vt = truncated_svd(a, 20, seed=0)
+    dense = a.toarray()
+    _, s_ref, _ = sign_fixed_reference(dense, 20)
+    assert np.allclose(s[::copies], s[copies - 1::copies], rtol=1e-12)
+    assert np.max(np.abs(s - s_ref) / s_ref) <= 1e-9
+    # The singular vectors of a repeated value are not unique; the
+    # subspaces are, so the truncation error must be the optimal one.
+    best = np.sqrt(np.sum(np.linalg.svd(dense, compute_uv=False)[20:] ** 2))
+    assert np.linalg.norm(dense - (u * s) @ vt) <= best * (1 + 1e-9)
+    assert np.allclose(vt @ vt.T, np.eye(20), atol=1e-12)
+
+
+@pytest.mark.parametrize("rank", [10, 0])
+def test_rank_below_n_dims(rank):
+    # 15 dims wanted: the Krylov space is exhausted before the basis holds
+    # 15 columns, so it is completed with directions of the null space.
+    low = random_sparse(90, rank, density=0.5, seed=14) @ random_sparse(rank, 75, density=0.5, seed=15)
+    u, s, vt = truncated_svd(sparse.csr_array(low), 15, seed=0)
+    s_ref = np.linalg.svd(low, compute_uv=False)
+    assert np.all(np.abs(s[:rank] - s_ref[:rank]) <= 1e-12 * s_ref[:rank])
+    assert np.all(s[rank:] <= 1e-12 * s_ref[0])
+    assert np.linalg.norm(low - (u * s) @ vt) <= 1e-12 * s_ref[0]
+    assert np.allclose(vt @ vt.T, np.eye(15), atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(100, 80), (80, 100)], ids=["doc-side", "term-side"])
+def test_rerun_is_bit_identical(shape):
+    a = sparse.csr_array(random_sparse(*shape, density=0.25, seed=16))
+    first = truncated_svd(a, 9, seed=7)
+    second = truncated_svd(a, 9, seed=7)
+    for x, y in zip(first, second):
+        assert x.tobytes() == y.tobytes()
+
+
+def test_fix_signs_matches_per_vector_loop():
+    def loop_reference(u, s, vt):
+        for i in range(vt.shape[0]):
+            j = int(np.argmax(np.abs(vt[i])))
+            if vt[i, j] < 0:
+                vt[i] = -vt[i]
+                u[:, i] = -u[:, i]
+        return u, s, vt
+
+    rng = np.random.default_rng(17)
+    u = rng.standard_normal((30, 6))
+    vt = rng.standard_normal((6, 25))
+    vt[2] = 0.0  # zero rows and signed zeros must come out the same too
+    vt[3, ::2] = -0.0
+    s = np.arange(6.0, 0.0, -1.0)
+    expected = loop_reference(u.copy(), s.copy(), vt.copy())
+    got = _fix_signs(u.copy(), s.copy(), vt.copy())
+    for x, y in zip(got, expected):
+        assert x.tobytes() == y.tobytes()
+
+
+def test_debug_log_names_the_path(caplog):
+    with caplog.at_level(logging.DEBUG, logger="litclust.lsa"):
+        truncated_svd(random_sparse(30, 20, seed=18), 3)
+        truncated_svd(sparse.csr_array(random_sparse(100, 80, seed=18)), 3)
+    dense_msg, krylov_msg = (r.getMessage() for r in caplog.records)
+    assert "dense SVD of a 30 x 20 matrix" in dense_msg
+    assert "block Krylov on a side of 80" in krylov_msg
+    for part in ("basis columns", "Rayleigh-Ritz rounds", "largest residual"):
+        assert part in krylov_msg
+
+
+PIPELINE_SCRIPT = """
+import sys
+from litclust import build_weighted_matrix, kmeans, load_corpus, score_clustering
+from litclust.lsa import reduce
+corpus = load_corpus(sys.argv[1])
+emb = reduce(build_weighted_matrix(corpus, d_percent=0.5, rank_cutoff=5), 15, seed=0)
+clustering = kmeans(emb.vectors, 4, seed=0)
+score_clustering(clustering.assignments, corpus.labels())
+print(sorted(m for m in ("scipy.linalg", "scipy.sparse.linalg") if m in sys.modules))
+"""
+
+
+def test_pipeline_does_not_import_scipy_linear_algebra(tmp_path):
+    # Either module costs 8-10 MB of resident memory at import; the
+    # pipeline needs neither.  The corpus is big enough for the Krylov path.
+    path = tmp_path / "corpus.jsonl"
+    save_jsonl(make_planted_corpus(n_topics=4, docs_per_topic=30, tokens_per_doc=25), path)
+    src = str(Path(lsa_mod.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", PIPELINE_SCRIPT, str(path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_sign_convention_fixed():

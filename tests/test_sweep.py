@@ -250,6 +250,12 @@ class TestRunSweep:
         assert reasons[(0.5, 5, 2, 20)] == "k_too_large"
         assert reasons[(0.5, 5, 2, 2)] is None
 
+    def test_unconverged_embedding_recorded_as_skip(self, monkeypatch):
+        # Too small a Krylov basis for a 100 x 120 matrix to converge in.
+        monkeypatch.setattr(sweep_mod._lsa, "BASIS_MARGIN", 1)
+        rows = run_sweep(small_corpus(), small_spec(r_values=(5,), n_values=(5,)))
+        assert {r.skip_reason for r in rows} == {"svd_convergence_failure"}
+
     def test_degenerate_corpus_aborts(self):
         from litclust.corpus import Corpus, Document
         from litclust.errors import AllTermsRemoved
