@@ -70,16 +70,3 @@ def check_positive_int(value, name: str, minimum: int = 1) -> int:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
-
-def check_bounds(value, name: str, lo, hi, enforce: bool = True):
-    """Range check used for the documented parameter bounds.
-
-    ``enforce=False`` turns the check into a no-op so callers can opt
-    out of the bounds deliberately.
-    """
-    if enforce and not (lo <= value <= hi):
-        raise ConfigError(
-            f"{name}={value} outside the supported range [{lo}, {hi}]; "
-            f"pass the override flag to use it anyway"
-        )
-    return value

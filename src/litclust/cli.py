@@ -59,7 +59,9 @@ class PipelineConfig:
 
     def validate(self) -> "PipelineConfig":
         """Type and enum checks for values that may arrive from the
-        config file and therefore bypass argparse's choices."""
+        config file and therefore bypass argparse's choices, and the
+        documented ranges of d, r, n_dims and k unless
+        ``allow_out_of_bounds`` is set."""
         def expect(name, value, kinds):
             if not isinstance(value, kinds) or isinstance(value, bool):
                 raise ConfigError(f"config key {name!r} has invalid value {value!r}")
@@ -75,6 +77,15 @@ class PipelineConfig:
             raise ConfigError(f"unknown network_format {self.network_format!r}")
         if not isinstance(self.sweep, dict):
             raise ConfigError("config key 'sweep' must be an object")
+        if not self.allow_out_of_bounds:
+            for name, param in (("d", "d"), ("r", "r"), ("n_dims", "n"), ("k", "k")):
+                value = getattr(self, name)
+                if _sweep.out_of_bounds(param, [value]):
+                    lo, hi = _sweep.BOUNDS[param]
+                    raise ConfigError(
+                        f"{name}={value} is outside the documented range [{lo}, {hi}]; "
+                        f"pass --allow-out-of-bounds to use it anyway"
+                    )
         return self
 
 
@@ -171,27 +182,20 @@ def _out_dir(cfg: PipelineConfig) -> Path:
     return out
 
 
-def _build_weighted(cfg: PipelineConfig, corpus):
-    return _vec.build_weighted_matrix(
-        corpus,
-        d_percent=cfg.d,
-        rank_cutoff=cfg.r,
-        enforce_bounds=not cfg.allow_out_of_bounds,
+def _build_embedding(cfg: PipelineConfig, corpus):
+    weighted = _vec.build_weighted_matrix(corpus, d_percent=cfg.d, rank_cutoff=cfg.r)
+    return _lsa.reduce(
+        weighted, cfg.n_dims, seed=_sweep.derive_seed(cfg.seed, "lsa", cfg.d, cfg.r, cfg.n_dims)
     )
 
 
 def _build_clustering(cfg: PipelineConfig, corpus):
-    weighted = _build_weighted(cfg, corpus)
-    emb = _lsa.reduce(
-        weighted, cfg.n_dims, seed=_sweep.derive_seed(cfg.seed, "lsa", cfg.d, cfg.r, cfg.n_dims)
-    )
-    clus = _cluster.kmeans(
-        emb.vectors,
+    return _cluster.kmeans(
+        _build_embedding(cfg, corpus).vectors,
         cfg.k,
         seed=_sweep.derive_seed(cfg.seed, "kmeans", cfg.d, cfg.r, cfg.n_dims, cfg.k),
         restarts=cfg.restarts,
     )
-    return emb, clus
 
 
 def _load_or_compute_assignments(cfg: PipelineConfig, corpus, explicit: str | None):
@@ -208,8 +212,7 @@ def _load_or_compute_assignments(cfg: PipelineConfig, corpus, explicit: str | No
                 f"assignments file {path} does not cover document(s) {missing[:3]}"
             )
         return [mapping[d.id] for d in corpus]
-    _, clus = _build_clustering(cfg, corpus)
-    return list(clus.assignments)
+    return list(_build_clustering(cfg, corpus).assignments)
 
 
 # -- subcommands ---------------------------------------------------------
@@ -233,7 +236,7 @@ def cmd_vectorize(cfg: PipelineConfig, args) -> dict:
     corpus = _require_corpus(cfg)
     out = _out_dir(cfg)
     counts = _vec.count_matrix(corpus)
-    weighted = _build_weighted(cfg, corpus)
+    weighted = _vec.weigh(_vec.ablate_singletons(counts), cfg.d, cfg.r)
     counts_path = out / "counts.mtx"
     weights_path = out / "weights.mtx"
     vocab_path = out / "vocabulary.tsv"
@@ -251,10 +254,7 @@ def cmd_vectorize(cfg: PipelineConfig, args) -> dict:
 def cmd_embed(cfg: PipelineConfig, args) -> dict:
     corpus = _require_corpus(cfg)
     out = _out_dir(cfg)
-    weighted = _build_weighted(cfg, corpus)
-    emb = _lsa.reduce(
-        weighted, cfg.n_dims, seed=_sweep.derive_seed(cfg.seed, "lsa", cfg.d, cfg.r, cfg.n_dims)
-    )
+    emb = _build_embedding(cfg, corpus)
     path = out / "embedding.tsv"
     _lsa.dump_embedding(emb, path)
     _update_manifest(cfg, out, [path])
@@ -264,7 +264,7 @@ def cmd_embed(cfg: PipelineConfig, args) -> dict:
 def cmd_cluster(cfg: PipelineConfig, args) -> dict:
     corpus = _require_corpus(cfg)
     out = _out_dir(cfg)
-    _, clus = _build_clustering(cfg, corpus)
+    clus = _build_clustering(cfg, corpus)
     assignments_path = out / "assignments.tsv"
     meta_path = out / "cluster_run.json"
     _cluster.dump_assignments(clus, corpus.doc_ids(), assignments_path)

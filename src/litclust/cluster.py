@@ -8,7 +8,7 @@ the objective the Lloyd iterations minimize.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +17,6 @@ from litclust.base import BaseEstimator, check_positive_int, check_vectors
 from litclust.errors import ComputeError, ConfigError, EmptyCluster, KTooLarge, ParseError
 
 MAX_ITER = 300
-# Documented bounds for the cluster count.
-K_BOUNDS = (2, 20)
 # Candidate draws per k-means++ center (greedy variant); 1 recovers the
 # plain sampling rule.
 INIT_CANDIDATES = 3
@@ -55,14 +53,7 @@ def dissimilarity(per_cluster_points) -> float:
     return float(sum(variability(p) for p in per_cluster_points))
 
 
-def kmeans(
-    vectors,
-    k: int,
-    seed: int = 0,
-    restarts: int = 1,
-    max_iter: int = MAX_ITER,
-    init_candidates: int = INIT_CANDIDATES,
-) -> Clustering:
+def kmeans(vectors, k: int, seed: int = 0, restarts: int = 1) -> Clustering:
     """Lloyd's algorithm with k-means++ seeding, best of ``restarts`` runs.
 
     Deterministic for fixed (seed, restarts): restart ``i`` draws from an
@@ -73,7 +64,6 @@ def kmeans(
     x = check_vectors(vectors, "vectors")
     check_positive_int(k, "k")
     check_positive_int(restarts, "restarts")
-    check_positive_int(init_candidates, "init_candidates")
     n = x.shape[0]
     if k > n:
         raise KTooLarge(f"k={k} exceeds the number of points {n}")
@@ -83,41 +73,21 @@ def kmeans(
     # input order; that is what makes the output permutation-invariant.
     canon = x[np.lexsort(x.T)]
 
-    best: Clustering | None = None
-    for restart in range(restarts):
-        rng = np.random.default_rng([seed, restart])
-        result = _lloyd(x, canon, k, rng, max_iter, restart_index=restart,
-                        init_candidates=init_candidates)
-        if best is None or result.dissimilarity < best.dissimilarity:
-            best = result
-    assert best is not None
-    return Clustering(
-        k=best.k,
-        assignments=best.assignments,
-        centroids=best.centroids,
-        variabilities=best.variabilities,
-        dissimilarity=best.dissimilarity,
-        iterations=best.iterations,
-        restarts_used=restarts,
-        objective_trace=best.objective_trace,
-        empty_clusters=best.empty_clusters,
+    # min keeps the first of equal minima, so ties go to the earliest restart.
+    best = min(
+        (_lloyd(x, canon, k, np.random.default_rng([seed, restart])) for restart in range(restarts)),
+        key=lambda result: result.dissimilarity,
     )
+    return replace(best, restarts_used=restarts)
 
 
-def _lloyd(
-    x: np.ndarray,
-    canon: np.ndarray,
-    k: int,
-    rng,
-    max_iter: int,
-    restart_index: int,
-    init_candidates: int = INIT_CANDIDATES,
-) -> Clustering:
-    centers = _kmeanspp(canon, k, rng, init_candidates)
+def _lloyd(x: np.ndarray, canon: np.ndarray, k: int, rng) -> Clustering:
+    """One Lloyd run from a k-means++ seeding; ``restarts_used`` is set by the caller."""
+    centers = _kmeanspp(canon, k, rng)
     labels = np.full(x.shape[0], -1, dtype=np.int64)
     trace: list[float] = []
 
-    for iteration in range(1, max_iter + 1):
+    for _ in range(MAX_ITER):
         new_labels = np.argmin(_sq_dists(x, centers), axis=1)
         new_labels = _repair_empty(x, new_labels, k)
         centers = _means(x, new_labels, k, fallback=centers)
@@ -147,16 +117,16 @@ def _lloyd(
         variabilities=variabilities,
         dissimilarity=float(variabilities.sum()),
         iterations=len(trace),
-        restarts_used=restart_index + 1,
+        restarts_used=1,
         objective_trace=tuple(trace),
         empty_clusters=empty,
     )
 
 
-def _kmeanspp(x: np.ndarray, k: int, rng, n_candidates: int = INIT_CANDIDATES) -> np.ndarray:
+def _kmeanspp(x: np.ndarray, k: int, rng) -> np.ndarray:
     """k-means++ seeding, greedy variant.
 
-    Each new center is the best of ``n_candidates`` draws made with
+    Each new center is the best of ``INIT_CANDIDATES`` draws made with
     probability proportional to squared distance from the nearest chosen
     center ("best" = smallest resulting potential).  One candidate is
     the plain k-means++ rule.
@@ -168,7 +138,7 @@ def _kmeanspp(x: np.ndarray, k: int, rng, n_candidates: int = INIT_CANDIDATES) -
     for i in range(1, k):
         total = d2.sum()
         if total > 0:
-            candidates = rng.choice(n, size=n_candidates, p=d2 / total)
+            candidates = rng.choice(n, size=INIT_CANDIDATES, p=d2 / total)
             idx = -1
             best_d2 = None
             for cand in candidates:
@@ -229,29 +199,13 @@ def _means(x: np.ndarray, labels: np.ndarray, k: int, fallback: np.ndarray) -> n
 class KMeans(BaseEstimator):
     """Estimator facade over :func:`kmeans` with predict for new points."""
 
-    def __init__(
-        self,
-        k: int = 4,
-        seed: int = 0,
-        restarts: int = 4,
-        max_iter: int = MAX_ITER,
-        init_candidates: int = INIT_CANDIDATES,
-    ):
+    def __init__(self, k: int = 4, seed: int = 0, restarts: int = 4):
         self.k = k
         self.seed = seed
         self.restarts = restarts
-        self.max_iter = max_iter
-        self.init_candidates = init_candidates
 
     def fit(self, x, y=None) -> "KMeans":
-        self.clustering_ = kmeans(
-            x,
-            self.k,
-            seed=self.seed,
-            restarts=self.restarts,
-            max_iter=self.max_iter,
-            init_candidates=self.init_candidates,
-        )
+        self.clustering_ = kmeans(x, self.k, seed=self.seed, restarts=self.restarts)
         self.labels_ = self.clustering_.assignments
         self.centroids_ = self.clustering_.centroids
         self.dissimilarity_ = self.clustering_.dissimilarity

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import sparse
 
 from litclust.base import BaseEstimator, check_positive_int
-from litclust.errors import ConfigError, ConvergenceFailure, DimsTooLarge
+from litclust.errors import ConvergenceFailure, DimsTooLarge
 from litclust.vectorize import WeightedMatrix
 
 logger = logging.getLogger(__name__)
@@ -205,7 +205,11 @@ def _fix_signs(
 
 
 class TruncatedLsa(BaseEstimator):
-    """fit/transform wrapper around the truncated SVD embedding."""
+    """Estimator facade over :func:`reduce`.
+
+    There is no transform for another matrix: ``fit_transform`` returns
+    the embedding of the matrix it was fit on.
+    """
 
     def __init__(self, n_dims: int = 15, seed: int = 0):
         self.n_dims = n_dims
@@ -215,11 +219,6 @@ class TruncatedLsa(BaseEstimator):
         self.embedding_ = reduce(w, self.n_dims, seed=self.seed)
         self.singular_values_ = self.embedding_.singular_values
         return self
-
-    def transform(self, w: WeightedMatrix | None = None) -> EmbeddingMatrix:
-        if not hasattr(self, "embedding_"):
-            raise ConfigError("TruncatedLsa is not fitted; call fit first")
-        return self.embedding_
 
     def fit_transform(self, w: WeightedMatrix, y=None) -> EmbeddingMatrix:
         return self.fit(w).embedding_

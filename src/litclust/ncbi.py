@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 import os
+import tempfile
 import time
 import urllib.error
 import urllib.parse
@@ -157,4 +158,13 @@ class NcbiClient:
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(payload)
+        # Written beside the entry and renamed over it, so a write cut
+        # short leaves no truncated entry for _cache_read to replay.
+        fd, name = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+        os.close(fd)
+        tmp = Path(name)
+        try:
+            tmp.write_bytes(payload)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)

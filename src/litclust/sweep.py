@@ -3,11 +3,10 @@
 The full Cartesian product is enumerated, shuffled deterministically by
 seed and optionally truncated to a budget; that selects the
 combinations.  They then run, and come back, sorted by (d, r, n, k), so
-each shared prefix (counting and singleton ablation once, the D filter
-per d, weighting per (d, r), the embedding per (d, r, n)) is built once
-and only the current one is held.  Rows are checkpointed as they
-complete; a checkpoint line torn by a crash mid-write is dropped on
-resume.  The V-vs-K curve is a one-(d, r, n) sweep of the same kind.
+each shared prefix (counting and singleton ablation once, weighting per
+(d, r), the embedding per (d, r, n)) is built once and only the current
+one is held.  Rows are checkpointed as they complete; a checkpoint line
+torn by a crash mid-write is dropped on resume.  The V-vs-K curve is a one-(d, r, n) sweep of the same kind.
 """
 
 from __future__ import annotations
@@ -41,6 +40,15 @@ DEFAULT_K_VALUES = tuple(range(2, 21))
 
 # Named baseline preset used as the default configuration everywhere.
 BASELINE_PRESET = {"d": 0.5, "r": 5, "n_dims": 15, "k": 4}
+# Documented range of each tuned parameter.  SweepSpec and the CLI
+# check it unless told not to; library functions accept any value.
+BOUNDS = {"d": (0.1, 1.0), "r": (5, 14), "n": (1, 20), "k": (2, 20)}
+
+
+def out_of_bounds(param: str, values) -> list:
+    """The values outside the documented range of ``param`` (d, r, n or k)."""
+    lo, hi = BOUNDS[param]
+    return [v for v in values if not lo <= v <= hi]
 
 
 @dataclass
@@ -57,30 +65,21 @@ class SweepSpec:
     enforce_bounds: bool = True
 
     def validate(self) -> None:
-        for name, values in (
-            ("d_values", self.d_values),
-            ("r_values", self.r_values),
-            ("n_values", self.n_values),
-            ("k_values", self.k_values),
-        ):
+        grid = {"d": self.d_values, "r": self.r_values, "n": self.n_values, "k": self.k_values}
+        for param, values in grid.items():
             if len(values) == 0:
-                raise EmptySpec(f"{name} is empty")
+                raise EmptySpec(f"{param}_values is empty")
         if self.budget is not None and self.budget < 1:
             raise EmptySpec(f"budget must be positive, got {self.budget}")
         if self.enforce_bounds:
-            self._check_range("d_values", self.d_values, *_vec.D_BOUNDS)
-            self._check_range("r_values", self.r_values, *_vec.R_BOUNDS)
-            self._check_range("n_values", self.n_values, 1, 20)
-            self._check_range("k_values", self.k_values, *_cluster.K_BOUNDS)
-
-    @staticmethod
-    def _check_range(name: str, values, lo, hi) -> None:
-        bad = [v for v in values if not (lo <= v <= hi)]
-        if bad:
-            raise EmptySpec(
-                f"{name} contains values outside [{lo}, {hi}]: {bad}; "
-                f"set enforce_bounds=False to allow them"
-            )
+            for param, values in grid.items():
+                bad = out_of_bounds(param, values)
+                if bad:
+                    lo, hi = BOUNDS[param]
+                    raise EmptySpec(
+                        f"{param}_values contains values outside [{lo}, {hi}]: {bad}; "
+                        f"set enforce_bounds=False to allow them"
+                    )
 
 
 @dataclass
@@ -166,11 +165,11 @@ def run_sweep(
     """Execute every enumerated combination and score it against the labels.
 
     The combinations run, and come back, sorted by (d, r, n, k), so each
-    filtered matrix, weighted matrix and embedding is built once and only
-    the current one of each is held.  Combinations that cannot run (the
-    filters removed everything, the embedding dimensionality exceeds the
-    matrix rank bound, more clusters than documents) become skip rows with
-    a reason rather than errors.  Completed rows are appended to
+    weighted matrix and embedding is built once and only the current one
+    of each is held.  Combinations that cannot run (the filters removed
+    everything, the embedding dimensionality exceeds the matrix rank
+    bound, more clusters than documents) become skip rows with a reason
+    rather than errors.  Completed rows are appended to
     ``checkpoint_path`` as they finish and are not recomputed on a rerun;
     a checkpoint is only meaningful for the same corpus and spec (rows are
     a pure function of those), which is the caller's responsibility to
@@ -186,8 +185,8 @@ def run_sweep(
     labels = corpus.labels()
 
     rows: list[SweepRow] = []
-    ablated = filtered = weighted = emb = reason = None
-    prefix: tuple = ()  # the (d, r, n) that filtered, weighted and emb belong to
+    ablated = weighted = emb = reason = None
+    prefix: tuple = ()  # the (d, r, n) that weighted and emb belong to
     out = None
     if checkpoint_path is not None:
         out = Path(checkpoint_path).open("a", encoding="utf-8")
@@ -203,19 +202,11 @@ def run_sweep(
                 # here, aborting the sweep: that is a corpus-level failure,
                 # not a skippable combo.
                 ablated = _vec.ablate_singletons(_vec.count_matrix(corpus))
-            if prefix[:1] != (d,):
-                try:
-                    filtered = _vec.apply_df_threshold(
-                        ablated, d, enforce_bounds=spec.enforce_bounds
-                    )
-                except AllTermsRemoved:
-                    filtered = None
             if prefix[:2] != (d, r):
-                weighted = None
-                if filtered is not None:
-                    weighted = _vec.l2_normalize(
-                        _vec.apply_rank_cutoff(_vec.tfidf(filtered), r)
-                    )
+                try:
+                    weighted = _vec.weigh(ablated, d, r)
+                except AllTermsRemoved:
+                    weighted = None
             if prefix != (d, r, n):
                 emb, reason = _embed(weighted, spec.seed, d, r, n)
                 prefix = (d, r, n)

@@ -3,33 +3,29 @@ feature-selection controls.
 
 The pipeline order is fixed: counts -> singleton ablation -> document
 frequency floor -> tf-idf -> per-document rank cutoff -> L2
-normalization.  ``CorpusVectorizer`` packages that order behind a
-fit/transform surface; the individual steps are plain functions on the
-matrix types.
+normalization.  ``weigh`` runs every step after the ablation, so the
+single pipeline, the CLI and the sweep share one order;
+``CorpusVectorizer`` packages it behind a fit surface.  The individual
+steps are plain functions on the matrix types and accept any parameter
+value: the documented ranges are checked by the sweep spec and the CLI.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 from scipy import io as spio
 from scipy import sparse
 
-from litclust.base import BaseEstimator, check_bounds, check_positive_int
+from litclust.base import BaseEstimator, check_positive_int
 from litclust.corpus import Corpus, tokenize
-from litclust.errors import AllTermsRemoved, ConfigError, EmptyCorpus
+from litclust.errors import AllTermsRemoved, EmptyCorpus
 
 log = logging.getLogger(__name__)
-
-# Documented bounds for the document-frequency floor (percent).
-D_BOUNDS = (0.1, 1.0)
-# Documented bounds for the per-document rank cutoff.
-R_BOUNDS = (5, 14)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,12 +51,11 @@ class TermDocMatrix:
 
 @dataclass(frozen=True, eq=False)
 class WeightedMatrix:
-    """Sparse positive real weights with the filter trail that produced them."""
+    """Sparse positive real weights, terms on rows, documents on columns."""
 
     terms: tuple[str, ...]
     docs: tuple[str, ...]
     weights: sparse.csr_array
-    provenance: Mapping[str, object]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -111,15 +106,12 @@ def ablate_singletons(m: TermDocMatrix) -> TermDocMatrix:
     return _keep_terms(m, keep)
 
 
-def apply_df_threshold(
-    m: TermDocMatrix, d_percent: float, enforce_bounds: bool = True
-) -> TermDocMatrix:
+def apply_df_threshold(m: TermDocMatrix, d_percent: float) -> TermDocMatrix:
     """Keep terms whose document frequency is at least max(2, ceil(d% of docs)).
 
     The hard floor of 2 means the threshold can never readmit singleton
     terms, whatever ``d_percent`` is.
     """
-    check_bounds(d_percent, "d_percent", *D_BOUNDS, enforce=enforce_bounds)
     n_docs = len(m.docs)
     threshold = max(2, math.ceil(d_percent / 100.0 * n_docs))
     keep = m.doc_freq >= threshold
@@ -145,20 +137,15 @@ def tfidf(m: TermDocMatrix) -> WeightedMatrix:
     row_of_entry = np.repeat(np.arange(len(m.terms)), np.diff(weights.indptr))
     weights.data *= idf[row_of_entry]
     weights.eliminate_zeros()
-    return WeightedMatrix(
-        terms=m.terms,
-        docs=m.docs,
-        weights=weights,
-        provenance={},
-    )
+    return WeightedMatrix(terms=m.terms, docs=m.docs, weights=weights)
 
 
 def apply_rank_cutoff(w: WeightedMatrix, r: int) -> WeightedMatrix:
     """Per document, keep only the ``r`` highest-weight terms.
 
-    Any r >= 1 is accepted (the documented sweep range is enforced by the
-    sweep grid, not here).  Ties are broken by lexicographic term order
-    (the smaller term wins), which is term-index order because the
+    Any r >= 1 is accepted (the documented range is checked by the sweep
+    spec and the CLI, not here).  Ties are broken by lexicographic term
+    order (the smaller term wins), which is term-index order because the
     vocabulary is sorted.
     """
     check_positive_int(r, "r")
@@ -178,12 +165,7 @@ def apply_rank_cutoff(w: WeightedMatrix, r: int) -> WeightedMatrix:
         (data[keep_mask], (indices[keep_mask], col_of_entry[keep_mask])),
         shape=csc.shape,
     )
-    return WeightedMatrix(
-        terms=w.terms,
-        docs=w.docs,
-        weights=out,
-        provenance={**w.provenance, "r": r},
-    )
+    return WeightedMatrix(terms=w.terms, docs=w.docs, weights=out)
 
 
 def l2_normalize(w: WeightedMatrix) -> WeightedMatrix:
@@ -194,80 +176,41 @@ def l2_normalize(w: WeightedMatrix) -> WeightedMatrix:
         if hi > lo:
             norm = np.sqrt(np.sum(csc.data[lo:hi] ** 2))
             csc.data[lo:hi] /= norm
-    return WeightedMatrix(
-        terms=w.terms,
-        docs=w.docs,
-        weights=sparse.csr_array(csc),
-        provenance={**w.provenance, "l2_normalized": True},
+    return WeightedMatrix(terms=w.terms, docs=w.docs, weights=sparse.csr_array(csc))
+
+
+def weigh(ablated: TermDocMatrix, d_percent: float, rank_cutoff: int) -> WeightedMatrix:
+    """Every step after the singleton ablation: D floor, tf-idf, R cutoff, L2."""
+    return l2_normalize(
+        apply_rank_cutoff(tfidf(apply_df_threshold(ablated, d_percent)), rank_cutoff)
     )
 
 
 def build_weighted_matrix(
-    corpus: Corpus,
-    d_percent: float = 0.5,
-    rank_cutoff: int = 5,
-    drop_singletons: bool = True,
-    normalize: bool = True,
-    enforce_bounds: bool = True,
+    corpus: Corpus, d_percent: float = 0.5, rank_cutoff: int = 5
 ) -> WeightedMatrix:
     """Run the fixed pipeline order on a corpus."""
-    m = count_matrix(corpus)
-    if drop_singletons:
-        m = ablate_singletons(m)
-    m = apply_df_threshold(m, d_percent, enforce_bounds=enforce_bounds)
-    w = tfidf(m)
-    w = apply_rank_cutoff(w, rank_cutoff)
-    if normalize:
-        w = l2_normalize(w)
-    prov = dict(w.provenance)
-    prov["d"] = d_percent
-    prov["singletons_ablated"] = drop_singletons
-    return replace(w, provenance=prov)
+    return weigh(ablate_singletons(count_matrix(corpus)), d_percent, rank_cutoff)
 
 
 class CorpusVectorizer(BaseEstimator):
-    """Corpus -> weighted matrix, as a fit/transform estimator.
+    """Corpus -> weighted matrix, as a fit estimator.
 
     The document-frequency controls are corpus-global, so the vectorizer
-    is fit and applied to the same corpus; transforming unseen documents
-    against a fitted vocabulary is deliberately unsupported.
+    has no transform for unseen documents: ``fit_transform`` returns the
+    weighted matrix of the corpus it was fit on.
     """
 
-    def __init__(
-        self,
-        d_percent: float = 0.5,
-        rank_cutoff: int = 5,
-        drop_singletons: bool = True,
-        normalize: bool = True,
-        enforce_bounds: bool = True,
-    ):
+    def __init__(self, d_percent: float = 0.5, rank_cutoff: int = 5):
         self.d_percent = d_percent
         self.rank_cutoff = rank_cutoff
-        self.drop_singletons = drop_singletons
-        self.normalize = normalize
-        self.enforce_bounds = enforce_bounds
 
     def fit(self, corpus: Corpus, y=None) -> "CorpusVectorizer":
         self.weighted_ = build_weighted_matrix(
-            corpus,
-            d_percent=self.d_percent,
-            rank_cutoff=self.rank_cutoff,
-            drop_singletons=self.drop_singletons,
-            normalize=self.normalize,
-            enforce_bounds=self.enforce_bounds,
+            corpus, d_percent=self.d_percent, rank_cutoff=self.rank_cutoff
         )
         self.vocabulary_ = self.weighted_.terms
-        self.doc_ids_ = self.weighted_.docs
         return self
-
-    def transform(self, corpus: Corpus | None = None) -> WeightedMatrix:
-        if not hasattr(self, "weighted_"):
-            raise ConfigError("CorpusVectorizer is not fitted; call fit first")
-        if corpus is not None and corpus.doc_ids() != self.doc_ids_:
-            raise ConfigError(
-                "CorpusVectorizer only transforms the corpus it was fit on"
-            )
-        return self.weighted_
 
     def fit_transform(self, corpus: Corpus, y=None) -> WeightedMatrix:
         return self.fit(corpus).weighted_

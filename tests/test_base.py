@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from litclust.base import BaseEstimator, check_bounds, check_positive_int, check_vectors
+from litclust.base import BaseEstimator, check_positive_int, check_vectors
 from litclust.errors import ConfigError
 
 
@@ -49,13 +49,6 @@ def test_check_positive_int():
         check_positive_int(2.0, "k")
     with pytest.raises(ConfigError):
         check_positive_int(True, "k")
-
-
-def test_check_bounds_override():
-    check_bounds(0.5, "d", 0.1, 1.0)
-    with pytest.raises(ConfigError):
-        check_bounds(2.0, "d", 0.1, 1.0)
-    check_bounds(2.0, "d", 0.1, 1.0, enforce=False)
 
 
 def test_sklearn_clone_compatibility():

@@ -50,6 +50,17 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def count_calls(monkeypatch, module, name, calls):
+    """Replace ``module.name`` with a wrapper that tallies its calls in ``calls``."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 class TestIngest:
     def test_writes_canonical_corpus_and_manifest(self, workspace, capsys):
         assert run_cli("ingest", "--config", "config.json") == 0
@@ -88,6 +99,20 @@ class TestStages:
         out = workspace / "out"
         for name in ("counts.mtx", "weights.mtx", "vocabulary.tsv"):
             assert (out / name).exists()
+
+    def test_vectorize_counts_the_corpus_once(self, workspace, monkeypatch):
+        import litclust.vectorize
+        from scipy.io import mmread
+
+        from litclust.corpus import load_corpus
+
+        calls = {}
+        count_calls(monkeypatch, litclust.vectorize, "count_matrix", calls)
+        assert run_cli("vectorize", "--config", "config.json") == 0
+        assert calls == {"count_matrix": 1}
+        weighted = litclust.vectorize.build_weighted_matrix(load_corpus(workspace / "corpus.jsonl"))
+        dumped = mmread(workspace / "out" / "weights.mtx")
+        assert (dumped.toarray() == weighted.weights.toarray()).all()
 
     def test_embed_artifact(self, workspace):
         assert run_cli("embed", "--config", "config.json") == 0
@@ -207,16 +232,6 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", "config.json") == 3
         assert "rows.jsonl:2:" in capsys.readouterr().err
 
-    @staticmethod
-    def count_calls(monkeypatch, module, name, calls):
-        fn = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
     def test_curve_from_grid_rows_recomputes_nothing(self, workspace, monkeypatch):
         import litclust.lsa
         import litclust.vectorize
@@ -224,8 +239,8 @@ class TestSweepCommand:
         # The grid holds every K at the config point (0.5, 5, 15).
         self.sweep_config(workspace, n_values=[5, 15], budget=None)
         calls = {}
-        self.count_calls(monkeypatch, litclust.vectorize, "count_matrix", calls)
-        self.count_calls(monkeypatch, litclust.lsa, "reduce", calls)
+        count_calls(monkeypatch, litclust.vectorize, "count_matrix", calls)
+        count_calls(monkeypatch, litclust.lsa, "reduce", calls)
         assert run_cli("sweep", "--config", "config.json") == 0
         assert calls == {"count_matrix": 1, "reduce": 2}
         out = workspace / "out"
@@ -240,7 +255,7 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", "config.json", "--out", "full") == 0
         self.sweep_config(workspace, n_values=[5, 15], k_values=[2, 3, 4], budget=3)
         calls = {}
-        self.count_calls(monkeypatch, litclust.cluster, "kmeans", calls)
+        count_calls(monkeypatch, litclust.cluster, "kmeans", calls)
         assert run_cli("sweep", "--config", "config.json") == 0
         rows = [json.loads(l) for l in (workspace / "out" / "rows.jsonl").read_text().splitlines()]
         # The budget keeps K = 3, 4 at the config point; only K = 2 runs again.
@@ -315,6 +330,7 @@ class TestExitCodes:
             ("k", "four"),
             ("d", "half"),
             ("sweep", [1, 2]),
+            ("n_dims", 40),
         ],
     )
     def test_bad_config_values_exit_2(self, workspace, key, value):
@@ -350,6 +366,28 @@ class TestExitCodes:
         (workspace / "out" / "probe_report.json").write_text('{"mode": "gene"}', encoding="utf-8")
         assert run_cli("export", "--config", "config.json") == 3
         assert "probe_report.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value,allowed_code",
+        [
+            ("--d", "5.0", 0),
+            ("--d", "0.05", 0),
+            ("--r", "30", 0),
+            ("--r", "4", 0),
+            ("--n-dims", "40", 0),
+            ("--n-dims", "90", 4),  # above min(terms, docs)
+            ("--k", "1", 0),
+            ("--k", "50", 0),
+        ],
+    )
+    def test_out_of_bounds_value_exits_2_unless_allowed(self, workspace, flag, value, allowed_code):
+        assert run_cli("cluster", "--config", "config.json", flag, value, "--out", "oob") == 2
+        assert not (workspace / "oob").exists()
+        code = run_cli(
+            "cluster", "--config", "config.json", flag, value, "--out", "oob",
+            "--allow-out-of-bounds",
+        )
+        assert code == allowed_code
 
     def test_compute_error_exit_4(self, workspace):
         code = run_cli(

@@ -10,7 +10,7 @@ from scipy import sparse
 
 import litclust.lsa as lsa_mod
 from litclust.corpus import save_jsonl
-from litclust.errors import ConfigError, ConvergenceFailure, DimsTooLarge
+from litclust.errors import ConvergenceFailure, DimsTooLarge
 from litclust.lsa import (
     EmbeddingMatrix,
     TruncatedLsa,
@@ -30,7 +30,6 @@ def as_weighted(dense):
         terms=tuple(f"t{i:03d}" for i in range(dense.shape[0])),
         docs=tuple(f"d{j:03d}" for j in range(dense.shape[1])),
         weights=sparse.csr_array(dense),
-        provenance={},
     )
 
 
@@ -279,10 +278,6 @@ class TestEstimator:
         assert est.get_params() == {"n_dims": 9, "seed": 5}
         est.set_params(n_dims=3)
         assert est.n_dims == 3
-
-    def test_transform_requires_fit(self):
-        with pytest.raises(ConfigError):
-            TruncatedLsa().transform()
 
 
 def test_dump_embedding_format(tmp_path):

@@ -97,6 +97,26 @@ def test_cache_replay_is_byte_identical(fixture_server, tmp_path):
     assert len(fixture_server.hits) == hits_after_first
 
 
+def test_cache_write_failing_part_way_leaves_no_entry(fixture_server, tmp_path, monkeypatch):
+    real_write_bytes = Path.write_bytes
+
+    def write_half_then_fail(self, data):
+        real_write_bytes(self, data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    client = _client(fixture_server, cache_dir=tmp_path / "cache")
+    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+    with pytest.raises(OSError):
+        client.fetch("breast neoplasms", db="pubmed", max_records=2)
+    monkeypatch.undo()
+    assert list((tmp_path / "cache").iterdir()) == []
+    hits = len(fixture_server.hits)
+    assert client.fetch("breast neoplasms", db="pubmed", max_records=2) == PUBMED_PAYLOAD
+    assert len(fixture_server.hits) > hits
+    # The completed write is the entry the next fetch replays.
+    assert [p.suffix for p in (tmp_path / "cache").iterdir()] == [".bin"]
+
+
 def test_max_records_zero_rejected(fixture_server):
     client = _client(fixture_server)
     with pytest.raises(ConfigError):

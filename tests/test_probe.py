@@ -157,6 +157,14 @@ class TestCounting:
         # Mentioned twice in m1 but counted once; whitespace normalized.
         assert counts.per_cluster[row].tolist() == [1, 0]
 
+    def test_molecular_mode_normalizes_documents_built_directly(self):
+        # load_corpus normalizes whitespace, a Corpus of Documents does
+        # not: the probe's own normalize_text is what makes this match.
+        corpus = Corpus([Document(id="m1", text="a tumor  \n protein here")])
+        d = dictionary_of(("TP53", (), "Tumor Protein"))
+        counts = count_occurrences(corpus, [0], d, mode="molecular")
+        assert counts.per_cluster.tolist() == [[1]]
+
     def test_document_order_within_clusters_irrelevant(self):
         corpus, assignments = probe_corpus()
         d = probe_dictionary()

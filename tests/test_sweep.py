@@ -70,9 +70,7 @@ def standalone_row(corpus, spec, d, r, n, k):
     """One pipeline run at (d, r, n, k) with the sweep's documented sub-seeds."""
     row = SweepRow(d=d, r=r, n=n, k=k)
     try:
-        weighted = build_weighted_matrix(
-            corpus, d_percent=d, rank_cutoff=r, enforce_bounds=spec.enforce_bounds
-        )
+        weighted = build_weighted_matrix(corpus, d_percent=d, rank_cutoff=r)
     except AllTermsRemoved:
         row.skip_reason = "all_terms_removed"
         return row
