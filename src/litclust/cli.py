@@ -144,17 +144,31 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        # In blocks, so that hashing a large corpus adds no peak memory.
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
-def _update_manifest(cfg: PipelineConfig, out_dir: Path, artifacts: list[Path]) -> Path:
+def _read_manifest(out_dir: Path) -> dict:
     manifest_path = out_dir / "manifest.json"
-    manifest = {"artifacts": {}}
     if manifest_path.exists():
         try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            return json.loads(manifest_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError:
-            manifest = {"artifacts": {}}
+            pass
+    return {"artifacts": {}}
+
+
+def _update_manifest(
+    cfg: PipelineConfig, out_dir: Path, artifacts: list[Path], provenance: dict | None = None
+) -> Path:
+    """Record the artifacts' digests and, for each artifact named in
+    ``provenance``, the config fields it was made from."""
+    manifest_path = out_dir / "manifest.json"
+    manifest = _read_manifest(out_dir)
     manifest["version"] = __version__
     manifest["config_hash"] = cfg.config_hash()
     manifest["seed"] = cfg.seed
@@ -162,6 +176,8 @@ def _update_manifest(cfg: PipelineConfig, out_dir: Path, artifacts: list[Path]) 
     for path in artifacts:
         digests[path.name] = _sha256(path)
     manifest["artifacts"] = dict(sorted(digests.items()))
+    if provenance:
+        manifest["provenance"] = {**manifest.get("provenance", {}), **provenance}
     manifest_path.write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
@@ -198,13 +214,51 @@ def _build_clustering(cfg: PipelineConfig, corpus):
     )
 
 
+def _clustering_fields(cfg: PipelineConfig) -> dict:
+    """The config fields a clustering depends on; the corpus digest only
+    when the config names an existing corpus file."""
+    fields = {"d": float(cfg.d), "r": cfg.r, "n_dims": cfg.n_dims, "k": cfg.k,
+              "seed": cfg.seed, "restarts": cfg.restarts}
+    if cfg.corpus and Path(cfg.corpus).exists():
+        fields["corpus_sha256"] = _sha256(Path(cfg.corpus))
+    return fields
+
+
+def _probe_fields(cfg: PipelineConfig) -> dict:
+    """The config fields a probe report depends on, as for a clustering."""
+    fields = {**_clustering_fields(cfg), "probe_mode": cfg.probe_mode}
+    if cfg.dictionary and Path(cfg.dictionary).exists():
+        fields["dictionary_sha256"] = _sha256(Path(cfg.dictionary))
+    return fields
+
+
+def _refuse_stale(path: Path, fields: dict) -> None:
+    """Raise ConfigError if the manifest records ``path`` as made from
+    other values of ``fields``.  A file the manifest has no record of
+    (written by hand or by an older version) is taken as given."""
+    recorded = _read_manifest(path.parent).get("provenance", {}).get(path.name)
+    if recorded is None:
+        return
+    differ = [name for name in sorted(fields) if recorded.get(name) != fields[name]]
+    if differ:
+        made = ", ".join(f"{name}={recorded.get(name)!r}" for name in differ)
+        wanted = ", ".join(f"{name}={fields[name]!r}" for name in differ)
+        raise ConfigError(
+            f"{path} was made with {made} but the config gives {wanted}; "
+            f"rerun the stage that writes it or use another --out"
+        )
+
+
 def _load_or_compute_assignments(cfg: PipelineConfig, corpus, explicit: str | None):
-    """Assignments for the corpus: an explicit TSV, the staged artifact,
-    or a fresh in-memory clustering at the configured parameters."""
+    """Assignments for the corpus: an explicit TSV (taken as given), the
+    staged artifact if it was made from the same config fields, or a
+    fresh in-memory clustering at the configured parameters."""
     if explicit and not Path(explicit).exists():
         raise DataError(f"assignments file not found: {explicit}")
     path = explicit or str(Path(cfg.out) / "assignments.tsv")
     if Path(path).exists():
+        if not explicit:
+            _refuse_stale(Path(path), _clustering_fields(cfg))
         mapping = _cluster.load_assignments(path)
         missing = [d.id for d in corpus if d.id not in mapping]
         if missing:
@@ -269,7 +323,10 @@ def cmd_cluster(cfg: PipelineConfig, args) -> dict:
     meta_path = out / "cluster_run.json"
     _cluster.dump_assignments(clus, corpus.doc_ids(), assignments_path)
     meta_path.write_text(_cluster.run_metadata(clus, cfg.seed) + "\n", encoding="utf-8")
-    _update_manifest(cfg, out, [assignments_path, meta_path])
+    _update_manifest(
+        cfg, out, [assignments_path, meta_path],
+        provenance={assignments_path.name: _clustering_fields(cfg)},
+    )
     return {
         "k": clus.k,
         "dissimilarity": clus.dissimilarity,
@@ -305,7 +362,6 @@ def _sweep_fingerprint(cfg: PipelineConfig, spec) -> str:
         "k_values": list(spec.k_values),
         "seed": spec.seed,
         "restarts": spec.restarts,
-        "enforce_bounds": spec.enforce_bounds,
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
@@ -385,7 +441,9 @@ def cmd_probe(cfg: PipelineConfig, args) -> dict:
     net = _probe.build_network(report, top_n=cfg.probe_top)
     net_path = out / f"network.{cfg.network_format}"
     net_path.write_bytes(_probe.export_network(net, format=cfg.network_format))
-    _update_manifest(cfg, out, [report_path, net_path])
+    _update_manifest(
+        cfg, out, [report_path, net_path], provenance={report_path.name: _probe_fields(cfg)}
+    )
     return {
         "entities": len(report.entity_globals),
         "clusters": len(report.clusters),
@@ -396,9 +454,12 @@ def cmd_probe(cfg: PipelineConfig, args) -> dict:
 
 def cmd_export(cfg: PipelineConfig, args) -> dict:
     out = _out_dir(cfg)
-    source = getattr(args, "report", None) or str(out / "probe_report.json")
+    explicit = getattr(args, "report", None)
+    source = explicit or str(out / "probe_report.json")
     if not Path(source).exists():
         raise DataError(f"probe report not found: {source}")
+    if not explicit:
+        _refuse_stale(Path(source), _probe_fields(cfg))
     try:
         report = _probe.report_from_json(Path(source).read_text(encoding="utf-8"))
     except ParseError as exc:

@@ -72,25 +72,28 @@ def kmeans(vectors, k: int, seed: int = 0, restarts: int = 1) -> Clustering:
     # the chosen centers are a function of the point VALUES, never of the
     # input order; that is what makes the output permutation-invariant.
     canon = x[np.lexsort(x.T)]
+    x_sq = np.sum(x**2, axis=1)
 
     # min keeps the first of equal minima, so ties go to the earliest restart.
     best = min(
-        (_lloyd(x, canon, k, np.random.default_rng([seed, restart])) for restart in range(restarts)),
+        (_lloyd(x, x_sq, canon, k, np.random.default_rng([seed, restart])) for restart in range(restarts)),
         key=lambda result: result.dissimilarity,
     )
     return replace(best, restarts_used=restarts)
 
 
-def _lloyd(x: np.ndarray, canon: np.ndarray, k: int, rng) -> Clustering:
-    """One Lloyd run from a k-means++ seeding; ``restarts_used`` is set by the caller."""
+def _lloyd(x: np.ndarray, x_sq: np.ndarray, canon: np.ndarray, k: int, rng) -> Clustering:
+    """One Lloyd run from a k-means++ seeding; ``restarts_used`` is set by the caller.
+
+    ``x_sq`` holds the squared norms of the rows of ``x``.
+    """
     centers = _kmeanspp(canon, k, rng)
     labels = np.full(x.shape[0], -1, dtype=np.int64)
     trace: list[float] = []
 
     for _ in range(MAX_ITER):
-        new_labels = np.argmin(_sq_dists(x, centers), axis=1)
-        new_labels = _repair_empty(x, new_labels, k)
-        centers = _means(x, new_labels, k, fallback=centers)
+        new_labels, sizes = _repair_empty(x, np.argmin(_sq_dists(x, x_sq, centers), axis=1), k)
+        centers = _means(x, new_labels, sizes, centers)
         obj = float(np.sum((x - centers[new_labels]) ** 2))
         trace.append(obj)
         converged = bool(np.array_equal(new_labels, labels))
@@ -103,7 +106,6 @@ def _lloyd(x: np.ndarray, canon: np.ndarray, k: int, rng) -> Clustering:
     if np.any(np.diff(trace) > 1e-9 * (1.0 + trace[0])):
         raise ComputeError("objective increased during Lloyd iterations")
 
-    sizes = np.bincount(labels, minlength=k)
     empty = tuple(int(c) for c in np.flatnonzero(sizes == 0))
     variabilities = np.zeros(k)
     for c in range(k):
@@ -139,13 +141,11 @@ def _kmeanspp(x: np.ndarray, k: int, rng) -> np.ndarray:
         total = d2.sum()
         if total > 0:
             candidates = rng.choice(n, size=INIT_CANDIDATES, p=d2 / total)
-            idx = -1
-            best_d2 = None
-            for cand in candidates:
-                cand_d2 = np.minimum(d2, np.sum((x - x[cand]) ** 2, axis=1))
-                if best_d2 is None or cand_d2.sum() < best_d2.sum():
-                    idx, best_d2 = int(cand), cand_d2
-            d2 = best_d2
+            diffs = x - x[candidates][:, None]
+            cand_d2 = np.minimum(d2, np.sum(np.square(diffs, out=diffs), axis=2))
+            # argmin keeps the first of equal potentials, the earliest draw.
+            best = int(np.argmin(cand_d2.sum(axis=1)))
+            idx, d2 = int(candidates[best]), cand_d2[best]
         else:
             # All remaining mass is on duplicates of chosen centers; take
             # the first index not yet used to keep k centers distinct.
@@ -156,9 +156,10 @@ def _kmeanspp(x: np.ndarray, k: int, rng) -> np.ndarray:
     return x[chosen].copy()
 
 
-def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _sq_dists(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances of the rows of ``x`` (squared norms ``x_sq``) to ``centers``."""
     d2 = (
-        np.sum(x**2, axis=1)[:, None]
+        x_sq[:, None]
         - 2.0 * (x @ centers.T)
         + np.sum(centers**2, axis=1)[None, :]
     )
@@ -166,33 +167,48 @@ def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _repair_empty(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+def _repair_empty(x: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Move the farthest point of the largest cluster into each empty one.
 
     Keeps k fixed.  If the largest cluster has a single member there is
     nothing left to split and the remaining empties are left flagged.
+    Returns the repaired labels and the cluster sizes they give.
     """
     labels = labels.copy()
-    while True:
-        sizes = np.bincount(labels, minlength=k)
-        empties = np.flatnonzero(sizes == 0)
-        if len(empties) == 0:
-            return labels
+    sizes = np.bincount(labels, minlength=k)
+    for empty in np.flatnonzero(sizes == 0):
         largest = int(np.argmax(sizes))
         if sizes[largest] <= 1:
-            return labels
+            break
         members = np.flatnonzero(labels == largest)
         centroid = x[members].mean(axis=0)
         farthest = members[int(np.argmax(np.sum((x[members] - centroid) ** 2, axis=1)))]
-        labels[farthest] = empties[0]
+        labels[farthest] = empty
+        sizes[largest] -= 1
+        sizes[empty] += 1
+    return labels, sizes
 
 
-def _means(x: np.ndarray, labels: np.ndarray, k: int, fallback: np.ndarray) -> np.ndarray:
+def _means(x: np.ndarray, labels: np.ndarray, sizes: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Member means of the clusters of ``labels`` (sizes ``sizes``); an
+    empty cluster keeps its ``fallback`` center.
+
+    The sums are added in the order numpy's ``x[labels == c].mean(axis=0)``
+    adds them, so the means are bit-identical to it.  numpy adds the rows
+    of a block with several columns one after another, as ``bincount``
+    does, but sums a single column pairwise, so one column is reduced per
+    cluster over the label-sorted points.
+    """
+    k, n_dims = fallback.shape
+    if n_dims == 1:
+        runs = np.split(x[np.argsort(labels, kind="stable"), 0], np.cumsum(sizes)[:-1])
+        sums = np.array([np.add.reduce(run) for run in runs])[:, None]
+    else:
+        codes = (labels[:, None] * n_dims + np.arange(n_dims)).ravel()
+        sums = np.bincount(codes, weights=x.ravel(), minlength=k * n_dims).reshape(k, n_dims)
     centers = fallback.copy()
-    for c in range(k):
-        members = x[labels == c]
-        if len(members):
-            centers[c] = members.mean(axis=0)
+    filled = sizes > 0
+    centers[filled] = sums[filled] / sizes[filled, None]
     return centers
 
 
@@ -215,7 +231,7 @@ class KMeans(BaseEstimator):
         if not hasattr(self, "clustering_"):
             raise ConfigError("KMeans is not fitted; call fit first")
         pts = check_vectors(x, "x")
-        return np.argmin(_sq_dists(pts, self.centroids_), axis=1)
+        return np.argmin(_sq_dists(pts, np.sum(pts**2, axis=1), self.centroids_), axis=1)
 
     def fit_predict(self, x, y=None) -> np.ndarray:
         return self.fit(x).labels_

@@ -46,26 +46,25 @@ def contingency(
         raise ValueError(
             f"length mismatch: {len(assignments)} assignments vs {len(labels)} labels"
         )
-    pairs = [
-        (lab, int(a)) for a, lab in zip(assignments, labels) if lab is not None
-    ]
-    unlabeled = len(labels) - len(pairs)
-    if not pairs:
+    classes = tuple(sorted(set(labels) - {None}))
+    if not classes:
         raise NoLabeledDocuments("no document carries a class label")
-
-    classes = tuple(sorted({lab for lab, _ in pairs}))
-    clusters = tuple(sorted({c for _, c in pairs}))
-    row = {lab: i for i, lab in enumerate(classes)}
-    col = {c: j for j, c in enumerate(clusters)}
-    counts = np.zeros((len(classes), len(clusters)), dtype=np.int64)
-    for lab, c in pairs:
-        counts[row[lab], col[c]] += 1
+    row_of = {lab: i for i, lab in enumerate(classes)}
+    rows = np.array([row_of.get(lab, -1) for lab in labels], dtype=np.int64)
+    labeled = rows >= 0
+    clusters, cols = np.unique(
+        np.asarray(assignments, dtype=np.int64)[labeled], return_inverse=True
+    )
+    total = len(cols)
+    counts = np.bincount(
+        rows[labeled] * len(clusters) + cols, minlength=len(classes) * len(clusters)
+    ).reshape(len(classes), len(clusters))
     return ContingencyTable(
         classes=classes,
-        clusters=clusters,
+        clusters=tuple(clusters.tolist()),
         counts=counts,
-        total=len(pairs),
-        unlabeled=unlabeled,
+        total=total,
+        unlabeled=len(labels) - total,
     )
 
 

@@ -9,10 +9,20 @@ one.  They exist to cross-check the vectorized implementations.
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
+import litclust
 from litclust.corpus import Corpus, Document
+
+
+def subprocess_env() -> dict:
+    """The environment with the package's source directory on PYTHONPATH,
+    so a child interpreter imports the same litclust as the tests."""
+    src = str(Path(litclust.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def make_planted_corpus(

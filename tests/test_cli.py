@@ -9,7 +9,7 @@ import pytest
 from litclust.cli import main
 from litclust.corpus import Corpus, Document, save_jsonl
 
-from helpers import make_planted_corpus
+from helpers import make_planted_corpus, subprocess_env
 
 DATA = Path(__file__).parent / "data"
 
@@ -177,6 +177,56 @@ class TestProbeExport:
         assert run_cli("probe", "--corpus", "corpus.jsonl") == 2
 
 
+class TestStaleArtifacts:
+    def test_evaluate_refuses_assignments_clustered_at_another_k(self, workspace, capsys):
+        assert run_cli("cluster", "--config", "config.json", "--k", "4") == 0
+        assert run_cli("evaluate", "--config", "config.json", "--k", "4") == 0
+        metrics_path = workspace / "out" / "metrics.json"
+        metrics = metrics_path.read_bytes()
+        capsys.readouterr()
+        assert run_cli("evaluate", "--config", "config.json", "--k", "9") == 2
+        err = capsys.readouterr().err
+        assert "k=4" in err and "k=9" in err
+        assert metrics_path.read_bytes() == metrics
+        assert run_cli("evaluate", "--config", "config.json", "--k", "4") == 0
+        assert metrics_path.read_bytes() == metrics
+
+    @pytest.mark.parametrize(
+        "command,change",
+        [
+            ("evaluate", {"seed": 4}),
+            ("probe", {"restarts": 2}),
+            ("probe", {"n_dims": 10}),
+            ("export", {"d": 0.4}),
+            ("export", {"probe_mode": "molecular"}),
+        ],
+    )
+    def test_staged_artifact_from_other_config_exits_2(self, workspace, capsys, command, change):
+        assert run_cli("cluster", "--config", "config.json") == 0
+        assert run_cli("probe", "--config", "config.json") == 0
+        config = json.loads((workspace / "config.json").read_text())
+        (workspace / "other.json").write_text(json.dumps({**config, **change}))
+        capsys.readouterr()
+        assert run_cli(command, "--config", "other.json") == 2
+        (field, value), = change.items()
+        assert f"{field}={value!r}" in capsys.readouterr().err
+        assert run_cli(command, "--config", "config.json") == 0
+
+    def test_changed_corpus_is_refused(self, workspace, capsys):
+        assert run_cli("cluster", "--config", "config.json") == 0
+        save_jsonl(gene_corpus(seed=1), workspace / "corpus.jsonl")
+        assert run_cli("evaluate", "--config", "config.json") == 2
+        assert "corpus_sha256" in capsys.readouterr().err
+
+    def test_explicit_assignments_are_taken_as_given(self, workspace):
+        assert run_cli("cluster", "--config", "config.json", "--k", "4") == 0
+        code = run_cli(
+            "evaluate", "--config", "config.json", "--k", "9",
+            "--assignments", "out/assignments.tsv", "--out", "scored",
+        )
+        assert code == 0
+
+
 class TestSweepCommand:
     def sweep_config(self, workspace, **sweep_overrides):
         config = json.loads((workspace / "config.json").read_text())
@@ -221,6 +271,19 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", "config.json", "--seed", "99",
                        "--out", "out2") == 0
 
+
+    def test_allow_out_of_bounds_resumes_an_in_range_checkpoint(self, workspace, monkeypatch):
+        import litclust.cluster
+
+        # The grid holds the config point, so a resumed run computes nothing.
+        self.sweep_config(workspace, n_values=[5, 15], budget=None)
+        assert run_cli("sweep", "--config", "config.json") == 0
+        rows = (workspace / "out" / "rows.jsonl").read_text()
+        calls = {}
+        count_calls(monkeypatch, litclust.cluster, "kmeans", calls)
+        assert run_cli("sweep", "--config", "config.json", "--allow-out-of-bounds") == 0
+        assert calls == {}
+        assert (workspace / "out" / "rows.jsonl").read_text() == rows
 
     def test_corrupt_checkpoint_line_exits_3(self, workspace, capsys):
         self.sweep_config(workspace)
@@ -455,6 +518,7 @@ def test_module_entrypoint_smoke():
         [sys.executable, "-m", "litclust", "--help"],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
         timeout=60,
     )
     assert proc.returncode == 0

@@ -1,9 +1,7 @@
 import itertools
-import os
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +16,8 @@ from litclust.cluster import (
     variability,
 )
 from litclust.errors import ComputeError, ConfigError, EmptyCluster, KTooLarge, ParseError
+
+from helpers import subprocess_env
 
 
 def blobs(n_per, centers, spread, seed=0):
@@ -175,13 +175,131 @@ class TestKmeans:
             except ComputeError as exc:
                 print(__debug__, exc)
         """)
-        src = str(Path(cluster_mod.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=subprocess_env(), timeout=60
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False objective increased during Lloyd iterations"
+
+
+def reference_means(x, labels, sizes, fallback):
+    """The per-cluster masked-mean loop that ``_means`` replaced."""
+    centers = fallback.copy()
+    for c in range(len(sizes)):
+        members = x[labels == c]
+        if len(members):
+            centers[c] = members.mean(axis=0)
+    return centers
+
+
+def reference_kmeanspp(x, k, rng):
+    """The k-means++ seeding with the per-candidate loop that ``_kmeanspp`` replaced."""
+    n = x.shape[0]
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = rng.integers(n)
+    d2 = np.sum((x - x[chosen[0]]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            candidates = rng.choice(n, size=cluster_mod.INIT_CANDIDATES, p=d2 / total)
+            idx = -1
+            best_d2 = None
+            for cand in candidates:
+                cand_d2 = np.minimum(d2, np.sum((x - x[cand]) ** 2, axis=1))
+                if best_d2 is None or cand_d2.sum() < best_d2.sum():
+                    idx, best_d2 = int(cand), cand_d2
+            d2 = best_d2
+        else:
+            used = set(chosen[:i].tolist())
+            idx = next(j for j in range(n) if j not in used)
+            d2 = np.minimum(d2, np.sum((x - x[idx]) ** 2, axis=1))
+        chosen[i] = idx
+    return x[chosen].copy()
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def points(kind, n, n_dims, rng):
+    if kind == "normal":
+        return rng.normal(size=(n, n_dims))
+    # Duplicates: a few distinct rows repeated, so seeding runs out of
+    # mass (the ``total == 0`` branch) and clusters tie.
+    distinct = rng.normal(size=(-(-n // 6), n_dims))
+    return np.repeat(distinct, 6, axis=0)[:n]
+
+
+class TestArrayFormsMatchLoops:
+    """The array forms give the same bits as the loops they replaced."""
+
+    @pytest.mark.parametrize("n_dims", [1, 2, 5, 16])
+    @pytest.mark.parametrize("kind", ["normal", "duplicates"])
+    def test_means_with_empty_clusters(self, n_dims, kind):
+        rng = np.random.default_rng(n_dims)
+        for n, k in [(1, 1), (7, 3), (40, 40), (300, 9), (900, 25)]:
+            x = points(kind, n, n_dims, rng)
+            # Labels drawn from fewer clusters than k leave some empty.
+            labels = rng.integers(0, max(1, k - 2), size=len(x))
+            if k == n:
+                labels = rng.permutation(n)
+            sizes = np.bincount(labels, minlength=k)
+            fallback = rng.normal(size=(k, n_dims))
+            expected = reference_means(x, labels, sizes, fallback)
+            got = cluster_mod._means(x, labels, sizes, fallback)
+            assert np.array_equal(got, expected)
+            assert same_bits(got, expected)
+
+    @pytest.mark.parametrize("n_dims", [1, 3, 20])
+    @pytest.mark.parametrize("kind", ["normal", "duplicates"])
+    def test_kmeanspp_with_candidate_loop(self, n_dims, kind):
+        rng = np.random.default_rng(100 + n_dims)
+        for n, k in [(1, 1), (12, 12), (60, 9), (400, 20)]:
+            x = points(kind, n, n_dims, rng)
+            k = min(k, len(x))
+            for seed in range(3):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = cluster_mod._kmeanspp(x, k, ours)
+                expected = reference_kmeanspp(x, k, theirs)
+                assert np.array_equal(got, expected)
+                assert same_bits(got, expected)
+                # The same draws were taken from the stream.
+                assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_distances_use_the_point_norms(self, monkeypatch):
+        # The norms are computed once per call; a row constant does not
+        # move the argmin, so only their bits show a wrong expression.
+        x = np.random.default_rng(16).normal(size=(40, 3))
+        sq_dists, seen = cluster_mod._sq_dists, []
+
+        def checked(pts, pts_sq, centers):
+            seen.append(same_bits(pts_sq, np.sum(pts**2, axis=1)))
+            return sq_dists(pts, pts_sq, centers)
+
+        monkeypatch.setattr(cluster_mod, "_sq_dists", checked)
+        kmeans(x, k=4, seed=0, restarts=2)
+        assert seen and all(seen)
+
+    @pytest.mark.parametrize(
+        "n,n_dims,k,restarts,kind",
+        [
+            (50, 1, 4, 3, "normal"),
+            (200, 3, 7, 2, "normal"),
+            (150, 15, 20, 2, "normal"),
+            (30, 2, 30, 1, "normal"),
+            (60, 4, 12, 2, "duplicates"),
+        ],
+    )
+    def test_kmeans_equals_a_run_on_the_loops(self, monkeypatch, n, n_dims, k, restarts, kind):
+        x = points(kind, n, n_dims, np.random.default_rng(n))
+        got = kmeans(x, k, seed=7, restarts=restarts)
+        monkeypatch.setattr(cluster_mod, "_means", reference_means)
+        monkeypatch.setattr(cluster_mod, "_kmeanspp", reference_kmeanspp)
+        expected = kmeans(x, k, seed=7, restarts=restarts)
+        for field in ("assignments", "centroids", "variabilities", "dissimilarity",
+                      "objective_trace", "iterations", "empty_clusters", "restarts_used"):
+            assert same_bits(getattr(got, field), getattr(expected, field)), field
 
 
 class TestEstimator:

@@ -75,6 +75,37 @@ class TestContingency:
             assert t.counts[:, j].sum() == clusters.count(clu)
 
 
+def reference_contingency(assignments, labels):
+    """The pair tally that ``contingency``'s bincount replaced."""
+    pairs = [(lab, int(a)) for a, lab in zip(assignments, labels) if lab is not None]
+    classes = tuple(sorted({lab for lab, _ in pairs}))
+    clusters = tuple(sorted({c for _, c in pairs}))
+    row = {lab: i for i, lab in enumerate(classes)}
+    col = {c: j for j, c in enumerate(clusters)}
+    counts = np.zeros((len(classes), len(clusters)), dtype=np.int64)
+    for lab, c in pairs:
+        counts[row[lab], col[c]] += 1
+    return classes, clusters, counts, len(pairs), len(labels) - len(pairs)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_contingency_equals_pair_tally(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    labels = [None if rng.random() < 0.2 else f"L{i}" for i in rng.integers(0, 6, size=n)]
+    labels[0] = "L9"
+    # Cluster ids with gaps, as numpy integers and as Python ints.
+    assignments = rng.choice([0, 2, 3, 7, 11], size=n)
+    if seed % 2:
+        assignments = assignments.tolist()
+    t = contingency(assignments, labels)
+    classes, clusters, counts, total, unlabeled = reference_contingency(assignments, labels)
+    assert (t.classes, t.clusters, t.total, t.unlabeled) == (classes, clusters, total, unlabeled)
+    assert all(type(c) is int for c in t.clusters)
+    assert t.counts.dtype == counts.dtype
+    assert np.array_equal(t.counts, counts)
+
+
 class TestMetrics:
     def test_perfect_clustering(self):
         rep = metrics(table_from([[5, 0], [0, 5]]))

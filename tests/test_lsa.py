@@ -1,8 +1,6 @@
 import logging
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +19,7 @@ from litclust.lsa import (
 )
 from litclust.vectorize import WeightedMatrix
 
-from helpers import make_planted_corpus
+from helpers import make_planted_corpus, subprocess_env
 
 
 def as_weighted(dense):
@@ -248,11 +246,9 @@ def test_pipeline_does_not_import_scipy_linear_algebra(tmp_path):
     # pipeline needs neither.  The corpus is big enough for the Krylov path.
     path = tmp_path / "corpus.jsonl"
     save_jsonl(make_planted_corpus(n_topics=4, docs_per_topic=30, tokens_per_doc=25), path)
-    src = str(Path(lsa_mod.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
         [sys.executable, "-c", PIPELINE_SCRIPT, str(path)],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=subprocess_env(), check=True,
     )
     assert out.stdout.strip() == "[]"
 
