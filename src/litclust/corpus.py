@@ -13,10 +13,14 @@ import logging
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from litclust.errors import DuplicateId, EmptyCorpus, ParseError
+
+if TYPE_CHECKING:
+    from litclust.vectorize import TermDocMatrix
 
 log = logging.getLogger(__name__)
 
@@ -77,6 +81,21 @@ class Corpus:
     def labels(self) -> tuple[str | None, ...]:
         """Per-document labels in corpus order."""
         return tuple(d.label for d in self.documents)
+
+    @cached_property
+    def term_counts(self) -> "TermDocMatrix":
+        """The corpus's term-document counts, tokenized once on first use
+        and then shared by the vectorizer, the sweep and the entity probe.
+
+        The stored arrays are read-only, so an in-place edit raises
+        instead of changing what later readers see.
+        """
+        from litclust import vectorize  # vectorize imports this module
+
+        m = vectorize.count_matrix(self)
+        for array in (m.counts.indptr, m.counts.indices, m.counts.data):
+            array.flags.writeable = False
+        return m
 
 
 def normalize_text(text: str) -> str:

@@ -158,13 +158,17 @@ class NcbiClient:
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        # Written beside the entry and renamed over it, so a write cut
-        # short leaves no truncated entry for _cache_read to replay.
+        # Written beside the entry, flushed to disk and renamed over it,
+        # so neither a write cut short nor a machine crash after the
+        # rename leaves a truncated entry for _cache_read to replay.
         fd, name = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
-        os.close(fd)
         tmp = Path(name)
         try:
-            tmp.write_bytes(payload)
+            try:
+                tmp.write_bytes(payload)
+                os.fsync(fd)
+            finally:
+                os.close(fd)
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)

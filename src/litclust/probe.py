@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import json
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
+from scipy import sparse
 
-from litclust.corpus import Corpus, normalize_text, tokenize
+from litclust.corpus import Corpus, normalize_text
 from litclust.errors import EmptyDictionary, ParseError
 
 log = logging.getLogger(__name__)
@@ -207,9 +209,10 @@ def count_occurrences(
     """Tally dictionary matches per cluster.
 
     gene mode: every matching token counts once (several mentions in one
-    document all count).  molecular mode: a document counts at most once
-    per description phrase, via substring search over its normalized
-    lowercase text.
+    document all count), read from the corpus's held term counts, so the
+    documents are not tokenized again.  molecular mode: a document counts
+    at most once per description phrase, via substring search over its
+    normalized lowercase text.
     """
     if mode not in ("gene", "molecular"):
         raise ValueError(f"mode must be 'gene' or 'molecular', got {mode!r}")
@@ -217,30 +220,21 @@ def count_occurrences(
         raise ValueError(
             f"assignments cover {len(assignments)} docs, corpus has {len(corpus)}"
         )
-    cluster_ids = tuple(sorted({int(c) for c in assignments}))
-    col = {c: j for j, c in enumerate(cluster_ids)}
-    sizes = np.zeros(len(cluster_ids), dtype=np.int64)
-    for c in assignments:
-        sizes[col[int(c)]] += 1
+    ids, cluster_of, sizes = np.unique(
+        np.asarray(assignments, dtype=np.int64), return_inverse=True, return_counts=True
+    )
+    cluster_ids = tuple(ids.tolist())
 
     if mode == "gene":
         keys = dictionary.token_keys()
-        symbols = tuple(sorted({s for s in keys.values()}))
-        row = {s: i for i, s in enumerate(symbols)}
-        counts = np.zeros((len(symbols), len(cluster_ids)), dtype=np.int64)
-        for doc, c in zip(corpus, assignments):
-            j = col[int(c)]
-            for tok in tokenize(doc).tokens:
-                sym = keys.get(tok)
-                if sym is not None:
-                    counts[row[sym], j] += 1
+        symbols = tuple(sorted(set(keys.values())))
+        counts = _gene_counts(corpus, keys, symbols, cluster_of, len(cluster_ids))
     else:
         phrases = dictionary.description_phrases()
         symbols = tuple(sorted(phrases))
         row = {s: i for i, s in enumerate(symbols)}
         counts = np.zeros((len(symbols), len(cluster_ids)), dtype=np.int64)
-        for doc, c in zip(corpus, assignments):
-            j = col[int(c)]
+        for doc, j in zip(corpus, cluster_of):
             text = normalize_text(doc.text).lower()
             for sym, phrase in phrases.items():
                 if phrase in text:
@@ -254,6 +248,42 @@ def count_occurrences(
         cluster_sizes=sizes,
         total_docs=int(sizes.sum()),
     )
+
+
+def _gene_counts(
+    corpus: Corpus,
+    keys: Mapping[str, str],
+    symbols: tuple[str, ...],
+    cluster_of: np.ndarray,
+    n_clusters: int,
+) -> np.ndarray:
+    """Symbol x cluster token counts as the integer product
+    S (symbol x term) @ counts (term x doc) @ C (doc x cluster).
+
+    The counts are the corpus's held raw counts, before any ablation.  A
+    key matches only a whole token of the same tokenizer, so a key that
+    is not in the vocabulary (one with a space or an underscore, or of a
+    single character) matches nothing.
+    """
+    if len(corpus) == 0:
+        return np.zeros((len(symbols), n_clusters), dtype=np.int64)
+    m = corpus.term_counts
+    row = {s: i for i, s in enumerate(symbols)}
+    hits = []
+    for key, sym in keys.items():
+        t = bisect_left(m.terms, key)
+        if t < len(m.terms) and m.terms[t] == key:
+            hits.append((row[sym], t))
+    hits = np.array(hits, dtype=np.int64).reshape(-1, 2)
+    s = sparse.csr_array(
+        (np.ones(len(hits), dtype=np.int64), (hits[:, 0], hits[:, 1])),
+        shape=(len(symbols), len(m.terms)),
+    )
+    c = sparse.csr_array(
+        (np.ones(len(corpus), dtype=np.int64), (np.arange(len(corpus)), cluster_of)),
+        shape=(len(corpus), n_clusters),
+    )
+    return (s @ m.counts @ c).toarray()
 
 
 def relative_weights(counts: ProbeCounts) -> ProbeReport:

@@ -5,8 +5,10 @@ seed and optionally truncated to a budget; that selects the
 combinations.  They then run, and come back, sorted by (d, r, n, k), so
 each shared prefix (counting and singleton ablation once, weighting per
 (d, r), the embedding per (d, r, n)) is built once and only the current
-one is held.  Rows are checkpointed as they complete; a checkpoint line
-torn by a crash mid-write is dropped on resume.  The V-vs-K curve is a one-(d, r, n) sweep of the same kind.
+one is held.  Rows are checkpointed as they complete, beside a
+fingerprint of the corpus and the spec that a resume must match; a
+checkpoint line torn by a crash mid-write is dropped on resume.  The
+V-vs-K curve is a one-(d, r, n) sweep of the same kind.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from litclust import vectorize as _vec
 from litclust.corpus import Corpus
 from litclust.errors import (
     AllTermsRemoved,
+    ConfigError,
     ConvergenceFailure,
     EmptySpec,
     NoLabeledDocuments,
@@ -170,18 +173,19 @@ def run_sweep(
     everything, the embedding dimensionality exceeds the matrix rank
     bound, more clusters than documents) become skip rows with a reason
     rather than errors.  Completed rows are appended to
-    ``checkpoint_path`` as they finish and are not recomputed on a rerun;
-    a checkpoint is only meaningful for the same corpus and spec (rows are
-    a pure function of those), which is the caller's responsibility to
-    ensure.
+    ``checkpoint_path`` as they finish and are not recomputed on a rerun.
+    Rows are a pure function of the corpus and the spec, so the
+    checkpoint's sidecar ``<checkpoint_path>.fingerprint`` records a
+    digest of both (the budget aside), and a checkpoint whose sidecar is
+    missing or differs raises ConfigError.
     """
     spec.validate()
     if not corpus.label_set:
         raise NoLabeledDocuments("the sweep needs gold labels to score against")
 
     done: dict[tuple, SweepRow] = {}
-    if checkpoint_path is not None and Path(checkpoint_path).exists():
-        done = _resume(Path(checkpoint_path))
+    if checkpoint_path is not None:
+        done = _resume(Path(checkpoint_path), _fingerprint(corpus, spec))
     labels = corpus.labels()
 
     rows: list[SweepRow] = []
@@ -201,7 +205,7 @@ def run_sweep(
                 # nothing.  A corpus where every term is a singleton raises
                 # here, aborting the sweep: that is a corpus-level failure,
                 # not a skippable combo.
-                ablated = _vec.ablate_singletons(_vec.count_matrix(corpus))
+                ablated = _vec.ablate_singletons(corpus.term_counts)
             if prefix[:2] != (d, r):
                 try:
                     weighted = _vec.weigh(ablated, d, r)
@@ -249,13 +253,50 @@ def _embed(weighted, seed: int, d: float, r: int, n: int):
         return None, "svd_convergence_failure"
 
 
-def _resume(path: Path) -> dict[tuple, SweepRow]:
+def _fingerprint(corpus: Corpus, spec: SweepSpec) -> str:
+    """Digest of everything a sweep row depends on: the corpus contents
+    (ids, texts, labels), the d/r/n/k values, the seed and the restarts.
+
+    The budget is left out, because it only chooses how many
+    combinations run and a larger one extends a checkpoint;
+    ``enforce_bounds`` is left out, because it changes no row.
+    """
+    digest = hashlib.sha256()
+    for doc in corpus:
+        digest.update(json.dumps([doc.id, doc.text, doc.label]).encode() + b"\n")
+    grid = {
+        "d_values": [float(d) for d in spec.d_values],
+        "r_values": [int(r) for r in spec.r_values],
+        "n_values": [int(n) for n in spec.n_values],
+        "k_values": [int(k) for k in spec.k_values],
+        "seed": int(spec.seed),
+        "restarts": int(spec.restarts),
+    }
+    digest.update(json.dumps(grid, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def _resume(path: Path, expected: str) -> dict[tuple, SweepRow]:
     """Rows already checkpointed at ``path``, keyed by (d, r, n, k).
 
-    Every row is written as one line ending in a newline, so a final line
-    without one was torn by a crash mid-write.  It is dropped and cut from
-    the file, so the next appended row starts on a line of its own.
+    A new checkpoint gets a sidecar holding ``expected``; an existing one
+    must have a sidecar holding it, or ConfigError is raised before the
+    file is touched.  Every row is written as one line ending in a
+    newline, so a final line without one was torn by a crash mid-write.
+    It is dropped and cut from the file, so the next appended row starts
+    on a line of its own.
     """
+    sidecar = path.with_name(path.name + ".fingerprint")
+    if not path.exists():
+        sidecar.write_text(expected + "\n", encoding="utf-8")
+        return {}
+    recorded = sidecar.read_text(encoding="utf-8").strip() if sidecar.exists() else None
+    if recorded != expected:
+        raise ConfigError(
+            f"{path} was checkpointed for another corpus or sweep configuration "
+            f"(grid values, seed or restarts; per {sidecar.name}); "
+            f"remove it or checkpoint elsewhere"
+        )
     data = path.read_bytes()
     end = data.rfind(b"\n") + 1
     if end < len(data):

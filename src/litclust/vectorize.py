@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,33 +68,37 @@ def count_matrix(corpus: Corpus) -> TermDocMatrix:
 
     Vocabulary is sorted lexicographically; the document axis follows
     corpus order (already sorted by id), so the result is independent of
-    input record order.
+    input record order.  ``Corpus.term_counts`` holds this matrix for a
+    corpus, so callers that have the corpus read it from there.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("cannot build a count matrix from an empty corpus")
-    streams = [tokenize(doc) for doc in corpus]
-    vocab = sorted({t for s in streams for t in s.tokens})
+    # One pass: each token is interned to a code in order of first
+    # appearance, and only the codes are kept, so no document's tokens
+    # outlive its turn.
+    index: dict[str, int] = {}
+    codes = array("q")
+    lengths = array("q")
+    for doc in corpus:
+        tokens = tokenize(doc).tokens
+        codes.extend([index.setdefault(t, len(index)) for t in tokens])
+        lengths.append(len(tokens))
+    by_code = list(index)
+    order = sorted(range(len(by_code)), key=by_code.__getitem__)
+    vocab = tuple(by_code[c] for c in order)
     if not vocab:
         log.warning("corpus produced an empty vocabulary (no tokens of length >= 2)")
-    index = {t: i for i, t in enumerate(vocab)}
+    rank = np.empty(len(vocab), dtype=np.int64)
+    rank[order] = np.arange(len(vocab))
 
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[int] = []
-    for j, stream in enumerate(streams):
-        seen: dict[int, int] = {}
-        for tok in stream.tokens:
-            i = index[tok]
-            seen[i] = seen.get(i, 0) + 1
-        rows.extend(seen.keys())
-        cols.extend([j] * len(seen))
-        data.extend(seen.values())
-
+    # One entry per token; the CSR constructor sums the duplicates.
+    rows = rank[np.frombuffer(codes, dtype=np.int64)]
+    cols = np.repeat(np.arange(len(corpus)), np.frombuffer(lengths, dtype=np.int64))
     counts = sparse.csr_array(
-        (np.asarray(data, dtype=np.int64), (rows, cols)),
+        (np.ones(len(rows), dtype=np.int64), (rows, cols)),
         shape=(len(vocab), len(corpus)),
     )
-    return TermDocMatrix(terms=tuple(vocab), docs=corpus.doc_ids(), counts=counts)
+    return TermDocMatrix(terms=vocab, docs=corpus.doc_ids(), counts=counts)
 
 
 def ablate_singletons(m: TermDocMatrix) -> TermDocMatrix:
@@ -189,8 +194,8 @@ def weigh(ablated: TermDocMatrix, d_percent: float, rank_cutoff: int) -> Weighte
 def build_weighted_matrix(
     corpus: Corpus, d_percent: float = 0.5, rank_cutoff: int = 5
 ) -> WeightedMatrix:
-    """Run the fixed pipeline order on a corpus."""
-    return weigh(ablate_singletons(count_matrix(corpus)), d_percent, rank_cutoff)
+    """Run the fixed pipeline order on a corpus's held counts."""
+    return weigh(ablate_singletons(corpus.term_counts), d_percent, rank_cutoff)
 
 
 class CorpusVectorizer(BaseEstimator):

@@ -65,6 +65,23 @@ def make_zipf_corpus(
     return Corpus(docs)
 
 
+# Separators between drawn words: whitespace, punctuation, and the
+# characters the tokenizer treats specially (underscore splits, hyphen
+# joins).
+SEPARATORS = (" ", "  ", "\n", ", ", ". ", "/", "(", "_", "-")
+
+
+def random_word_corpus(rng, words, n_docs: int, max_words: int = 12) -> Corpus:
+    """Labeled documents of words drawn from ``words``, each pair joined
+    by a random separator; a document may be empty of tokens."""
+    docs = []
+    for j in range(n_docs):
+        drawn = rng.choice(words, size=int(rng.integers(0, max_words + 1)))
+        text = "".join(str(w) + str(rng.choice(SEPARATORS)) for w in drawn) or "."
+        docs.append(Document(id=f"r{j:04d}", text=text, label=f"c{j % 3}"))
+    return Corpus(docs)
+
+
 def oracle_metrics(counts) -> tuple[float, float, float]:
     """Brute-force homogeneity/completeness/v from a cell matrix.
 

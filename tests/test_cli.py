@@ -218,6 +218,22 @@ class TestStaleArtifacts:
         assert run_cli("evaluate", "--config", "config.json") == 2
         assert "corpus_sha256" in capsys.readouterr().err
 
+    def test_each_command_hashes_the_corpus_once(self, workspace, monkeypatch):
+        import litclust.cli
+
+        hashed = []
+        real = litclust.cli._sha256
+
+        def counted(path):
+            hashed.append(Path(path).name)
+            return real(path)
+
+        monkeypatch.setattr(litclust.cli, "_sha256", counted)
+        for command in ("cluster", "evaluate", "probe", "export"):
+            hashed.clear()
+            assert run_cli(command, "--config", "config.json") == 0
+            assert hashed.count("corpus.jsonl") == 1, command
+
     def test_explicit_assignments_are_taken_as_given(self, workspace):
         assert run_cli("cluster", "--config", "config.json", "--k", "4") == 0
         code = run_cli(
@@ -271,6 +287,22 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", "config.json", "--seed", "99",
                        "--out", "out2") == 0
 
+
+    def test_checkpoint_fingerprint_sidecar(self, workspace, capsys):
+        self.sweep_config(workspace)
+        assert run_cli("sweep", "--config", "config.json") == 0
+        out = workspace / "out"
+        assert (out / "rows.jsonl.fingerprint").exists()
+        assert not (out / "rows.fingerprint").exists()
+        # A checkpoint that has only the marker older versions wrote is
+        # refused, and is accepted again once the sweep rewrites it.
+        (out / "rows.jsonl.fingerprint").rename(out / "rows.fingerprint")
+        capsys.readouterr()
+        assert run_cli("sweep", "--config", "config.json") == 2
+        assert "rows.jsonl.fingerprint" in capsys.readouterr().err
+        (out / "rows.jsonl").unlink()
+        assert run_cli("sweep", "--config", "config.json") == 0
+        assert run_cli("sweep", "--config", "config.json") == 0
 
     def test_allow_out_of_bounds_resumes_an_in_range_checkpoint(self, workspace, monkeypatch):
         import litclust.cluster

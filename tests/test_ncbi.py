@@ -1,4 +1,5 @@
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -115,6 +116,30 @@ def test_cache_write_failing_part_way_leaves_no_entry(fixture_server, tmp_path, 
     assert len(fixture_server.hits) > hits
     # The completed write is the entry the next fetch replays.
     assert [p.suffix for p in (tmp_path / "cache").iterdir()] == [".bin"]
+
+
+def test_cache_entry_is_flushed_to_disk_before_the_rename(fixture_server, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        # The temporary file's inode, its contents, and the entries visible
+        # at the moment of the flush.
+        synced.append((os.fstat(fd).st_ino, os.pread(fd, 1 << 20, 0), sorted(p.name for p in cache.iterdir())))
+        real_fsync(fd)
+
+    client = _client(fixture_server, cache_dir=cache)
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    assert client.fetch("breast neoplasms", db="pubmed", max_records=2) == PUBMED_PAYLOAD
+    (entry,) = cache.iterdir()
+    assert len(synced) == 1
+    inode, contents, visible = synced[0]
+    # The flushed descriptor is the file renamed into place, flushed
+    # complete while it still had its temporary name.
+    assert inode == entry.stat().st_ino
+    assert contents == PUBMED_PAYLOAD
+    assert len(visible) == 1 and visible[0].endswith(".tmp")
 
 
 def test_max_records_zero_rejected(fixture_server):

@@ -1,14 +1,18 @@
 import json
 import logging
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from litclust.corpus import Corpus, Document
+from litclust.corpus import Corpus, Document, load_corpus, tokenize
 from litclust.errors import EmptyDictionary, ParseError
 from litclust.probe import (
+    MIN_ALIAS_LEN,
     DictionaryEntry,
     GeneDictionary,
     ProbeCounts,
@@ -22,7 +26,19 @@ from litclust.probe import (
     report_to_json,
 )
 
+from helpers import random_word_corpus
+
 DATA = Path(__file__).parent / "data"
+
+# Dictionary keys and corpus words that probe the tokenizer's edges:
+# spaces and underscores (never one token), hyphens and case (folded
+# into one token), 1-2 character symbols and aliases shorter than
+# MIN_ALIAS_LEN.
+KEY_POOL = (
+    "BRCA1", "brca-1", "BRCA 1", "brca_1", "TP53", "p53", "P-53", "HER2", "Her-2", "x",
+    "ab", "AR", "er", "esr1", "ESR-1", "a b", "c_d", "gene-x", "GENE", "-", "ǅx", "naïve",
+)
+NOISE_POOL = ("the", "of", "aa", "b", "cell", "x1", "her", "tp", "gene", "ab_cd", "a-b")
 
 
 def dictionary_of(*entries):
@@ -112,6 +128,101 @@ class TestDictionary:
         d = GeneDictionary(entries)
         assert "her2" in d.token_keys()
         assert d.description_phrases()["tp53"] == "tumor protein p53"
+
+
+def reference_gene_counts(corpus, assignments, dictionary):
+    """The per-token loop that the sparse product replaced:
+    (entities, per_cluster, cluster_ids, cluster_sizes)."""
+    cluster_ids = tuple(sorted({int(c) for c in assignments}))
+    col = {c: j for j, c in enumerate(cluster_ids)}
+    sizes = np.zeros(len(cluster_ids), dtype=np.int64)
+    for c in assignments:
+        sizes[col[int(c)]] += 1
+    keys = dictionary.token_keys()
+    symbols = tuple(sorted({s for s in keys.values()}))
+    row = {s: i for i, s in enumerate(symbols)}
+    counts = np.zeros((len(symbols), len(cluster_ids)), dtype=np.int64)
+    for doc, c in zip(corpus, assignments):
+        j = col[int(c)]
+        for tok in tokenize(doc).tokens:
+            sym = keys.get(tok)
+            if sym is not None:
+                counts[row[sym], j] += 1
+    return symbols, counts, cluster_ids, sizes
+
+
+def random_dictionary(rng):
+    entries = []
+    for _ in range(int(rng.integers(1, 7))):
+        symbol, *aliases = rng.choice(KEY_POOL, size=int(rng.integers(1, 4)), replace=False)
+        entries.append(DictionaryEntry(str(symbol), tuple(str(a) for a in aliases), ""))
+    return GeneDictionary(entries)
+
+
+def assert_equals_reference(corpus, assignments, dictionary):
+    counts = count_occurrences(corpus, assignments, dictionary, mode="gene")
+    entities, per_cluster, cluster_ids, sizes = reference_gene_counts(
+        corpus, assignments, dictionary
+    )
+    assert counts.entities == entities
+    assert counts.per_cluster.dtype == per_cluster.dtype
+    assert np.array_equal(counts.per_cluster, per_cluster)
+    assert counts.cluster_ids == cluster_ids
+    assert all(type(c) is int for c in counts.cluster_ids)
+    assert counts.cluster_sizes.dtype == sizes.dtype
+    assert np.array_equal(counts.cluster_sizes, sizes)
+    assert counts.total_docs == int(sizes.sum())
+    return counts
+
+
+class TestGeneModeEqualsTokenLoop:
+    def test_random_corpora_and_dictionaries(self):
+        rng = np.random.default_rng(11)
+        matched = 0
+        for case in range(200):
+            words = [*KEY_POOL, *NOISE_POOL, *(f"solo{case}x{i}" for i in range(3))]
+            corpus = random_word_corpus(rng, words, n_docs=int(rng.integers(1, 10)))
+            ids = rng.choice([-3, 0, 1, 2, 7, 40], size=int(rng.integers(1, 5)), replace=False)
+            assignments = rng.choice(ids, size=len(corpus)).tolist()
+            counts = assert_equals_reference(corpus, assignments, random_dictionary(rng))
+            matched += int(counts.per_cluster.sum())
+        assert matched > 100
+
+    def test_keys_outside_the_vocabulary_match_nothing(self):
+        corpus = Corpus([
+            Document(id="d1", text="brca 1 and brca_1 and BRCA-1 and ab ab er x"),
+            Document(id="d2", text="BRCA1 brca1"),
+        ])
+        d = dictionary_of(("BRCA1", ("brca 1", "brca_1", "brca-1"), ""), ("AB", ("er",), ""), ("X", (), ""))
+        assert len("er") < MIN_ALIAS_LEN and "er" not in d.token_keys()
+        counts = assert_equals_reference(corpus, [0, 1], d)
+        table = dict(zip(counts.entities, counts.per_cluster.tolist()))
+        # "brca 1" and "brca_1" are never one token; "x" is below the
+        # tokenizer's minimum; the two-character symbol "ab" matches.
+        assert table == {"ab": [2, 0], "brca1": [1, 2], "x": [0, 0]}
+
+    def test_singleton_tokens_are_matched(self):
+        corpus = Corpus([Document(id="d1", text="zzgene once"), Document(id="d2", text="other text")])
+        d = dictionary_of(("ZZGENE", (), ""))
+        counts = assert_equals_reference(corpus, [5, 9], d)
+        assert counts.per_cluster.tolist() == [[1, 0]]
+
+    def test_empty_vocabulary(self):
+        corpus = Corpus([Document(id="d1", text="a b c"), Document(id="d2", text="...")])
+        counts = assert_equals_reference(corpus, [0, 1], probe_dictionary())
+        assert counts.per_cluster.shape == (3, 2)
+        assert counts.globals.tolist() == [0, 0, 0]
+
+    def test_empty_corpus(self):
+        for mode in ("gene", "molecular"):
+            counts = count_occurrences(Corpus([]), [], probe_dictionary(), mode=mode)
+            assert counts.per_cluster.shape == (3, 0)
+            assert counts.per_cluster.dtype == np.int64
+            assert counts.cluster_ids == ()
+            assert counts.cluster_sizes.shape == (0,)
+            assert counts.cluster_sizes.dtype == np.int64
+            assert counts.total_docs == 0
+        assert_equals_reference(Corpus([]), [], probe_dictionary())
 
 
 class TestCounting:
@@ -391,3 +502,69 @@ def test_report_json_roundtrip():
 def test_malformed_report_json_raises_parse_error():
     with pytest.raises(ParseError, match="malformed probe report"):
         report_from_json('{"mode": "gene"}')
+
+
+RECORD_TEXT = st.lists(
+    st.sampled_from(KEY_POOL + NOISE_POOL + ("tumor protein", "dna repair")), max_size=8
+).map(" ".join)
+
+
+@st.composite
+def labeled_records(draw):
+    texts = draw(st.lists(RECORD_TEXT, min_size=1, max_size=8))
+    return [
+        {"id": f"p{i:02d}", "text": text or "empty", "label": f"c{i % 2}", "cluster": draw(st.integers(0, 3))}
+        for i, text in enumerate(texts)
+    ]
+
+
+def records_dictionary():
+    return dictionary_of(
+        ("BRCA1", ("brca-1", "BRCA 1"), "DNA repair"),
+        ("TP53", ("p53", "er"), "tumor protein"),
+        ("AB", ("Her-2",), ""),
+    )
+
+
+def load_records(records, directory):
+    path = Path(directory) / "corpus.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    corpus = load_corpus(path)
+    cluster = {r["id"]: r["cluster"] for r in records}
+    return corpus, [cluster[d.id] for d in corpus]
+
+
+@settings(max_examples=40, deadline=None)
+@given(records=labeled_records(), data=st.data())
+def test_counts_do_not_depend_on_record_order(records, data):
+    shuffled = data.draw(st.permutations(records), label="order")
+    outputs = []
+    for recs in (records, shuffled):
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus, assignments = load_records(recs, tmp)
+        m = corpus.term_counts
+        probes = [
+            count_occurrences(corpus, assignments, records_dictionary(), mode=mode)
+            for mode in ("gene", "molecular")
+        ]
+        outputs.append((
+            m.terms, m.docs, m.counts.indptr.tobytes(), m.counts.indices.tobytes(),
+            m.counts.data.tobytes(),
+            *((p.entities, p.per_cluster.tobytes(), p.cluster_ids, p.cluster_sizes.tobytes())
+              for p in probes),
+        ))
+    assert outputs[0] == outputs[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(records=labeled_records(), mode=st.sampled_from(("gene", "molecular")))
+def test_probe_weights_sum_to_zero_per_entity(records, mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, assignments = load_records(records, tmp)
+    report = relative_weights(count_occurrences(corpus, assignments, records_dictionary(), mode=mode))
+    sums = dict.fromkeys(report.entity_globals, 0.0)
+    for ranking in report.clusters:
+        for entity, _count, weight in ranking.entries:
+            sums[entity] += weight
+    for total in sums.values():
+        assert abs(total) <= 1e-9

@@ -4,12 +4,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import litclust.sweep as sweep_mod
 from litclust.cluster import kmeans
-from litclust.errors import AllTermsRemoved, EmptySpec, NoLabeledDocuments, ParseError
+from litclust.corpus import Corpus, Document
+from litclust.errors import AllTermsRemoved, ConfigError, EmptySpec, NoLabeledDocuments, ParseError
 from litclust.evaluate import score_clustering
 from litclust.lsa import reduce as lsa_reduce
 from litclust.sweep import (
@@ -218,6 +219,9 @@ class TestRunSweep:
             completeness=0.123, homogeneity=0.456, v_measure=0.789, runtime_ms=1,
         )
         ckpt = tmp_path / "rows.jsonl"
+        # A one-row run writes the checkpoint's fingerprint sidecar; its
+        # row is then replaced by the sentinel.
+        run_sweep(corpus, replace(spec, budget=1), checkpoint_path=ckpt)
         ckpt.write_text(sentinel.to_json() + "\n", encoding="utf-8")
         rows = run_sweep(corpus, spec, checkpoint_path=ckpt)
         assert next(r for r in rows if r.key == combos[0]).v_measure == 0.789
@@ -309,7 +313,8 @@ def uninterrupted():
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = Path(tmp) / "rows.jsonl"
         rows = run_sweep(corpus, spec, checkpoint_path=ckpt)
-        return corpus, spec, rows, ckpt.read_bytes()
+        sidecar = ckpt.with_name("rows.jsonl.fingerprint").read_bytes()
+        return corpus, spec, rows, ckpt.read_bytes(), sidecar
 
 
 @settings(max_examples=15, deadline=None)
@@ -317,15 +322,112 @@ def uninterrupted():
 def test_resume_after_torn_checkpoint_line(uninterrupted, data):
     """A crash mid-write leaves a partial last line; resume drops it and
     ends with the rows and checkpoint of an uninterrupted run."""
-    corpus, spec, rows, blob = uninterrupted
+    corpus, spec, rows, blob, sidecar = uninterrupted
     cut = data.draw(st.integers(1, len(blob) - 1), label="cut")
     assume(blob[cut - 1 : cut] != b"\n")
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = Path(tmp) / "rows.jsonl"
+        ckpt.with_name("rows.jsonl.fingerprint").write_bytes(sidecar)
         ckpt.write_bytes(blob[:cut])
         resumed = run_sweep(corpus, spec, checkpoint_path=ckpt)
         assert strip_runtime(resumed) == strip_runtime(rows)
         assert strip_runtime(read_rows(ckpt)) == strip_runtime(rows)
+
+
+@pytest.fixture(scope="module")
+def checkpointed():
+    """A two-row checkpoint and its fingerprint sidecar."""
+    corpus = small_corpus()
+    spec = small_spec(budget=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "rows.jsonl"
+        run_sweep(corpus, spec, checkpoint_path=ckpt)
+        return corpus, spec, ckpt.read_bytes(), ckpt.with_name("rows.jsonl.fingerprint").read_bytes()
+
+
+CORPUS_CHANGES = ("text", "label", "id", "drop", "add")
+
+
+def changed_corpus(corpus, kind, index):
+    """The corpus with one document's text, label or id changed, or one
+    document dropped, or one added."""
+    docs = list(corpus)
+    doc = docs[index]
+    if kind == "text":
+        docs[index] = replace(doc, text=doc.text + " extra")
+    elif kind == "label":
+        docs[index] = replace(doc, label="other")
+    elif kind == "id":
+        docs[index] = replace(doc, id=doc.id + "x")
+    elif kind == "drop":
+        del docs[index]
+    else:
+        docs.append(Document(id="zz-new", text="topic0term01 topic0term02", label="class0"))
+    return Corpus(docs)
+
+
+SPEC_CHANGES = st.one_of(
+    st.fixed_dictionaries({"seed": st.integers(1, 10**6)}),
+    st.fixed_dictionaries({"restarts": st.integers(2, 6)}),
+    st.fixed_dictionaries({"d_values": st.sampled_from([(0.4,), (0.5, 0.6), (1.0,)])}),
+    st.fixed_dictionaries({"r_values": st.sampled_from([(5,), (5, 6, 7), (7, 8)])}),
+    st.fixed_dictionaries({"n_values": st.sampled_from([(5,), (5, 10, 12), (3, 10)])}),
+    st.fixed_dictionaries({"k_values": st.sampled_from([(2, 4), (2, 4, 6, 8), (3, 4, 6)])}),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spec_change=st.none() | SPEC_CHANGES,
+    corpus_change=st.none() | st.tuples(st.sampled_from(CORPUS_CHANGES), st.integers(0, 119)),
+)
+@example(spec_change=None, corpus_change=("label", 0))
+@example(spec_change=None, corpus_change=("text", 5))
+@example(spec_change=None, corpus_change=("id", 119))
+def test_resume_under_another_spec_or_corpus_is_refused(checkpointed, spec_change, corpus_change):
+    assume(spec_change is not None or corpus_change is not None)
+    corpus, spec, blob, sidecar = checkpointed
+    if spec_change is not None:
+        spec = replace(spec, **spec_change)
+    if corpus_change is not None:
+        corpus = changed_corpus(corpus, *corpus_change)
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "rows.jsonl"
+        ckpt.with_name("rows.jsonl.fingerprint").write_bytes(sidecar)
+        ckpt.write_bytes(blob)
+        with pytest.raises(ConfigError, match=r"rows\.jsonl\.fingerprint"):
+            run_sweep(corpus, spec, checkpoint_path=ckpt)
+        assert ckpt.read_bytes() == blob
+
+
+class TestCheckpointFingerprint:
+    @pytest.mark.parametrize("change", [{"budget": 4}, {"budget": None}, {"enforce_bounds": False}])
+    def test_budget_and_bounds_flag_do_not_invalidate(self, checkpointed, tmp_path, change):
+        _, spec, blob, sidecar = checkpointed
+        ckpt = tmp_path / "rows.jsonl"
+        ckpt.with_name("rows.jsonl.fingerprint").write_bytes(sidecar)
+        ckpt.write_bytes(blob)
+        # An equal corpus loaded anew is the same corpus.
+        rows = run_sweep(small_corpus(), replace(spec, **change), checkpoint_path=ckpt)
+        assert len(rows) == len(enumerate_grid(replace(spec, **change)))
+        assert ckpt.read_bytes().startswith(blob)
+
+    def test_checkpoint_without_fingerprint_is_refused(self, checkpointed, tmp_path):
+        corpus, spec, blob, _ = checkpointed
+        ckpt = tmp_path / "rows.jsonl"
+        ckpt.write_bytes(blob)
+        with pytest.raises(ConfigError):
+            run_sweep(corpus, spec, checkpoint_path=ckpt)
+        assert ckpt.read_bytes() == blob
+
+    def test_fingerprint_without_checkpoint_is_rewritten(self, checkpointed, tmp_path):
+        corpus, spec, blob, sidecar = checkpointed
+        ckpt = tmp_path / "rows.jsonl"
+        fingerprint = ckpt.with_name("rows.jsonl.fingerprint")
+        fingerprint.write_text("left by an earlier run\n", encoding="utf-8")
+        rows = run_sweep(corpus, spec, checkpoint_path=ckpt)
+        assert fingerprint.read_bytes() == sidecar
+        assert strip_runtime(run_sweep(corpus, spec, checkpoint_path=ckpt)) == strip_runtime(rows)
 
 
 class TestReport:

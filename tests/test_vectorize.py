@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from litclust.corpus import Corpus, Document
+import litclust.vectorize as vec_mod
+from litclust.corpus import Corpus, Document, tokenize
 from litclust.errors import AllTermsRemoved, ConfigError, EmptyCorpus
 from litclust.vectorize import (
     CorpusVectorizer,
@@ -18,9 +19,10 @@ from litclust.vectorize import (
     dump_vocabulary,
     l2_normalize,
     tfidf,
+    weigh,
 )
 
-from helpers import make_zipf_corpus
+from helpers import make_planted_corpus, make_zipf_corpus, random_word_corpus
 
 
 def corpus_of(*texts, labels=None):
@@ -29,6 +31,42 @@ def corpus_of(*texts, labels=None):
         for i, text in enumerate(texts)
     ]
     return Corpus(docs)
+
+
+def reference_count_matrix(corpus):
+    """The per-document tally loop that the interned single pass replaced."""
+    streams = [tokenize(doc) for doc in corpus]
+    vocab = sorted({t for s in streams for t in s.tokens})
+    index = {t: i for i, t in enumerate(vocab)}
+    rows, cols, data = [], [], []
+    for j, stream in enumerate(streams):
+        seen = {}
+        for tok in stream.tokens:
+            i = index[tok]
+            seen[i] = seen.get(i, 0) + 1
+        rows.extend(seen.keys())
+        cols.extend([j] * len(seen))
+        data.extend(seen.values())
+    counts = sparse.csr_array(
+        (np.asarray(data, dtype=np.int64), (rows, cols)),
+        shape=(len(vocab), len(corpus)),
+    )
+    return tuple(vocab), counts
+
+
+def assert_same_counts(m, terms, counts):
+    assert m.terms == terms
+    assert m.counts.shape == counts.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(m.counts, name), getattr(counts, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+WORDS = (
+    "aa", "bb", "Aa", "AA", "a", "b", "x1", "1x", "42", "gene-1", "Gene-1", "-", "--",
+    "-ab", "p53", "tp53", "her2", "HER2", "x_y", "ab_cd", "_", "naïve", "ÉCOLE", "ß", "ǅx",
+)
 
 
 def weighted_from_dense(dense, terms=None, docs=None):
@@ -77,6 +115,74 @@ class TestCountMatrix:
     def test_vocabulary_sorted(self):
         m = count_matrix(corpus_of("zz yy", "yy xx"))
         assert list(m.terms) == sorted(m.terms)
+
+    def test_equals_reference_tally(self):
+        rng = np.random.default_rng(5)
+        for case in range(120):
+            words = rng.choice(WORDS, size=int(rng.integers(1, len(WORDS))), replace=False)
+            # Unique words give singleton tokens.
+            words = [*words, *(f"solo{case}x{i}" for i in range(int(rng.integers(0, 3))))]
+            corpus = random_word_corpus(rng, words, n_docs=int(rng.integers(1, 9)))
+            assert_same_counts(count_matrix(corpus), *reference_count_matrix(corpus))
+
+    def test_equals_reference_on_larger_corpora(self):
+        for corpus in (make_zipf_corpus(n_docs=300, seed=2), make_planted_corpus(docs_per_topic=30)):
+            assert_same_counts(count_matrix(corpus), *reference_count_matrix(corpus))
+
+    def test_empty_vocabulary_equals_reference(self):
+        corpus = corpus_of("a b c", "...", "x _ -")
+        m = count_matrix(corpus)
+        assert m.shape == (0, 3)
+        assert_same_counts(m, *reference_count_matrix(corpus))
+
+
+class TestHeldCounts:
+    def test_equal_to_count_matrix(self):
+        corpus = make_zipf_corpus(n_docs=200, seed=3)
+        fresh = count_matrix(corpus)
+        assert_same_counts(corpus.term_counts, fresh.terms, fresh.counts)
+        assert corpus.term_counts.docs == fresh.docs
+
+    def test_built_once_per_corpus(self, monkeypatch):
+        from litclust.probe import DictionaryEntry, GeneDictionary, count_occurrences
+        from litclust.sweep import SweepSpec, run_sweep
+
+        calls = []
+        real = vec_mod.count_matrix
+        monkeypatch.setattr(vec_mod, "count_matrix", lambda c: calls.append(c) or real(c))
+        corpus = make_planted_corpus(n_topics=2, docs_per_topic=20, vocab_per_topic=15)
+        build_weighted_matrix(corpus)
+        build_weighted_matrix(corpus, d_percent=0.8, rank_cutoff=6)
+        CorpusVectorizer().fit(corpus)
+        run_sweep(corpus, SweepSpec(d_values=(0.5,), r_values=(5,), n_values=(2,), k_values=(2,)))
+        dictionary = GeneDictionary([DictionaryEntry("topic0term01", (), "")])
+        count_occurrences(corpus, [0] * len(corpus), dictionary, mode="gene")
+        assert len(calls) == 1 and calls[0] is corpus
+        # Another Corpus object, even an equal one, counts its own.
+        build_weighted_matrix(Corpus(list(corpus)))
+        assert len(calls) == 2
+
+    def test_writing_into_held_counts_raises(self):
+        corpus = corpus_of("aa bb aa", "bb cc")
+        counts = corpus.term_counts.counts
+        for array in (counts.indptr, counts.indices, counts.data):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            counts.data *= 2
+        assert counts.toarray().tolist() == [[2, 0], [1, 1], [0, 1]]
+
+    def test_read_only_counts_feed_every_reader(self, tmp_path):
+        corpus = make_zipf_corpus(n_docs=120, seed=4)
+        held = corpus.term_counts
+        fresh = count_matrix(corpus)
+        assert fresh.counts.data.flags.writeable
+        a = weigh(ablate_singletons(held), 0.5, 5)
+        b = weigh(ablate_singletons(fresh), 0.5, 5)
+        assert np.array_equal(a.weights.toarray(), b.weights.toarray())
+        dump_matrix_market(held, tmp_path / "held.mtx")
+        dump_matrix_market(fresh, tmp_path / "fresh.mtx")
+        assert (tmp_path / "held.mtx").read_bytes() == (tmp_path / "fresh.mtx").read_bytes()
 
 
 class TestTfidf:
