@@ -10,6 +10,8 @@ library is around.
 from __future__ import annotations
 
 import inspect
+import math
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -63,8 +65,16 @@ def check_vectors(x, name: str = "X") -> np.ndarray:
     return arr
 
 
+def is_number(value, integer: bool = False) -> bool:
+    """Whether ``value`` is a real number (an integer if ``integer``); a
+    bool is neither, and a float NaN or infinity is no number."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
+    return isinstance(value, Integral if integer else Real) and not isinstance(value, bool)
+
+
 def check_positive_int(value, name: str, minimum: int = 1) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+    if not is_number(value, integer=True):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")

@@ -12,8 +12,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from litclust import __version__
@@ -22,6 +25,7 @@ from litclust import lsa as _lsa
 from litclust import probe as _probe
 from litclust import sweep as _sweep
 from litclust import vectorize as _vec
+from litclust.base import is_number
 from litclust.corpus import load_corpus, save_jsonl
 from litclust.errors import ComputeError, ConfigError, DataError, LitclustError, ParseError
 from litclust.evaluate import metrics_json, score_clustering
@@ -32,9 +36,25 @@ EXIT_DATA = 3
 EXIT_COMPUTE = 4
 
 
+# The allowed values of the enum-like config keys, and the least value
+# of the integer keys that have one (the seed's is checked by the sweep
+# spec that every config builds).
+CHOICES = {
+    "corpus_format": ("jsonl", "pubmed_xml"),
+    "probe_mode": ("gene", "molecular"),
+    "network_format": _probe.EXPORT_FORMATS,
+}
+MINIMUM = {"restarts": 1, "probe_top": 1}
+
+
 @dataclass
 class PipelineConfig:
-    """Resolved run configuration; defaults are the baseline preset."""
+    """Resolved run configuration; defaults are the baseline preset.
+
+    The fields are the only statement of each config key's type and
+    default.  ``sweep`` holds ``SweepSpec``'s fields but ``seed`` and
+    ``enforce_bounds``, which come from ``seed`` and ``allow_out_of_bounds``.
+    """
 
     corpus: str | None = None
     corpus_format: str = "jsonl"
@@ -58,25 +78,20 @@ class PipelineConfig:
         return hashlib.sha256(blob).hexdigest()
 
     def validate(self) -> "PipelineConfig":
-        """Type and enum checks for values that may arrive from the
-        config file and therefore bypass argparse's choices, and the
-        documented ranges of d, r, n_dims and k unless
-        ``allow_out_of_bounds`` is set."""
-        def expect(name, value, kinds):
-            if not isinstance(value, kinds) or isinstance(value, bool):
-                raise ConfigError(f"config key {name!r} has invalid value {value!r}")
-
-        expect("d", self.d, (int, float))
-        for name in ("r", "n_dims", "k", "seed", "restarts", "probe_top"):
-            expect(name, getattr(self, name), int)
-        if self.corpus_format not in ("jsonl", "pubmed_xml"):
-            raise ConfigError(f"unknown corpus_format {self.corpus_format!r}")
-        if self.probe_mode not in ("gene", "molecular"):
-            raise ConfigError(f"unknown probe_mode {self.probe_mode!r}")
-        if self.network_format not in _probe.EXPORT_FORMATS:
-            raise ConfigError(f"unknown network_format {self.network_format!r}")
-        if not isinstance(self.sweep, dict):
-            raise ConfigError("config key 'sweep' must be an object")
+        """Check every value against its field's annotation, the enum
+        choices and minimums, the documented ranges of d, r, n_dims and k
+        unless ``allow_out_of_bounds`` is set, and the ``sweep`` section
+        by building its spec."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _fits(value, _HINTS[f.name]):
+                raise ConfigError(f"config key {f.name!r} must be {f.type}, got {value!r}")
+            if f.name in CHOICES and value not in CHOICES[f.name]:
+                raise ConfigError(
+                    f"config key {f.name!r} must be one of {list(CHOICES[f.name])}, got {value!r}"
+                )
+            if f.name in MINIMUM and value < MINIMUM[f.name]:
+                raise ConfigError(f"config key {f.name!r} must be >= {MINIMUM[f.name]}, got {value}")
         if not self.allow_out_of_bounds:
             for name, param in (("d", "d"), ("r", "r"), ("n_dims", "n"), ("k", "k")):
                 value = getattr(self, name)
@@ -86,7 +101,40 @@ class PipelineConfig:
                         f"{name}={value} is outside the documented range [{lo}, {hi}]; "
                         f"pass --allow-out-of-bounds to use it anyway"
                     )
+        self.sweep_spec()
         return self
+
+    def sweep_spec(self) -> _sweep.SweepSpec:
+        """The checked grid the ``sweep`` section describes."""
+        unknown = set(self.sweep) - _SWEEP_KEYS
+        if unknown:
+            raise ConfigError(
+                f"unknown sweep keys: {sorted(unknown)} (the sweep takes {sorted(_SWEEP_KEYS)}; "
+                f"its seed and bounds check come from 'seed' and 'allow_out_of_bounds')"
+            )
+        spec = _sweep.SweepSpec(
+            **self.sweep, seed=self.seed, enforce_bounds=not self.allow_out_of_bounds
+        )
+        spec.validate()
+        return spec
+
+
+_HINTS = typing.get_type_hints(PipelineConfig)
+_KEYS = set(_HINTS)
+_SWEEP_KEYS = {f.name for f in fields(_sweep.SweepSpec)} - {"seed", "enforce_bounds"}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON or flag value has the annotated type; numbers follow
+    ``is_number``, so a float field takes an int but no bool or NaN."""
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    if hint in (int, float):
+        return is_number(value, integer=hint is int)
+    return isinstance(value, hint)
 
 
 def load_config_file(path: str) -> dict:
@@ -104,37 +152,13 @@ def load_config_file(path: str) -> dict:
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     """defaults < config file < command-line flags."""
-    values: dict = {}
-    config_path = getattr(args, "config", None) or getattr(args, "spec", None)
-    if config_path:
-        values.update(load_config_file(config_path))
-    overrides = {
-        "corpus": getattr(args, "corpus", None),
-        "corpus_format": getattr(args, "corpus_format", None),
-        "d": getattr(args, "d", None),
-        "r": getattr(args, "r", None),
-        "n_dims": getattr(args, "n_dims", None),
-        "k": getattr(args, "k", None),
-        "seed": getattr(args, "seed", None),
-        "restarts": getattr(args, "restarts", None),
-        "dictionary": getattr(args, "dict", None),
-        "out": getattr(args, "out", None),
-        "probe_mode": getattr(args, "mode", None),
-        "network_format": getattr(args, "network_format", None),
-    }
-    # --top means probe_top only for the network-building commands; the
-    # sweep's --top (report length) stays out of the config hash.
-    if getattr(args, "command", None) in ("probe", "export"):
-        overrides["probe_top"] = getattr(args, "top", None)
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    if getattr(args, "allow_out_of_bounds", False):
-        values["allow_out_of_bounds"] = True
-    if getattr(args, "budget", None) is not None:
-        values.setdefault("sweep", {})
-        values["sweep"] = {**values["sweep"], "budget": args.budget}
-
-    known = {f for f in PipelineConfig.__dataclass_fields__}
-    unknown = set(values) - known
+    values = load_config_file(args.config) if args.config else {}
+    flags = vars(args)
+    values.update({key: flags[key] for key in _KEYS if flags.get(key) is not None})
+    sweep = values.get("sweep", {})
+    if flags.get("budget") is not None and isinstance(sweep, dict):
+        values["sweep"] = {**sweep, "budget": args.budget}
+    unknown = set(values) - _KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return PipelineConfig(**values).validate()
@@ -153,20 +177,27 @@ def _sha256(path: Path) -> str:
 
 
 def _read_manifest(out_dir: Path) -> dict:
+    """The directory's manifest, or an empty one if it has none.  A
+    malformed manifest raises DataError: read as empty, it would let a
+    stale artifact pass and lose its provenance on the next write."""
     manifest_path = out_dir / "manifest.json"
-    if manifest_path.exists():
-        try:
-            return json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            pass
-    return {"artifacts": {}}
+    if not manifest_path.exists():
+        return {"artifacts": {}}
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{manifest_path}: malformed manifest ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"{manifest_path}: malformed manifest (not a JSON object)")
+    return manifest
 
 
 def _update_manifest(
     cfg: PipelineConfig, out_dir: Path, artifacts: list[Path], provenance: dict | None = None
-) -> Path:
+) -> list[str]:
     """Record the artifacts' digests and, for each artifact named in
-    ``provenance``, the config fields it was made from."""
+    ``provenance``, the config fields it was made from; return the
+    artifacts' paths."""
     manifest_path = out_dir / "manifest.json"
     manifest = _read_manifest(out_dir)
     manifest["version"] = __version__
@@ -178,10 +209,15 @@ def _update_manifest(
     manifest["artifacts"] = dict(sorted(digests.items()))
     if provenance:
         manifest["provenance"] = {**manifest.get("provenance", {}), **provenance}
-    manifest_path.write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    return manifest_path
+    # Written beside the manifest, flushed to disk and renamed over it,
+    # so a write cut short never leaves a truncated manifest.
+    tmp = manifest_path.with_name(manifest_path.name + ".tmp")
+    with tmp.open("w", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, manifest_path)
+    return [str(path) for path in artifacts]
 
 
 def _require_corpus(cfg: PipelineConfig):
@@ -281,12 +317,11 @@ def cmd_ingest(cfg: PipelineConfig, args) -> dict:
     out = _out_dir(cfg)
     dest = out / "corpus.jsonl"
     save_jsonl(corpus, dest)
-    _update_manifest(cfg, out, [dest])
     return {
         "documents": len(corpus),
         "skipped": corpus.skipped,
         "labels": list(corpus.label_set),
-        "artifacts": [str(dest)],
+        "artifacts": _update_manifest(cfg, out, [dest]),
     }
 
 
@@ -301,11 +336,10 @@ def cmd_vectorize(cfg: PipelineConfig, args) -> dict:
     _vec.dump_matrix_market(counts, counts_path)
     _vec.dump_matrix_market(weighted, weights_path)
     _vec.dump_vocabulary(weighted, vocab_path)
-    _update_manifest(cfg, out, [counts_path, weights_path, vocab_path])
     return {
         "terms": len(weighted.terms),
         "documents": len(weighted.docs),
-        "artifacts": [str(counts_path), str(weights_path), str(vocab_path)],
+        "artifacts": _update_manifest(cfg, out, [counts_path, weights_path, vocab_path]),
     }
 
 
@@ -315,8 +349,8 @@ def cmd_embed(cfg: PipelineConfig, args) -> dict:
     emb = _build_embedding(cfg, corpus)
     path = out / "embedding.tsv"
     _lsa.dump_embedding(emb, path)
-    _update_manifest(cfg, out, [path])
-    return {"dims": emb.dims, "documents": len(emb.docs), "artifacts": [str(path)]}
+    artifacts = _update_manifest(cfg, out, [path])
+    return {"dims": emb.dims, "documents": len(emb.docs), "artifacts": artifacts}
 
 
 def cmd_cluster(cfg: PipelineConfig, args) -> dict:
@@ -327,15 +361,14 @@ def cmd_cluster(cfg: PipelineConfig, args) -> dict:
     meta_path = out / "cluster_run.json"
     _cluster.dump_assignments(clus, corpus.doc_ids(), assignments_path)
     meta_path.write_text(_cluster.run_metadata(clus, cfg.seed) + "\n", encoding="utf-8")
-    _update_manifest(
-        cfg, out, [assignments_path, meta_path],
-        provenance={assignments_path.name: _clustering_fields(cfg)},
-    )
     return {
         "k": clus.k,
         "dissimilarity": clus.dissimilarity,
         "iterations": clus.iterations,
-        "artifacts": [str(assignments_path), str(meta_path)],
+        "artifacts": _update_manifest(
+            cfg, out, [assignments_path, meta_path],
+            provenance={assignments_path.name: _clustering_fields(cfg)},
+        ),
     }
 
 
@@ -348,29 +381,18 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> dict:
     report = score_clustering(assignments, corpus.labels())
     path = out / "metrics.json"
     path.write_text(metrics_json(report) + "\n", encoding="utf-8")
-    _update_manifest(cfg, out, [path])
     return {
         "homogeneity": report.homogeneity,
         "completeness": report.completeness,
         "v_measure": report.v_measure,
-        "artifacts": [str(path)],
+        "artifacts": _update_manifest(cfg, out, [path]),
     }
 
 
 def cmd_sweep(cfg: PipelineConfig, args) -> dict:
     corpus = _require_corpus(cfg)
     out = _out_dir(cfg)
-    sweep_cfg = dict(cfg.sweep)
-    spec = _sweep.SweepSpec(
-        d_values=tuple(sweep_cfg.get("d_values", _sweep.DEFAULT_D_VALUES)),
-        r_values=tuple(sweep_cfg.get("r_values", _sweep.DEFAULT_R_VALUES)),
-        n_values=tuple(sweep_cfg.get("n_values", _sweep.DEFAULT_N_VALUES)),
-        k_values=tuple(sweep_cfg.get("k_values", _sweep.DEFAULT_K_VALUES)),
-        seed=cfg.seed,
-        budget=sweep_cfg.get("budget"),
-        restarts=sweep_cfg.get("restarts", 1),
-        enforce_bounds=not cfg.allow_out_of_bounds,
-    )
+    spec = cfg.sweep_spec()
     rows_path = out / "rows.jsonl"
     rows = _sweep.run_sweep(corpus, spec, checkpoint_path=rows_path)
     report_path = out / "report.md"
@@ -394,13 +416,13 @@ def cmd_sweep(cfg: PipelineConfig, args) -> dict:
     curve = [(k, row.v_measure) for k, row in sorted(at_point.items()) if row.ok]
     curve_path = out / "vk_curve.tsv"
     _sweep.write_v_curve(curve, curve_path)
-    _update_manifest(cfg, out, [report_path, curve_path])
     executed = sum(1 for r in rows if r.ok)
     return {
         "combinations": len(rows),
         "executed": executed,
         "skipped": len(rows) - executed,
-        "artifacts": [str(rows_path), str(report_path), str(curve_path)],
+        # rows.jsonl holds measured runtimes, so it has no digest.
+        "artifacts": [str(rows_path), *_update_manifest(cfg, out, [report_path, curve_path])],
     }
 
 
@@ -423,15 +445,14 @@ def cmd_probe(cfg: PipelineConfig, args) -> dict:
     net = _probe.build_network(report, top_n=cfg.probe_top)
     net_path = out / f"network.{cfg.network_format}"
     net_path.write_bytes(_probe.export_network(net, format=cfg.network_format))
-    _update_manifest(
-        cfg, out, [report_path, net_path],
-        provenance={report_path.name: _probe_fields(cfg, clustering_fields)},
-    )
     return {
         "entities": len(report.entity_globals),
         "clusters": len(report.clusters),
         "short_clusters": list(net.short_clusters),
-        "artifacts": [str(report_path), str(net_path)],
+        "artifacts": _update_manifest(
+            cfg, out, [report_path, net_path],
+            provenance={report_path.name: _probe_fields(cfg, clustering_fields)},
+        ),
     }
 
 
@@ -450,8 +471,7 @@ def cmd_export(cfg: PipelineConfig, args) -> dict:
     net = _probe.build_network(report, top_n=cfg.probe_top)
     net_path = out / f"network.{cfg.network_format}"
     net_path.write_bytes(_probe.export_network(net, format=cfg.network_format))
-    _update_manifest(cfg, out, [net_path])
-    return {"artifacts": [str(net_path)]}
+    return {"artifacts": _update_manifest(cfg, out, [net_path])}
 
 
 _COMMANDS = {
@@ -473,83 +493,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"litclust {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    helps = {
+        "ingest": "normalize a corpus into canonical JSONL",
+        "vectorize": "dump count/weight matrices and vocabulary",
+        "embed": "dump the document embedding",
+        "cluster": "k-means assignments and run metadata",
+        "evaluate": "homogeneity/completeness/v-measure vs labels",
+        "sweep": "randomized (D, R, N, K) grid sweep",
+        "probe": "match an entity dictionary against clusters",
+        "export": "re-export a probe report as a network file",
+    }
+    # A flag that sets a config key has the key's name as its dest and
+    # None as its default; resolve_config reads it by that name.
+    for command, help_text in helps.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--corpus", help="corpus file path")
-        p.add_argument(
-            "--corpus-format",
-            dest="corpus_format",
-            choices=["jsonl", "pubmed_xml"],
-            help="corpus file format",
-        )
+        p.add_argument("--corpus-format", dest="corpus_format", choices=CHOICES["corpus_format"],
+                       help="corpus file format")
         p.add_argument("--out", help="output directory (default 'out')")
         p.add_argument("--seed", type=int, help="top-level random seed")
         p.add_argument("--json", action="store_true", help="print a machine-readable result")
-        p.add_argument(
-            "--allow-out-of-bounds",
-            action="store_true",
-            help="permit parameter values outside the documented ranges",
-        )
-
-    def pipeline_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--d", type=float, help="document frequency floor, percent")
-        p.add_argument("--r", type=int, help="per-document rank cutoff")
-        p.add_argument("--n-dims", dest="n_dims", type=int, help="embedding dimensions")
-        p.add_argument("--k", type=int, help="number of clusters")
-        p.add_argument("--restarts", type=int, help="k-means restarts")
-
-    p = sub.add_parser("ingest", help="normalize a corpus into canonical JSONL")
-    common(p)
-
-    p = sub.add_parser("vectorize", help="dump count/weight matrices and vocabulary")
-    common(p)
-    pipeline_flags(p)
-
-    p = sub.add_parser("embed", help="dump the document embedding")
-    common(p)
-    pipeline_flags(p)
-
-    p = sub.add_parser("cluster", help="k-means assignments and run metadata")
-    common(p)
-    pipeline_flags(p)
-
-    p = sub.add_parser("evaluate", help="homogeneity/completeness/v-measure vs labels")
-    common(p)
-    pipeline_flags(p)
-    p.add_argument("--assignments", help="assignments TSV (default: staged artifact)")
-
-    p = sub.add_parser("sweep", help="randomized (D, R, N, K) grid sweep")
-    common(p)
-    p.add_argument("--spec", help="sweep config file (same shape as --config)")
-    p.add_argument("--budget", type=int, help="max combinations to run")
-    p.add_argument("--top", type=int, help="rows in the rendered report (default 5)")
-
-    p = sub.add_parser("probe", help="match an entity dictionary against clusters")
-    common(p)
-    pipeline_flags(p)
-    p.add_argument("--assignments", help="assignments TSV (default: staged artifact)")
-    p.add_argument("--dict", help="entity dictionary JSON")
-    p.add_argument("--mode", choices=["gene", "molecular"], help="matching mode")
-    p.add_argument("--top", type=int, help="entities per cluster in the network")
-    p.add_argument(
-        "--format",
-        dest="network_format",
-        choices=list(_probe.EXPORT_FORMATS),
-        help="network export format",
-    )
-
-    p = sub.add_parser("export", help="re-export a probe report as a network file")
-    common(p)
-    p.add_argument("--report", help="probe report JSON (default: staged artifact)")
-    p.add_argument("--top", type=int, help="entities per cluster in the network")
-    p.add_argument(
-        "--format",
-        dest="network_format",
-        choices=list(_probe.EXPORT_FORMATS),
-        help="network export format",
-    )
-
+        p.add_argument("--allow-out-of-bounds", action="store_true", default=None,
+                       help="permit parameter values outside the documented ranges")
+        if command in ("vectorize", "embed", "cluster", "evaluate", "probe"):
+            p.add_argument("--d", type=float, help="document frequency floor, percent")
+            p.add_argument("--r", type=int, help="per-document rank cutoff")
+            p.add_argument("--n-dims", dest="n_dims", type=int, help="embedding dimensions")
+            p.add_argument("--k", type=int, help="number of clusters")
+            p.add_argument("--restarts", type=int, help="k-means restarts")
+        if command in ("evaluate", "probe"):
+            p.add_argument("--assignments", help="assignments TSV (default: staged artifact)")
+        if command == "sweep":
+            p.add_argument("--budget", type=int, help="max combinations to run")
+            p.add_argument("--top", type=int, help="rows in the rendered report (default 5)")
+        if command == "probe":
+            p.add_argument("--dict", dest="dictionary", metavar="DICT", help="entity dictionary JSON")
+            p.add_argument("--mode", dest="probe_mode", choices=CHOICES["probe_mode"],
+                           help="matching mode")
+        if command == "export":
+            p.add_argument("--report", help="probe report JSON (default: staged artifact)")
+        if command in ("probe", "export"):
+            p.add_argument("--top", dest="probe_top", type=int, metavar="TOP",
+                           help="entities per cluster in the network")
+            p.add_argument("--format", dest="network_format", choices=CHOICES["network_format"],
+                           help="network export format")
     return parser
 
 

@@ -105,15 +105,13 @@ def score_clustering(
     return metrics(contingency(assignments, labels))
 
 
-def metrics_json(report: MetricsReport, rounded: bool = False) -> str:
-    """Machine-readable metrics; ``rounded`` gives the 3-decimal report form."""
+def metrics_json(report: MetricsReport) -> str:
+    """Machine-readable metrics."""
     payload = {
         "homogeneity": report.homogeneity,
         "completeness": report.completeness,
         "v_measure": report.v_measure,
     }
-    if rounded:
-        payload = {k: round(v, 3) for k, v in payload.items()}
     return json.dumps(payload, sort_keys=True, indent=2)
 
 

@@ -24,7 +24,7 @@ from xml.sax.saxutils import escape, quoteattr
 import numpy as np
 from scipy import sparse
 
-from litclust.corpus import Corpus, normalize_text
+from litclust.corpus import Corpus, normalize_text, tokenize_text
 from litclust.errors import EmptyDictionary, ParseError
 
 log = logging.getLogger(__name__)
@@ -97,13 +97,18 @@ class GeneDictionary:
         return len(self.entries)
 
     def token_keys(self) -> dict[str, str]:
-        """Map lowercase token -> symbol for gene-mode matching."""
+        """Map lowercase token -> symbol for gene-mode matching.  A key that
+        is not one token (one with a space or an underscore, or of one
+        character) can never match; it is kept and named in a warning."""
         keys: dict[str, str] = {}
         for entry in self.entries:
             keys[entry.symbol] = entry.symbol
             for alias in entry.aliases:
                 if len(alias) >= MIN_ALIAS_LEN:
                     keys[alias] = entry.symbol
+        unmatchable = ", ".join(repr(key) for key in keys if tokenize_text(key) != (key,))
+        if unmatchable:
+            log.warning("dictionary keys that are not one token can never match: %s", unmatchable)
         return keys
 
     def description_phrases(self) -> dict[str, str]:

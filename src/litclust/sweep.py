@@ -16,7 +16,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from collections.abc import Collection
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,6 +26,7 @@ import numpy as np
 from litclust import cluster as _cluster
 from litclust import lsa as _lsa
 from litclust import vectorize as _vec
+from litclust.base import is_number
 from litclust.corpus import Corpus
 from litclust.errors import (
     AllTermsRemoved,
@@ -35,11 +37,6 @@ from litclust.errors import (
     ParseError,
 )
 from litclust.evaluate import score_clustering
-
-DEFAULT_D_VALUES = tuple(round(i / 10, 1) for i in range(1, 11))
-DEFAULT_R_VALUES = tuple(range(5, 15))
-DEFAULT_N_VALUES = tuple(range(1, 21))
-DEFAULT_K_VALUES = tuple(range(2, 21))
 
 # Named baseline preset used as the default configuration everywhere.
 BASELINE_PRESET = {"d": 0.5, "r": 5, "n_dims": 15, "k": 4}
@@ -58,22 +55,37 @@ def out_of_bounds(param: str, values) -> list:
 class SweepSpec:
     """Grid definition; the defaults cover the documented bounds exactly."""
 
-    d_values: Sequence[float] = DEFAULT_D_VALUES
-    r_values: Sequence[int] = DEFAULT_R_VALUES
-    n_values: Sequence[int] = DEFAULT_N_VALUES
-    k_values: Sequence[int] = DEFAULT_K_VALUES
+    d_values: Sequence[float] = tuple(round(i / 10, 1) for i in range(1, 11))
+    r_values: Sequence[int] = tuple(range(5, 15))
+    n_values: Sequence[int] = tuple(range(1, 21))
+    k_values: Sequence[int] = tuple(range(2, 21))
     seed: int = 0
     budget: int | None = None
     restarts: int = 1
     enforce_bounds: bool = True
 
     def validate(self) -> None:
+        """Check every value's type (a bool is no number, a string no
+        sequence), that the grid and the budget select a combination, and
+        the documented ranges unless ``enforce_bounds`` is off."""
         grid = {"d": self.d_values, "r": self.r_values, "n": self.n_values, "k": self.k_values}
         for param, values in grid.items():
+            integer = param != "d"
+            if isinstance(values, (str, bytes)) or not isinstance(values, Collection) or not all(
+                is_number(v, integer) for v in values
+            ):
+                kinds = "integers" if integer else "numbers"
+                raise ConfigError(f"{param}_values must be a sequence of {kinds}, got {values!r}")
             if len(values) == 0:
                 raise EmptySpec(f"{param}_values is empty")
+        if self.budget is not None and not is_number(self.budget, integer=True):
+            raise ConfigError(f"budget must be an integer or None, got {self.budget!r}")
         if self.budget is not None and self.budget < 1:
             raise EmptySpec(f"budget must be positive, got {self.budget}")
+        if not is_number(self.restarts, integer=True) or self.restarts < 1:
+            raise ConfigError(f"restarts must be an integer >= 1, got {self.restarts!r}")
+        if not is_number(self.seed, integer=True) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.enforce_bounds:
             for param, values in grid.items():
                 bad = out_of_bounds(param, values)
@@ -108,32 +120,16 @@ class SweepRow:
         return self.skip_reason is None
 
     def to_json(self) -> str:
-        rec = {"d": self.d, "r": self.r, "n": self.n, "k": self.k}
-        if self.ok:
-            rec.update(
-                completeness=self.completeness,
-                homogeneity=self.homogeneity,
-                v_measure=self.v_measure,
-                runtime_ms=self.runtime_ms,
-            )
-        else:
-            rec["skip_reason"] = self.skip_reason
+        """An executed row without skip_reason; a skipped one with only its key and reason."""
+        rec = asdict(self)
+        scores = ("completeness", "homogeneity", "v_measure", "runtime_ms")
+        for name in ("skip_reason",) if self.ok else scores:
+            del rec[name]
         return json.dumps(rec, sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "SweepRow":
-        rec = json.loads(line)
-        return cls(
-            d=rec["d"],
-            r=rec["r"],
-            n=rec["n"],
-            k=rec["k"],
-            completeness=rec.get("completeness"),
-            homogeneity=rec.get("homogeneity"),
-            v_measure=rec.get("v_measure"),
-            runtime_ms=rec.get("runtime_ms"),
-            skip_reason=rec.get("skip_reason"),
-        )
+        return cls(**json.loads(line))
 
 
 def derive_seed(*parts) -> int:
@@ -305,7 +301,7 @@ def _resume(path: Path, expected: str) -> dict[tuple, SweepRow]:
     return {row.key: row for row in read_rows(path)}
 
 
-def render_report(rows: Iterable[SweepRow], top_n: int = 5, title: str | None = None) -> str:
+def render_report(rows: Iterable[SweepRow], top_n: int = 5) -> str:
     """Markdown table of the top rows ranked by v-measure.
 
     Ordering: v-measure descending, completeness descending, then
@@ -315,12 +311,10 @@ def render_report(rows: Iterable[SweepRow], top_n: int = 5, title: str | None = 
     if not ok:
         raise EmptySpec("no successful rows to report")
     ok.sort(key=lambda w: (-w.v_measure, -w.completeness, w.d, w.r, w.n, w.k))
-    lines = []
-    if title:
-        lines.append(f"## {title}")
-        lines.append("")
-    lines.append("| D | R | N | K | Completeness | Homogeneity | V-Measure |")
-    lines.append("|---|---|---|---|---|---|---|")
+    lines = [
+        "| D | R | N | K | Completeness | Homogeneity | V-Measure |",
+        "|---|---|---|---|---|---|---|",
+    ]
     for row in ok[:top_n]:
         lines.append(
             f"| {row.d:.1f} | {row.r} | {row.n} | {row.k} "
@@ -331,7 +325,7 @@ def render_report(rows: Iterable[SweepRow], top_n: int = 5, title: str | None = 
 
 def v_curve(
     corpus: Corpus,
-    k_values: Sequence[int] = DEFAULT_K_VALUES,
+    k_values: Sequence[int] = SweepSpec.k_values,
     d: float = BASELINE_PRESET["d"],
     r: int = BASELINE_PRESET["r"],
     n_dims: int = BASELINE_PRESET["n_dims"],

@@ -174,13 +174,17 @@ def apply_rank_cutoff(w: WeightedMatrix, r: int) -> WeightedMatrix:
 
 
 def l2_normalize(w: WeightedMatrix) -> WeightedMatrix:
-    """Scale each document column to unit Euclidean norm (empty columns stay empty)."""
+    """Scale each document column to unit Euclidean norm (empty columns stay empty).
+
+    The columns with m entries are summed as the rows of one (docs, m)
+    block, which numpy sums bit for bit as it would each column alone.
+    """
     csc = w.weights.tocsc().copy()
-    for j in range(len(w.docs)):
-        lo, hi = csc.indptr[j], csc.indptr[j + 1]
-        if hi > lo:
-            norm = np.sqrt(np.sum(csc.data[lo:hi] ** 2))
-            csc.data[lo:hi] /= norm
+    lengths = np.diff(csc.indptr)
+    for m in np.unique(lengths[lengths > 0]):
+        entries = csc.indptr[:-1][lengths == m][:, None] + np.arange(m)
+        block = csc.data[entries]
+        csc.data[entries] = block / np.sqrt(np.sum(block**2, axis=1, keepdims=True))
     return WeightedMatrix(terms=w.terms, docs=w.docs, weights=sparse.csr_array(csc))
 
 

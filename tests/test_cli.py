@@ -15,6 +15,19 @@ DATA = Path(__file__).parent / "data"
 
 TOPIC_GENES = ["brca1", "tp53", "her2", "esr1"]
 
+# Sweep sections that are wrong: a string budget, a string or a number
+# where a list belongs, a fractional K, unknown keys (a typo, and the
+# seed, which comes from the top level) and zero restarts.
+BAD_SWEEPS = [
+    {"budget": "5"},
+    {"d_values": "abc"},
+    {"n_values": 3},
+    {"k_values": [2.5, 3]},
+    {"budjet": 5},
+    {"seed": 7},
+    {"restarts": 0},
+]
+
 
 def gene_corpus(seed=0, docs_per_topic=25):
     """Planted 4-topic corpus with topic-specific gene mentions."""
@@ -234,6 +247,39 @@ class TestStaleArtifacts:
             assert run_cli(command, "--config", "config.json") == 0
             assert hashed.count("corpus.jsonl") == 1, command
 
+    @pytest.mark.parametrize("damage", [b"", b'{"artifacts": {', b"[]", b"\xff\xfe"])
+    def test_malformed_manifest_exits_3(self, workspace, capsys, damage):
+        assert run_cli("cluster", "--config", "config.json", "--k", "4") == 0
+        manifest_path = workspace / "out" / "manifest.json"
+        manifest_path.write_bytes(damage)
+        capsys.readouterr()
+        assert run_cli("evaluate", "--config", "config.json", "--k", "9") == 3
+        assert "manifest.json" in capsys.readouterr().err
+        assert not (workspace / "out" / "metrics.json").exists()
+        assert manifest_path.read_bytes() == damage
+
+    def test_manifest_is_replaced_whole(self, workspace, monkeypatch):
+        import os
+
+        import litclust.cli
+
+        replaced = []
+        real = os.replace
+
+        def recording(src, dst):
+            replaced.append((Path(src).name, Path(dst).name, json.loads(Path(src).read_text())))
+            return real(src, dst)
+
+        monkeypatch.setattr(litclust.cli.os, "replace", recording)
+        assert run_cli("cluster", "--config", "config.json") == 0
+        (src, dst, written), = replaced
+        assert (src, dst) == ("manifest.json.tmp", "manifest.json")
+        out = workspace / "out"
+        assert written == json.loads((out / "manifest.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == [
+            "assignments.tsv", "cluster_run.json", "manifest.json",
+        ]
+
     def test_explicit_assignments_are_taken_as_given(self, workspace):
         assert run_cli("cluster", "--config", "config.json", "--k", "4") == 0
         code = run_cli(
@@ -426,6 +472,13 @@ class TestExitCodes:
             ("d", "half"),
             ("sweep", [1, 2]),
             ("n_dims", 40),
+            *(("sweep", bad) for bad in BAD_SWEEPS),
+            ("corpus", 5),
+            ("out", 5),
+            ("dictionary", 5),
+            ("class_labels", "abc"),
+            ("allow_out_of_bounds", "no"),
+            ("seed", -1),
         ],
     )
     def test_bad_config_values_exit_2(self, workspace, key, value):
@@ -433,6 +486,77 @@ class TestExitCodes:
         config[key] = value
         (workspace / "bad.json").write_text(json.dumps(config), encoding="utf-8")
         assert run_cli("ingest", "--config", "bad.json") == 2
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("k", True),
+            ("d", False),
+            ("restarts", True),
+            ("probe_top", True),
+            ("allow_out_of_bounds", 1),
+            ("restarts", 0),
+            ("probe_top", 0),
+            ("probe_top", -1),
+            ("class_labels", ["A", 1]),
+            ("sweep", {"d_values": [True]}),
+            ("sweep", {"budget": True}),
+            ("sweep", {"enforce_bounds": False}),
+            ("sweep", {"d_values": [3.0]}),
+        ],
+    )
+    def test_bool_minimum_and_element_errors_exit_2(self, workspace, capsys, key, value):
+        config = json.loads((workspace / "config.json").read_text())
+        config[key] = value
+        (workspace / "bad.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli("ingest", "--config", "bad.json") == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("d", float("nan")),
+            ("d", float("inf")),
+            ("sweep", {"d_values": [float("nan")]}),
+            ("sweep", {"d_values": [0.5, float("-inf")]}),
+        ],
+    )
+    def test_non_finite_numbers_exit_2_out_of_bounds_allowed(self, workspace, key, value):
+        config = json.loads((workspace / "config.json").read_text())
+        config.update({key: value, "allow_out_of_bounds": True})
+        (workspace / "bad.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli("ingest", "--config", "bad.json") == 2
+        assert run_cli("sweep", "--config", "bad.json", "--out", "fresh") == 2
+        assert not (workspace / "fresh").exists()
+
+    def test_out_of_bounds_sweep_values_need_allow_out_of_bounds(self, workspace):
+        config = json.loads((workspace / "config.json").read_text())
+        config["sweep"] = {"d_values": [3.0]}
+        (workspace / "oob.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli("ingest", "--config", "oob.json") == 2
+        assert run_cli("ingest", "--config", "oob.json", "--allow-out-of-bounds") == 0
+
+    @pytest.mark.parametrize("bad", BAD_SWEEPS)
+    def test_sweep_rejects_bad_section_before_writing(self, workspace, capsys, bad):
+        config = json.loads((workspace / "config.json").read_text())
+        config["sweep"] = bad
+        (workspace / "bad.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli("sweep", "--config", "bad.json", "--out", "fresh") == 2
+        assert not (workspace / "fresh").exists()
+        assert next(iter(bad)) in capsys.readouterr().err
+
+    def test_budget_flag_beside_a_sweep_that_is_no_object_exits_2(self, workspace):
+        config = json.loads((workspace / "config.json").read_text())
+        config["sweep"] = [1, 2]
+        (workspace / "bad.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli("sweep", "--config", "bad.json", "--budget", "3", "--out", "fresh") == 2
+        assert not (workspace / "fresh").exists()
+
+    def test_spec_alias_is_gone(self, workspace, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", "--spec", "config.json")
+        assert exc.value.code == 2
+        assert "--spec" in capsys.readouterr().err
 
     def test_explicit_missing_assignments_exit_3(self, workspace):
         code = run_cli(
@@ -516,6 +640,57 @@ def test_end_to_end_determinism(tmp_path, monkeypatch):
         a = (outputs[0] / name).read_bytes()
         b = (outputs[1] / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+
+
+def test_config_hash_and_fields_are_unchanged():
+    from litclust.cli import PipelineConfig
+
+    # Any change to the field set, a default or the hashed form changes
+    # every manifest's config_hash.
+    assert PipelineConfig().config_hash() == (
+        "6e346e0fc0b5fa2082e8f62ed87470f180505fb673fe8ed5056c44890549f4d0"
+    )
+    cfg = PipelineConfig(corpus="c.jsonl", class_labels=["A"], d=1, allow_out_of_bounds=True,
+                         sweep={"budget": 5, "d_values": [0.5]})
+    assert cfg.config_hash() == "4077ef0c52b3dd7611a460d40cb728f942d2d737a77e89ffd5c9040d9aa2f8ce"
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["probe", "--dict", "g.json", "--mode", "molecular", "--top", "3", "--format", "dot"],
+         {"dictionary": "g.json", "probe_mode": "molecular", "probe_top": 3, "network_format": "dot"}),
+        (["export", "--top", "7"], {"probe_top": 7}),
+        (["sweep", "--top", "7", "--budget", "3"], {"probe_top": 5, "sweep": {"budget": 3}}),
+        (["cluster", "--d", "0.3", "--r", "6", "--n-dims", "4", "--k", "3", "--restarts", "2",
+          "--seed", "8", "--corpus-format", "pubmed_xml", "--allow-out-of-bounds"],
+         {"d": 0.3, "r": 6, "n_dims": 4, "k": 3, "restarts": 2, "seed": 8,
+          "corpus_format": "pubmed_xml", "allow_out_of_bounds": True}),
+        (["cluster"], {}),
+    ],
+)
+def test_flags_set_the_config_keys_of_their_names(argv, expected):
+    from dataclasses import asdict
+
+    from litclust.cli import PipelineConfig, build_parser, resolve_config
+
+    cfg = resolve_config(build_parser().parse_args(argv))
+    assert asdict(cfg) == {**asdict(PipelineConfig()), **expected}
+
+
+def test_flags_override_the_file_and_budget_joins_its_sweep(workspace):
+    from litclust.cli import build_parser, resolve_config
+
+    config = json.loads((workspace / "config.json").read_text())
+    config.update(allow_out_of_bounds=True, probe_top=2,
+                  sweep={"k_values": [2, 3], "budget": 9})
+    (workspace / "config.json").write_text(json.dumps(config))
+    cfg = resolve_config(build_parser().parse_args(["sweep", "--config", "config.json", "--budget", "4"]))
+    assert cfg.allow_out_of_bounds is True  # an absent flag leaves the file's value
+    assert cfg.probe_top == 2  # the sweep's --top is the report length
+    assert cfg.sweep == {"k_values": [2, 3], "budget": 4}
+    assert cfg.sweep_spec().budget == 4
+    assert cfg.sweep_spec().enforce_bounds is False
 
 
 def test_config_defaults_are_baseline_preset():

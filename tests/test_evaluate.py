@@ -192,9 +192,8 @@ def test_score_clustering_composes():
     assert rep.v_measure == 1.0
 
 
-def test_metrics_json_rounding():
+def test_metrics_json_holds_full_precision():
     rep = score_clustering([0, 0, 0, 1], ["A", "A", "B", "B"])
     full = json.loads(metrics_json(rep))
-    rounded = json.loads(metrics_json(rep, rounded=True))
-    assert full["v_measure"] == pytest.approx(rep.v_measure)
-    assert rounded["v_measure"] == round(rep.v_measure, 3)
+    assert full == {"homogeneity": rep.homogeneity, "completeness": rep.completeness,
+                    "v_measure": rep.v_measure}

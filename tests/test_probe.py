@@ -104,6 +104,34 @@ class TestDictionary:
         d2 = dictionary_of(("AR", ("DHTR",), ""))
         assert "ar" in d2.token_keys()
 
+    def test_keys_that_can_never_match_are_named_in_one_warning(self, caplog):
+        entries = [
+            DictionaryEntry("BRCA1", ("brca 1", "brca_1", "brca-1"), ""),
+            DictionaryEntry("X", (), ""),
+            *parse_gene_summaries((DATA / "gene_esummary.json").read_bytes()),
+        ]
+        d = GeneDictionary(entries)  # the fixture's own BRCA1 is dropped as a duplicate
+        with caplog.at_level(logging.WARNING, logger="litclust.probe"):
+            caplog.clear()
+            keys = d.token_keys()
+        (record,) = caplog.records
+        named = {key for key in keys if repr(key) in record.message}
+        assert {"brca 1", "brca_1", "x", "her-2/neu", "mln 19"} <= named
+        assert named == {key for key in keys if tokenize(Document("q", key)).tokens != (key,)}
+        assert "'brca-1'" not in record.message and "'her2'" not in record.message
+        # They stay keys, so gene-mode counts are those of the per-token loop.
+        assert {"brca 1", "brca_1", "x", "her-2/neu", "mln 19"} <= set(keys)
+        corpus, assignments = probe_corpus()
+        counts = count_occurrences(corpus, assignments, d, mode="gene")
+        entities, per_cluster, _, _ = reference_gene_counts(corpus, assignments, d)
+        assert counts.entities == entities
+        assert np.array_equal(counts.per_cluster, per_cluster)
+
+    def test_matchable_keys_log_nothing(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="litclust.probe"):
+            probe_dictionary().token_keys()
+        assert caplog.records == []
+
     def test_empty_dictionary_rejected(self):
         with pytest.raises(EmptyDictionary):
             GeneDictionary([])

@@ -3,6 +3,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -125,6 +126,48 @@ class TestEnumerate:
     def test_bad_budget(self):
         with pytest.raises(EmptySpec):
             enumerate_grid(small_spec(budget=0))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"d_values": "abc"},
+            {"d_values": b"\x05"},
+            {"d_values": (True,)},
+            {"d_values": ("0.5",)},
+            {"r_values": 5},
+            {"n_values": (2.0,)},
+            {"k_values": (2.5, 3)},
+            {"k_values": (False, 2)},
+            {"budget": "5"},
+            {"budget": True},
+            {"budget": 2.0},
+            {"restarts": 0},
+            {"restarts": 1.5},
+            {"restarts": True},
+            {"seed": -1},
+            {"seed": 1.0},
+            {"seed": None},
+            {"d_values": (float("nan"),)},
+            {"d_values": (0.5, float("inf"))},
+        ],
+    )
+    def test_wrong_types_rejected(self, change):
+        # With the bounds check off, so only the type rule can reject.
+        spec = small_spec(enforce_bounds=False, **change)
+        with pytest.raises(ConfigError, match=next(iter(change))):
+            spec.validate()
+        with pytest.raises(ConfigError):
+            run_sweep(small_corpus(), spec)
+
+    def test_numpy_numbers_and_ranges_accepted(self):
+        spec = small_spec(
+            d_values=np.array([0.5]), r_values=range(5, 7), n_values=[np.int64(5)],
+            k_values=(np.int32(2),), seed=np.uint8(3), budget=np.int64(1), restarts=np.int16(2),
+        )
+        assert enumerate_grid(spec) == enumerate_grid(
+            small_spec(d_values=(0.5,), r_values=(5, 6), n_values=(5,), k_values=(2,),
+                       seed=3, budget=1, restarts=2)
+        )
 
 
 class TestRunSweep:

@@ -374,6 +374,46 @@ def test_l2_normalize_unit_columns():
             assert n == 0.0
 
 
+def reference_l2_normalize(w):
+    """The per-document loop that the blocked norms replaced."""
+    csc = w.weights.tocsc().copy()
+    for j in range(len(w.docs)):
+        lo, hi = csc.indptr[j], csc.indptr[j + 1]
+        if hi > lo:
+            norm = np.sqrt(np.sum(csc.data[lo:hi] ** 2))
+            csc.data[lo:hi] /= norm
+    return WeightedMatrix(terms=w.terms, docs=w.docs, weights=sparse.csr_array(csc))
+
+
+def assert_same_weights(got, want):
+    assert got.terms == want.terms and got.docs == want.docs
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.weights, name), getattr(want.weights, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_l2_normalize_is_bit_identical_to_the_loop(seed):
+    # Column lengths from 0 to past numpy's 8-entry pairwise unroll and
+    # its 128-entry block, with weights over many magnitudes.
+    rng = np.random.default_rng(seed)
+    n_terms, n_docs = int(rng.integers(1, 300)), int(rng.integers(1, 60))
+    density = rng.choice([0.02, 0.1, 0.5, 1.0])
+    dense = rng.random((n_terms, n_docs)) * (rng.random((n_terms, n_docs)) < density)
+    dense *= 10.0 ** rng.integers(-8, 8, size=(n_terms, n_docs))
+    w = weighted_from_dense(dense)
+    assert_same_weights(l2_normalize(w), reference_l2_normalize(w))
+
+
+@pytest.mark.parametrize("d,r", [(0.1, 5), (0.5, 9), (1.0, 14), (3.0, 200)])
+def test_l2_normalize_matches_the_loop_inside_weigh(d, r):
+    ablated = ablate_singletons(count_matrix(make_zipf_corpus(n_docs=400, tokens_per_doc=60, seed=7)))
+    cut = apply_rank_cutoff(tfidf(apply_df_threshold(ablated, d)), r)
+    assert_same_weights(l2_normalize(cut), reference_l2_normalize(cut))
+    assert_same_weights(weigh(ablated, d, r), reference_l2_normalize(cut))
+
+
 def test_pipeline_order_is_counts_ablate_threshold_tfidf_cutoff():
     corpus = make_zipf_corpus(n_docs=200, tokens_per_doc=30, seed=5)
     via_helper = build_weighted_matrix(corpus, d_percent=0.5, rank_cutoff=5)
