@@ -25,7 +25,7 @@ from litclust import lsa as _lsa
 from litclust import probe as _probe
 from litclust import sweep as _sweep
 from litclust import vectorize as _vec
-from litclust.base import is_number
+from litclust.base import check_positive_int, is_number
 from litclust.corpus import load_corpus, save_jsonl
 from litclust.errors import ComputeError, ConfigError, DataError, LitclustError, ParseError
 from litclust.evaluate import metrics_json, score_clustering
@@ -189,6 +189,13 @@ def _read_manifest(out_dir: Path) -> dict:
         raise DataError(f"{manifest_path}: malformed manifest ({exc})") from exc
     if not isinstance(manifest, dict):
         raise DataError(f"{manifest_path}: malformed manifest (not a JSON object)")
+    provenance = manifest.get("provenance", {})
+    if not (
+        isinstance(manifest.get("artifacts", {}), dict)
+        and isinstance(provenance, dict)
+        and all(isinstance(record, dict) for record in provenance.values())
+    ):
+        raise DataError(f"{manifest_path}: malformed manifest (artifacts or provenance not objects)")
     return manifest
 
 
@@ -234,16 +241,30 @@ def _out_dir(cfg: PipelineConfig) -> Path:
     return out
 
 
-def _build_embedding(cfg: PipelineConfig, corpus):
-    weighted = _vec.build_weighted_matrix(corpus, d_percent=cfg.d, rank_cutoff=cfg.r)
+def _weighted_matrix(cfg: PipelineConfig, corpus, clustering_fields: dict):
+    """The corpus's weighted matrix at (d, r): read from the staged
+    ``weights.mtx`` and ``vocabulary.tsv`` when the manifest records both
+    as made from this corpus, d and r and both still have their recorded
+    digests, else weighed afresh.  They are intermediates, so a stale or
+    missing pair is recomputed, never refused."""
+    fields = _weights_fields(clustering_fields)
+    out = Path(cfg.out)
+    weights_path, vocab_path = out / "weights.mtx", out / "vocabulary.tsv"
+    if _staged(weights_path, fields) and _staged(vocab_path, fields):
+        return _vec.load_weighted_matrix(weights_path, vocab_path, corpus.doc_ids())
+    return _vec.build_weighted_matrix(corpus, d_percent=cfg.d, rank_cutoff=cfg.r)
+
+
+def _build_embedding(cfg: PipelineConfig, corpus, clustering_fields: dict):
+    weighted = _weighted_matrix(cfg, corpus, clustering_fields)
     return _lsa.reduce(
         weighted, cfg.n_dims, seed=_sweep.derive_seed(cfg.seed, "lsa", cfg.d, cfg.r, cfg.n_dims)
     )
 
 
-def _build_clustering(cfg: PipelineConfig, corpus):
+def _build_clustering(cfg: PipelineConfig, corpus, clustering_fields: dict):
     return _cluster.kmeans(
-        _build_embedding(cfg, corpus).vectors,
+        _build_embedding(cfg, corpus, clustering_fields).vectors,
         cfg.k,
         seed=_sweep.derive_seed(cfg.seed, "kmeans", cfg.d, cfg.r, cfg.n_dims, cfg.k),
         restarts=cfg.restarts,
@@ -261,6 +282,11 @@ def _clustering_fields(cfg: PipelineConfig) -> dict:
     return fields
 
 
+def _weights_fields(clustering_fields: dict) -> dict:
+    """The fields of a clustering that its weighted matrix depends on."""
+    return {name: clustering_fields[name] for name in ("corpus_sha256", "d", "r")}
+
+
 def _probe_fields(cfg: PipelineConfig, clustering_fields: dict) -> dict:
     """The config fields a probe report depends on: those of its
     clustering plus the probe mode and the dictionary digest."""
@@ -270,11 +296,30 @@ def _probe_fields(cfg: PipelineConfig, clustering_fields: dict) -> dict:
     return fields
 
 
+def _record(path: Path) -> tuple[dict | None, str | None]:
+    """The config fields the manifest records ``path`` as made from and
+    the digest it records for it; None for what it does not record."""
+    manifest = _read_manifest(path.parent)
+    return (
+        manifest.get("provenance", {}).get(path.name),
+        manifest.get("artifacts", {}).get(path.name),
+    )
+
+
+def _staged(path: Path, fields: dict) -> bool:
+    """Whether ``path`` exists, the manifest records it as made from
+    exactly ``fields``, and it still has its recorded digest."""
+    if not path.exists():
+        return False
+    recorded, digest = _record(path)
+    return recorded == fields and digest == _sha256(path)
+
+
 def _refuse_stale(path: Path, fields: dict) -> None:
     """Raise ConfigError if the manifest records ``path`` as made from
     other values of ``fields``.  A file the manifest has no record of
     (written by hand or by an older version) is taken as given."""
-    recorded = _read_manifest(path.parent).get("provenance", {}).get(path.name)
+    recorded, _ = _record(path)
     if recorded is None:
         return
     differ = [name for name in sorted(fields) if recorded.get(name) != fields[name]]
@@ -306,7 +351,7 @@ def _load_or_compute_assignments(
                 f"assignments file {path} does not cover document(s) {missing[:3]}"
             )
         return [mapping[d.id] for d in corpus]
-    return list(_build_clustering(cfg, corpus).assignments)
+    return list(_build_clustering(cfg, corpus, clustering_fields).assignments)
 
 
 # -- subcommands ---------------------------------------------------------
@@ -336,17 +381,21 @@ def cmd_vectorize(cfg: PipelineConfig, args) -> dict:
     _vec.dump_matrix_market(counts, counts_path)
     _vec.dump_matrix_market(weighted, weights_path)
     _vec.dump_vocabulary(weighted, vocab_path)
+    fields = _weights_fields(_clustering_fields(cfg))
     return {
         "terms": len(weighted.terms),
         "documents": len(weighted.docs),
-        "artifacts": _update_manifest(cfg, out, [counts_path, weights_path, vocab_path]),
+        "artifacts": _update_manifest(
+            cfg, out, [counts_path, weights_path, vocab_path],
+            provenance={weights_path.name: fields, vocab_path.name: fields},
+        ),
     }
 
 
 def cmd_embed(cfg: PipelineConfig, args) -> dict:
     corpus = _require_corpus(cfg)
     out = _out_dir(cfg)
-    emb = _build_embedding(cfg, corpus)
+    emb = _build_embedding(cfg, corpus, _clustering_fields(cfg))
     path = out / "embedding.tsv"
     _lsa.dump_embedding(emb, path)
     artifacts = _update_manifest(cfg, out, [path])
@@ -356,7 +405,8 @@ def cmd_embed(cfg: PipelineConfig, args) -> dict:
 def cmd_cluster(cfg: PipelineConfig, args) -> dict:
     corpus = _require_corpus(cfg)
     out = _out_dir(cfg)
-    clus = _build_clustering(cfg, corpus)
+    fields = _clustering_fields(cfg)
+    clus = _build_clustering(cfg, corpus, fields)
     assignments_path = out / "assignments.tsv"
     meta_path = out / "cluster_run.json"
     _cluster.dump_assignments(clus, corpus.doc_ids(), assignments_path)
@@ -367,7 +417,7 @@ def cmd_cluster(cfg: PipelineConfig, args) -> dict:
         "iterations": clus.iterations,
         "artifacts": _update_manifest(
             cfg, out, [assignments_path, meta_path],
-            provenance={assignments_path.name: _clustering_fields(cfg)},
+            provenance={assignments_path.name: fields},
         ),
     }
 
@@ -390,16 +440,14 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> dict:
 
 
 def cmd_sweep(cfg: PipelineConfig, args) -> dict:
+    top = 5 if args.top is None else check_positive_int(args.top, "--top")
     corpus = _require_corpus(cfg)
     out = _out_dir(cfg)
     spec = cfg.sweep_spec()
     rows_path = out / "rows.jsonl"
     rows = _sweep.run_sweep(corpus, spec, checkpoint_path=rows_path)
     report_path = out / "report.md"
-    report_path.write_text(
-        _sweep.render_report(rows, top_n=getattr(args, "top", None) or 5),
-        encoding="utf-8",
-    )
+    report_path.write_text(_sweep.render_report(rows, top_n=top), encoding="utf-8")
     # The curve is drawn at the config's (d, r, n_dims) over the sweep's
     # K values, from the grid's rows where it holds them (a row depends
     # only on its key, the seed and the restarts); K that did not run are

@@ -72,7 +72,8 @@ def metrics(table: ContingencyTable) -> MetricsReport:
     """Homogeneity, completeness, and v-measure from a contingency table.
 
     Conventions: h = 1 when there is a single class (the class entropy is
-    zero), c = 1 when there is a single cluster, v = 0 when h + c = 0.
+    zero), c = 1 when there is a single cluster, v = 0 when h + c = 0;
+    h and c are clipped to [0, 1].
     """
     counts = table.counts.astype(np.float64)
     total = float(table.total)
@@ -87,6 +88,11 @@ def metrics(table: ContingencyTable) -> MetricsReport:
 
     homogeneity = 1.0 if h_class == 0.0 else 1.0 - h_class_given_cluster / h_class
     completeness = 1.0 if h_cluster == 0.0 else 1.0 - h_cluster_given_class / h_cluster
+    # For independent labelings the conditional entropy can round a few
+    # ulps above the entropy; clipped (as sklearn clips its mutual
+    # information at 0), they score exactly 0.
+    homogeneity = min(max(homogeneity, 0.0), 1.0)
+    completeness = min(max(completeness, 0.0), 1.0)
     if homogeneity + completeness == 0.0:
         v = 0.0
     else:

@@ -26,7 +26,7 @@ import numpy as np
 from litclust import cluster as _cluster
 from litclust import lsa as _lsa
 from litclust import vectorize as _vec
-from litclust.base import is_number
+from litclust.base import check_positive_int, is_number
 from litclust.corpus import Corpus
 from litclust.errors import (
     AllTermsRemoved,
@@ -307,6 +307,7 @@ def render_report(rows: Iterable[SweepRow], top_n: int = 5) -> str:
     Ordering: v-measure descending, completeness descending, then
     (d, r, n, k) ascending; metrics printed at 3 decimals.
     """
+    check_positive_int(top_n, "top_n")
     ok = [row for row in rows if row.ok]
     if not ok:
         raise EmptySpec("no successful rows to report")

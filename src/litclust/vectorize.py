@@ -24,7 +24,7 @@ from scipy import sparse
 
 from litclust.base import BaseEstimator, check_positive_int
 from litclust.corpus import Corpus, tokenize
-from litclust.errors import AllTermsRemoved, EmptyCorpus
+from litclust.errors import AllTermsRemoved, DataError, EmptyCorpus, ParseError
 
 log = logging.getLogger(__name__)
 
@@ -242,3 +242,24 @@ def dump_vocabulary(m: TermDocMatrix | WeightedMatrix, path: str | Path) -> None
     with Path(path).open("w", encoding="utf-8") as fh:
         for i, term in enumerate(m.terms):
             fh.write(f"{term}\t{i}\n")
+
+
+def load_weighted_matrix(
+    weights_path: str | Path, vocab_path: str | Path, docs: tuple[str, ...]
+) -> WeightedMatrix:
+    """Read back the weights and vocabulary that ``dump_matrix_market`` and
+    ``dump_vocabulary`` wrote, over the documents ``docs``.  A file that
+    does not parse, or a matrix whose shape is not (terms, docs), raises
+    ``DataError``."""
+    try:
+        lines = Path(vocab_path).read_text(encoding="utf-8").splitlines()
+        weights = sparse.csr_array(spio.mmread(str(weights_path)))
+    except ValueError as exc:
+        raise ParseError(f"{weights_path} or {vocab_path}: {exc}") from exc
+    terms = tuple(line.split("\t")[0] for line in lines)
+    if weights.shape != (len(terms), len(docs)):
+        raise DataError(
+            f"{weights_path} has shape {weights.shape}, but {vocab_path} and the corpus "
+            f"give {(len(terms), len(docs))}"
+        )
+    return WeightedMatrix(terms=terms, docs=docs, weights=weights)

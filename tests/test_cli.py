@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -242,12 +243,15 @@ class TestStaleArtifacts:
             return real(path)
 
         monkeypatch.setattr(litclust.cli, "_sha256", counted)
-        for command in ("cluster", "evaluate", "probe", "export"):
+        for command in ("vectorize", "embed", "cluster", "evaluate", "probe", "export"):
             hashed.clear()
             assert run_cli(command, "--config", "config.json") == 0
             assert hashed.count("corpus.jsonl") == 1, command
 
-    @pytest.mark.parametrize("damage", [b"", b'{"artifacts": {', b"[]", b"\xff\xfe"])
+    @pytest.mark.parametrize("damage", [
+        b"", b'{"artifacts": {', b"[]", b"\xff\xfe",
+        b'{"artifacts": []}', b'{"provenance": []}', b'{"provenance": {"assignments.tsv": 4}}',
+    ])
     def test_malformed_manifest_exits_3(self, workspace, capsys, damage):
         assert run_cli("cluster", "--config", "config.json", "--k", "4") == 0
         manifest_path = workspace / "out" / "manifest.json"
@@ -289,6 +293,101 @@ class TestStaleArtifacts:
         assert code == 0
 
 
+class TestStagedWeights:
+    """``embed`` and ``cluster``, and ``evaluate`` and ``probe`` when they
+    cluster, read the weights ``vectorize`` staged for the same corpus, d
+    and r, and weigh afresh in every other case."""
+
+    ARTIFACTS = {"embed": "embedding.tsv", "cluster": "assignments.tsv",
+                 "evaluate": "metrics.json", "probe": "probe_report.json"}
+
+    def standalone(self, command, *flags):
+        """The artifact ``command`` writes alone in a fresh directory."""
+        out = Path(f"solo_{command}")
+        assert run_cli(command, "--config", "config.json", "--out", str(out), *flags) == 0
+        return (out / self.ARTIFACTS[command]).read_bytes()
+
+    def test_vectorize_records_the_weights_provenance(self, workspace):
+        assert run_cli("vectorize", "--config", "config.json") == 0
+        manifest = json.loads((workspace / "out" / "manifest.json").read_text())
+        corpus_sha256 = hashlib.sha256((workspace / "corpus.jsonl").read_bytes()).hexdigest()
+        record = {"corpus_sha256": corpus_sha256, "d": 0.5, "r": 5}
+        assert manifest["provenance"] == {"weights.mtx": record, "vocabulary.tsv": record}
+
+    def test_chain_counts_once_and_matches_standalone_runs(self, workspace, monkeypatch):
+        import litclust.vectorize
+
+        # A gene-mode probe reads the corpus's counts for its own matching,
+        # so the chain probes in molecular mode.
+        chain = {"probe": ("--mode", "molecular")}
+        calls = {}
+        count_calls(monkeypatch, litclust.vectorize, "count_matrix", calls)
+        for command in ("vectorize", "embed", "cluster", "evaluate", "probe"):
+            assert run_cli(command, "--config", "config.json", *chain.get(command, ())) == 0
+        assert calls == {"count_matrix": 1}
+        staged = {name: (workspace / "out" / name).read_bytes() for name in self.ARTIFACTS.values()}
+        for command, name in self.ARTIFACTS.items():
+            assert self.standalone(command, *chain.get(command, ())) == staged[name], name
+
+    @pytest.mark.parametrize("command", ["embed", "cluster"])
+    @pytest.mark.parametrize(
+        "case", ["d", "r", "corpus", "weights", "vocabulary", "no_record", "deleted"]
+    )
+    def test_anything_else_is_weighed_afresh(self, workspace, monkeypatch, command, case):
+        import litclust.vectorize
+        from scipy.io import mmread, mmwrite
+
+        assert run_cli("vectorize", "--config", "config.json") == 0
+        out = workspace / "out"
+        flags = {"d": ("--d", "0.4"), "r": ("--r", "6")}.get(case, ())
+        if case == "corpus":
+            save_jsonl(gene_corpus(seed=1), workspace / "corpus.jsonl")
+        elif case == "weights":
+            mmwrite(out / "weights.mtx", mmread(out / "weights.mtx") * 2.0)
+        elif case == "vocabulary":
+            path = out / "vocabulary.tsv"
+            path.write_text(path.read_text().replace("topic0", "topicX"))
+        elif case == "no_record":
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["provenance"]
+            (out / "manifest.json").write_text(json.dumps(manifest))
+        elif case == "deleted":
+            (out / "weights.mtx").unlink()
+        calls = {}
+        count_calls(monkeypatch, litclust.vectorize, "count_matrix", calls)
+        count_calls(monkeypatch, litclust.vectorize, "load_weighted_matrix", calls)
+        assert run_cli(command, "--config", "config.json", *flags) == 0
+        assert calls == {"count_matrix": 1}
+        staged = (out / self.ARTIFACTS[command]).read_bytes()
+        assert self.standalone(command, *flags) == staged
+
+    @pytest.mark.parametrize("command", ["embed", "cluster"])
+    @pytest.mark.parametrize("damage,message", [("extra_row", "shape"), ("garbage", "weights.mtx")])
+    def test_recorded_matrix_that_does_not_fit_exits_3(
+        self, workspace, capsys, command, damage, message
+    ):
+        from scipy import sparse
+        from scipy.io import mmread, mmwrite
+
+        assert run_cli("vectorize", "--config", "config.json") == 0
+        out = workspace / "out"
+        if damage == "extra_row":
+            weights = sparse.csr_array(mmread(out / "weights.mtx"))
+            mmwrite(out / "weights.mtx", sparse.vstack([weights, weights[:1]]))
+        else:
+            (out / "weights.mtx").write_text("not a matrix\n")
+        # Recorded as if vectorize had written it.
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["artifacts"]["weights.mtx"] = hashlib.sha256(
+            (out / "weights.mtx").read_bytes()
+        ).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli(command, "--config", "config.json") == 3
+        assert message in capsys.readouterr().err
+        assert not (out / self.ARTIFACTS[command]).exists()
+
+
 class TestSweepCommand:
     def sweep_config(self, workspace, **sweep_overrides):
         config = json.loads((workspace / "config.json").read_text())
@@ -313,6 +412,13 @@ class TestSweepCommand:
         curve = (out / "vk_curve.tsv").read_text().splitlines()
         assert curve[0] == "k\tv_measure"
         assert len(curve) == 3  # header + k in {2, 4}
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_exits_2_before_writing(self, workspace, capsys, top):
+        self.sweep_config(workspace)
+        assert run_cli("sweep", "--config", "config.json", "--top", top, "--out", "fresh") == 2
+        assert "--top" in capsys.readouterr().err
+        assert not (workspace / "fresh").exists()
 
     def test_budget_extension_reuses_checkpoint(self, workspace):
         self.sweep_config(workspace, budget=2)
@@ -636,7 +742,7 @@ def test_end_to_end_determinism(tmp_path, monkeypatch):
             assert main([command, "--config", "config.json"]) == 0
         outputs.append(root / "out")
     for name in ("manifest.json", "metrics.json", "network.graphml",
-                  "assignments.tsv", "embedding.tsv", "weights.mtx"):
+                  "assignments.tsv", "embedding.tsv", "weights.mtx", "vocabulary.tsv"):
         a = (outputs[0] / name).read_bytes()
         b = (outputs[1] / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"

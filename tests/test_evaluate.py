@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from litclust.errors import NoLabeledDocuments
 from litclust.evaluate import (
@@ -197,3 +199,38 @@ def test_metrics_json_holds_full_precision():
     full = json.loads(metrics_json(rep))
     assert full == {"homogeneity": rep.homogeneity, "completeness": rep.completeness,
                     "v_measure": rep.v_measure}
+
+
+# Cluster indices in 0..4 and class labels "0".."3", paired per document.
+LABELINGS = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 4), min_size=n, max_size=n),
+        st.lists(st.sampled_from("0123"), min_size=n, max_size=n),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeling=LABELINGS, relabel=st.permutations(range(5)), reclass=st.permutations("0123"))
+# Exactly independent: the conditional entropy rounds one ulp above the
+# entropy, which scored h = c = V = -2.2e-16 before the clip.
+@example(
+    labeling=([i % 3 for i in range(36)], [str((i // 3) % 4) for i in range(36)]),
+    relabel=[0, 1, 2, 3, 4],
+    reclass=["0", "1", "2", "3"],
+)
+def test_metric_bounds_symmetry_and_relabelling(labeling, relabel, reclass):
+    assignments, labels = labeling
+    rep = score_clustering(assignments, labels)
+    h, c, v = rep.homogeneity, rep.completeness, rep.v_measure
+    assert 0.0 <= h <= 1.0 and 0.0 <= c <= 1.0 and 0.0 <= v <= 1.0
+    assert v == (0.0 if h + c == 0.0 else 2.0 * h * c / (h + c))
+    swapped = score_clustering([int(lab) for lab in labels], [str(a) for a in assignments])
+    assert swapped.homogeneity == pytest.approx(c, abs=1e-12)
+    assert swapped.completeness == pytest.approx(h, abs=1e-12)
+    renamed = score_clustering(
+        [relabel[a] for a in assignments], [reclass[int(lab)] for lab in labels]
+    )
+    assert renamed.homogeneity == pytest.approx(h, abs=1e-12)
+    assert renamed.completeness == pytest.approx(c, abs=1e-12)
+    assert renamed.v_measure == pytest.approx(v, abs=1e-12)

@@ -486,6 +486,12 @@ class TestReport:
         assert "| 0.3 |" in lines[3]
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("top_n", [0, -1, 2.0, True])
+    def test_top_n_must_be_a_positive_int(self, top_n):
+        rows = [SweepRow(d=0.1, r=5, n=1, k=2, completeness=1, homogeneity=1, v_measure=0.1)]
+        with pytest.raises(ConfigError, match="top_n"):
+            render_report(rows, top_n=top_n)
+
     def test_deterministic_tie_order(self):
         rows = [
             SweepRow(d=0.4, r=6, n=2, k=3, completeness=0.5, homogeneity=0.5, v_measure=0.5),
