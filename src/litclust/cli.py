@@ -315,13 +315,17 @@ def _staged(path: Path, fields: dict) -> bool:
     return recorded == fields and digest == _sha256(path)
 
 
-def _refuse_stale(path: Path, fields: dict) -> None:
-    """Raise ConfigError if the manifest records ``path`` as made from
-    other values of ``fields``.  A file the manifest has no record of
-    (written by hand or by an older version) is taken as given."""
-    recorded, _ = _record(path)
+def _vouched(path: Path, fields: dict) -> bool:
+    """Whether the staged ``path`` may be read as made from ``fields``:
+    the manifest records it, on each key of ``fields`` with the same
+    value, and it still has its recorded digest.  The record may hold
+    keys ``fields`` lacks, such as the corpus or dictionary digest when
+    the config names no such file.  False for a file with no record or
+    changed since it was recorded; ConfigError if the manifest records
+    it as made from other values of ``fields``."""
+    recorded, digest = _record(path)
     if recorded is None:
-        return
+        return False
     differ = [name for name in sorted(fields) if recorded.get(name) != fields[name]]
     if differ:
         made = ", ".join(f"{name}={recorded.get(name)!r}" for name in differ)
@@ -330,20 +334,22 @@ def _refuse_stale(path: Path, fields: dict) -> None:
             f"{path} was made with {made} but the config gives {wanted}; "
             f"rerun the stage that writes it or use another --out"
         )
+    return digest == _sha256(path)
 
 
 def _load_or_compute_assignments(
     cfg: PipelineConfig, corpus, explicit: str | None, clustering_fields: dict
 ):
     """Assignments for the corpus: an explicit TSV (taken as given), the
-    staged artifact if it was made from ``clustering_fields``, or a
-    fresh in-memory clustering at the configured parameters."""
+    staged artifact if the manifest records it as made from
+    ``clustering_fields`` and it still has its recorded digest, or a fresh
+    in-memory clustering at the configured parameters.  A staged file
+    recorded under other values is refused; one with no record, or
+    changed since it was recorded, is recomputed."""
     if explicit and not Path(explicit).exists():
         raise DataError(f"assignments file not found: {explicit}")
     path = explicit or str(Path(cfg.out) / "assignments.tsv")
-    if Path(path).exists():
-        if not explicit:
-            _refuse_stale(Path(path), clustering_fields)
+    if explicit or (Path(path).exists() and _vouched(Path(path), clustering_fields)):
         mapping = _cluster.load_assignments(path)
         missing = [d.id for d in corpus if d.id not in mapping]
         if missing:
@@ -510,12 +516,18 @@ def cmd_export(cfg: PipelineConfig, args) -> dict:
     source = explicit or str(out / "probe_report.json")
     if not Path(source).exists():
         raise DataError(f"probe report not found: {source}")
-    if not explicit:
-        _refuse_stale(Path(source), _probe_fields(cfg, _clustering_fields(cfg)))
     try:
         report = _probe.report_from_json(Path(source).read_text(encoding="utf-8"))
     except ParseError as exc:
         raise ParseError(f"{source}: {exc}") from exc
+    if not explicit:
+        # export has no corpus step to recompute the report from, so a
+        # staged one it cannot vouch for is refused.
+        if not _vouched(Path(source), _probe_fields(cfg, _clustering_fields(cfg))):
+            raise ConfigError(
+                f"{source} has no record in manifest.json of the probe that wrote it, "
+                f"or was changed since; rerun `litclust probe` or pass the file with --report"
+            )
     net = _probe.build_network(report, top_n=cfg.probe_top)
     net_path = out / f"network.{cfg.network_format}"
     net_path.write_bytes(_probe.export_network(net, format=cfg.network_format))

@@ -25,10 +25,30 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 # Token = maximal run of letters, digits, or hyphens; tokens shorter than
-# 2 characters are dropped.  Underscores are separators, so they are
-# cleared before the run scan ("\w" would otherwise keep them).
-_TOKEN_RE = re.compile(r"[\w-]+", re.UNICODE)
+# 2 characters are dropped.  Underscores are separators ("\w" alone would
+# keep them).
+_TOKEN_CHAR = re.compile(r"[\w-]")
 _MIN_TOKEN_LEN = 2
+
+
+class _Separators(dict):
+    """``str.translate`` table that keeps token characters and maps every
+    other code point to a space, so that ``split`` yields the runs.
+
+    Each code point is classified by ``_TOKEN_CHAR`` on first sight and
+    the answer stored, so the table holds only code points this process
+    has seen.
+    """
+
+    def __missing__(self, code: int) -> int:
+        char = chr(code)
+        kept = char != "_" and _TOKEN_CHAR.match(char) is not None
+        value = code if kept else ord(" ")
+        self[code] = value
+        return value
+
+
+_SEPARATORS = _Separators()
 
 
 @dataclass(frozen=True)
@@ -104,10 +124,10 @@ def normalize_text(text: str) -> str:
 
 
 def tokenize_text(text: str) -> tuple[str, ...]:
-    lowered = text.lower().replace("_", " ")
-    return tuple(
-        t for t in _TOKEN_RE.findall(lowered) if len(t) >= _MIN_TOKEN_LEN
-    )
+    """Lowercase tokens of ``text``; the scan runs in ``str.translate``
+    and ``str.split``."""
+    runs = text.lower().translate(_SEPARATORS).split()
+    return tuple([t for t in runs if len(t) >= _MIN_TOKEN_LEN])
 
 
 def tokenize(doc: Document) -> TokenStream:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from collections.abc import Collection
 from dataclasses import asdict, dataclass
@@ -139,21 +140,21 @@ def derive_seed(*parts) -> int:
 
 
 def enumerate_grid(spec: SweepSpec) -> list[tuple[float, int, int, int]]:
-    """Full Cartesian product in seed-shuffled order, truncated to budget."""
+    """Full Cartesian product in seed-shuffled order, truncated to budget.
+
+    The shuffle is a permutation of the product's indices in (d, r, n, k)
+    nested-loop order; only the indices within the budget are decoded,
+    so a small budget never builds the whole product.
+    """
     spec.validate()
-    combos = [
-        (float(d), int(r), int(n), int(k))
-        for d in spec.d_values
-        for r in spec.r_values
-        for n in spec.n_values
-        for k in spec.k_values
-    ]
-    rng = np.random.default_rng(spec.seed)
-    order = rng.permutation(len(combos))
-    shuffled = [combos[i] for i in order]
+    axes = [tuple(values) for values in (spec.d_values, spec.r_values, spec.n_values, spec.k_values)]
+    shape = tuple(len(values) for values in axes)
+    order = np.random.default_rng(spec.seed).permutation(math.prod(shape))
     if spec.budget is not None:
-        shuffled = shuffled[: spec.budget]
-    return shuffled
+        order = order[: spec.budget]
+    digits = (index.tolist() for index in np.unravel_index(order, shape))
+    d, r, n, k = axes
+    return [(float(d[a]), int(r[b]), int(n[c]), int(k[e])) for a, b, c, e in zip(*digits)]
 
 
 def run_sweep(

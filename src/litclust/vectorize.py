@@ -12,9 +12,11 @@ value: the documented ranges are checked by the sweep spec and the CLI.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,14 +76,14 @@ def count_matrix(corpus: Corpus) -> TermDocMatrix:
     if len(corpus) == 0:
         raise EmptyCorpus("cannot build a count matrix from an empty corpus")
     # One pass: each token is interned to a code in order of first
-    # appearance, and only the codes are kept, so no document's tokens
-    # outlive its turn.
-    index: dict[str, int] = {}
+    # appearance (a missing key takes the next count), and only the codes
+    # are kept, so no document's tokens outlive its turn.
+    index: defaultdict[str, int] = defaultdict(itertools.count().__next__)
     codes = array("q")
     lengths = array("q")
     for doc in corpus:
         tokens = tokenize(doc).tokens
-        codes.extend([index.setdefault(t, len(index)) for t in tokens])
+        codes.extend(map(index.__getitem__, tokens))
         lengths.append(len(tokens))
     by_code = list(index)
     order = sorted(range(len(by_code)), key=by_code.__getitem__)

@@ -293,6 +293,83 @@ class TestStaleArtifacts:
         assert code == 0
 
 
+class TestUnvouchedStagedFiles:
+    """A staged ``assignments.tsv`` the manifest has no record of, or one
+    changed since it was recorded, is recomputed; a staged
+    ``probe_report.json`` in that state is refused by ``export``, which
+    has nothing to recompute it from.  Explicit paths are taken as given."""
+
+    ARTIFACTS = {"evaluate": "metrics.json", "probe": "probe_report.json"}
+
+    def one_cluster(self, workspace):
+        """An assignments file that puts every document in cluster 0."""
+        ids = [json.loads(line)["id"] for line in (workspace / "corpus.jsonl").read_text().splitlines()]
+        return "".join(f"{doc_id}\t0\n" for doc_id in ids)
+
+    @pytest.mark.parametrize("command", ["evaluate", "probe"])
+    @pytest.mark.parametrize("case", ["no_manifest", "no_record", "edited"])
+    def test_staged_assignments_are_recomputed(self, workspace, command, case):
+        out = workspace / "out"
+        if case == "no_manifest":
+            out.mkdir()
+        else:
+            assert run_cli("cluster", "--config", "config.json") == 0
+        if case == "no_record":
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["provenance"]["assignments.tsv"]
+            (out / "manifest.json").write_text(json.dumps(manifest))
+        (out / "assignments.tsv").write_text(self.one_cluster(workspace))
+        assert run_cli(command, "--config", "config.json") == 0
+        assert run_cli(command, "--config", "config.json", "--out", "solo") == 0
+        name = self.ARTIFACTS[command]
+        assert (out / name).read_bytes() == (workspace / "solo" / name).read_bytes()
+        if command == "evaluate":
+            assert json.loads((out / name).read_text())["v_measure"] > 0.5
+
+    def test_explicit_unrecorded_assignments_are_taken_as_given(self, workspace):
+        (workspace / "mine.tsv").write_text(self.one_cluster(workspace))
+        assert run_cli("evaluate", "--config", "config.json", "--assignments", "mine.tsv") == 0
+        assert json.loads((workspace / "out" / "metrics.json").read_text())["v_measure"] == 0.0
+
+    @pytest.mark.parametrize("case", ["no_manifest", "no_record", "edited"])
+    def test_export_refuses_an_unvouched_report(self, workspace, capsys, case):
+        assert run_cli("cluster", "--config", "config.json") == 0
+        assert run_cli("probe", "--config", "config.json") == 0
+        out = workspace / "out"
+        report_path = out / "probe_report.json"
+        if case == "no_manifest":
+            (out / "manifest.json").unlink()
+        elif case == "no_record":
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["provenance"]["probe_report.json"]
+            (out / "manifest.json").write_text(json.dumps(manifest))
+        else:
+            report = json.loads(report_path.read_text())
+            report["clusters"] = {}
+            report_path.write_text(json.dumps(report))
+        network = (out / "network.graphml").read_bytes()
+        capsys.readouterr()
+        assert run_cli("export", "--config", "config.json") == 2
+        err = capsys.readouterr().err
+        assert "probe" in err and "--report" in err
+        assert (out / "network.graphml").read_bytes() == network
+        assert run_cli("export", "--config", "config.json", "--report", str(report_path)) == 0
+
+    @pytest.mark.parametrize("config", [{"out": "out"}, {"corpus": "moved.jsonl", "out": "out"}])
+    def test_export_trusts_a_recorded_report_without_the_corpus(self, workspace, config):
+        """The report's record names the corpus and dictionary digests;
+        a config naming neither file, or a corpus no longer there, leaves
+        them uncompared."""
+        assert run_cli("cluster", "--config", "config.json") == 0
+        assert run_cli("probe", "--config", "config.json") == 0
+        network_path = workspace / "out" / "network.graphml"
+        network = network_path.read_bytes()
+        network_path.unlink()
+        (workspace / "bare.json").write_text(json.dumps({**config, "seed": 3, "restarts": 3}))
+        assert run_cli("export", "--config", "bare.json") == 0
+        assert network_path.read_bytes() == network
+
+
 class TestStagedWeights:
     """``embed`` and ``cluster``, and ``evaluate`` and ``probe`` when they
     cluster, read the weights ``vectorize`` staged for the same corpus, d

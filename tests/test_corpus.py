@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from litclust.corpus import (
     Corpus,
@@ -162,6 +164,24 @@ class TestTokenize:
         alphabet = list("abcXYZ0189-–.,;()/ '\"\t\n") + ["é", "ß"]
         text = "".join(rng.choice(alphabet) for _ in range(1000))
         assert list(tokenize_text(text)) == oracle_tokens(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.text())
+    def test_equals_character_walk_oracle(self, text):
+        assert list(tokenize_text(text)) == oracle_tokens(text)
+
+    @pytest.mark.parametrize("char", [
+        "_", "-",
+        "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u3000",  # whitespace to str.split
+        "\u00b2",      # superscript two: a digit to isalnum, kept
+        "\u0301",      # combining acute accent: not alphanumeric, a separator
+        "\U0001d400",  # mathematical bold capital A
+        "\u212a",      # Kelvin sign, whose lowercase is ASCII "k"
+        "\u0130",      # capital I with dot, whose lowercase is two code points
+    ])
+    def test_edge_character_equals_oracle(self, char):
+        for text in (char, "a" + char + "b", "ab" + char + char + "cd", char + "xy" + char):
+            assert list(tokenize_text(text)) == oracle_tokens(text), repr(text)
 
 
 def test_normalize_text_collapses_whitespace():

@@ -127,6 +127,36 @@ class TestEnumerate:
         with pytest.raises(EmptySpec):
             enumerate_grid(small_spec(budget=0))
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_shuffled_materialized_product(self, data):
+        default = SweepSpec()
+        grid = {
+            name: tuple(data.draw(st.lists(st.sampled_from(getattr(default, name)),
+                                           min_size=1, max_size=5, unique=True), label=name))
+            for name in ("d_values", "r_values", "n_values", "k_values")
+        }
+        product = [
+            (float(d), int(r), int(n), int(k))
+            for d in grid["d_values"] for r in grid["r_values"]
+            for n in grid["n_values"] for k in grid["k_values"]
+        ]
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        budget = data.draw(st.none() | st.integers(1, len(product) + 3), label="budget")
+        order = np.random.default_rng(seed).permutation(len(product))
+        expected = [product[i] for i in order][:budget]
+        assert enumerate_grid(SweepSpec(**grid, seed=seed, budget=budget)) == expected
+
+    def test_default_grid_budget_matches_the_materialized_product(self):
+        default = SweepSpec()
+        product = [
+            (float(d), r, n, k)
+            for d in default.d_values for r in default.r_values
+            for n in default.n_values for k in default.k_values
+        ]
+        order = np.random.default_rng(5).permutation(len(product))
+        assert enumerate_grid(SweepSpec(seed=5, budget=20)) == [product[i] for i in order[:20]]
+
     @pytest.mark.parametrize(
         "change",
         [

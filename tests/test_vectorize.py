@@ -1,7 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 import litclust.vectorize as vec_mod
@@ -22,7 +25,7 @@ from litclust.vectorize import (
     weigh,
 )
 
-from helpers import make_planted_corpus, make_zipf_corpus, random_word_corpus
+from helpers import make_planted_corpus, make_zipf_corpus, oracle_tokens, random_word_corpus
 
 
 def corpus_of(*texts, labels=None):
@@ -52,6 +55,21 @@ def reference_count_matrix(corpus):
         shape=(len(vocab), len(corpus)),
     )
     return tuple(vocab), counts
+
+
+def counter_count_matrix(corpus):
+    """Terms and the CSR (indptr, indices, data) lists from a ``Counter``
+    of each document's oracle tokens, built row by row in term order."""
+    tallies = [Counter(oracle_tokens(doc.text)) for doc in corpus]
+    vocab = sorted(set().union(*tallies))
+    indptr, indices, data = [0], [], []
+    for term in vocab:
+        for j, tally in enumerate(tallies):
+            if tally[term]:
+                indices.append(j)
+                data.append(tally[term])
+        indptr.append(len(indices))
+    return tuple(vocab), indptr, indices, data
 
 
 def assert_same_counts(m, terms, counts):
@@ -128,6 +146,22 @@ class TestCountMatrix:
     def test_equals_reference_on_larger_corpora(self):
         for corpus in (make_zipf_corpus(n_docs=300, seed=2), make_planted_corpus(docs_per_topic=30)):
             assert_same_counts(count_matrix(corpus), *reference_count_matrix(corpus))
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(
+        st.lists(st.sampled_from(WORDS) | st.text(max_size=6), max_size=12).map(" ".join),
+        min_size=1, max_size=8,
+    ))
+    def test_equals_counter_over_oracle_tokens(self, texts):
+        corpus = corpus_of(*texts)
+        m = count_matrix(corpus)
+        terms, indptr, indices, data = counter_count_matrix(corpus)
+        assert m.terms == terms
+        assert m.counts.shape == (len(terms), len(texts))
+        assert m.counts.data.dtype == np.int64
+        assert m.counts.indptr.tolist() == indptr
+        assert m.counts.indices.tolist() == indices
+        assert m.counts.data.tolist() == data
 
     def test_empty_vocabulary_equals_reference(self):
         corpus = corpus_of("a b c", "...", "x _ -")
