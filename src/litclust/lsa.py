@@ -10,19 +10,23 @@ dense SVD.  Larger ones go through block Krylov (block Lanczos)
 iteration on the Gram operator of the smaller side, ``x -> A^T (A x)``
 or ``x -> A (A^T x)``, which is applied and never formed.  The basis
 starts from a seeded Gaussian block and keeps every block it grows, each
-orthogonalized twice against all earlier ones; a Rayleigh-Ritz step
-every ``RITZ_INTERVAL`` columns stops the iteration once every wanted
-Ritz pair's residual is at most ``RESIDUAL_TOL`` of the largest Ritz
-value, or once the basis spans the whole side, where the result is
-exact.  Singular values and the other side then come from an SVD of A
-times the Ritz vectors.  Both paths use numpy's linear algebra only:
-importing scipy's dense or sparse linear algebra would add 8-10 MB to
-every process.
+orthogonalized twice against all earlier ones.  Rayleigh-Ritz steps
+stop the iteration once every wanted Ritz pair's residual is at most
+``RESIDUAL_TOL`` of the largest Ritz value, or once the basis spans the
+whole side, where the result is exact.  The first two steps are
+``RITZ_INTERVAL`` columns apart; each later one goes halfway to where
+the residual would reach the tolerance if it kept decaying at the rate
+measured between the last two, between one block and ``MAX_RITZ_GAP``
+columns ahead.  Singular values and the other side then come from an SVD
+of A times the Ritz vectors.  Both paths use numpy's linear algebra
+only: importing scipy's dense or sparse linear algebra would add 8-10 MB
+to every process.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,8 +44,10 @@ DENSE_CUTOFF = 64
 # Width of each Krylov block.  A singular value repeated up to this many
 # times is resolved in full, which single-vector Lanczos can miss.
 BLOCK = 4
-# Basis columns added between two Rayleigh-Ritz steps.
+# Basis columns between the first two Rayleigh-Ritz steps; the later
+# gaps follow the residual, up to MAX_RITZ_GAP.
 RITZ_INTERVAL = 16
+MAX_RITZ_GAP = 4 * RITZ_INTERVAL
 # A Ritz pair has converged when its residual is at most this fraction of
 # the largest Ritz value.
 RESIDUAL_TOL = 1e-12
@@ -122,7 +128,9 @@ def _block_krylov_svd(a, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.
     q[:, :BLOCK], _ = np.linalg.qr(rng.standard_normal((side, BLOCK)))
     start, end = 0, BLOCK
     scale = 0.0  # largest column norm of A^T A q so far, at most theta_1
-    checked = rounds = 0
+    due = max(k, RITZ_INTERVAL)  # basis columns at the next Rayleigh-Ritz step
+    last = None  # (basis columns, residual) at the previous step
+    rounds = 0
     while True:
         y = at @ (a @ q[:, start:end])
         scale = max(scale, float(np.linalg.norm(y, axis=0).max()))
@@ -139,9 +147,8 @@ def _block_krylov_svd(a, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.
         # A^T A q[:, start:end] = basis @ coef + new @ tail, so a Ritz
         # vector's residual is tail times its coordinates on this block.
         projections.append((start, coef))
-        if end >= k and (end - checked >= RITZ_INTERVAL or not width):
+        if end >= due or not width:
             rounds += 1
-            checked = end
             h = np.zeros((end, end))
             for col, block in projections:
                 h[:len(block), col:col + block.shape[1]] = block
@@ -157,6 +164,8 @@ def _block_krylov_svd(a, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.
                     f"{RESIDUAL_TOL:g} x {top:.3g} with the basis at its "
                     f"{limit}-column limit"
                 )
+            due = end + _ritz_gap(last, end, residual, RESIDUAL_TOL * top)
+            last = (end, residual)
         start, end = end, end + width
     logger.debug(
         "truncated_svd: block Krylov on a side of %d, %d basis columns, "
@@ -166,6 +175,29 @@ def _block_krylov_svd(a, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.
     ritz = q[:, :end] @ coords
     u, s, wt = np.linalg.svd(a @ ritz, full_matrices=False)
     return u, s, wt @ ritz.T
+
+
+def _ritz_gap(last, end: int, residual: float, target: float) -> int:
+    """Basis columns to add before the next Rayleigh-Ritz step, after one
+    at ``end`` columns left ``residual`` above ``target``.
+
+    With a previous step ``last`` = (columns, residual), the gap is half
+    the distance at which the residual would reach ``target`` if it kept
+    decaying at the per-column rate measured since then, within [BLOCK,
+    MAX_RITZ_GAP]; a residual that did not decay gets the longest gap.
+    Without a previous step it is ``RITZ_INTERVAL``.  The residual falls
+    faster as the basis grows, so the full distance overshoots: on
+    generated 1,500- and 3,000-document corpora it grew the basis by
+    12-16% and took longer than a step every ``RITZ_INTERVAL`` columns.
+    """
+    if last is None:
+        return RITZ_INTERVAL
+    prev_end, prev_residual = last
+    if residual >= prev_residual or target <= 0.0:
+        return MAX_RITZ_GAP
+    decay = math.log(prev_residual / residual) / (end - prev_end)
+    need = math.ceil(math.log(residual / target) / decay / 2)
+    return min(max(need, BLOCK), MAX_RITZ_GAP)
 
 
 def _extend(y, basis, width: int, floor: float, rng):

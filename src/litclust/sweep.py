@@ -3,12 +3,13 @@
 The full Cartesian product is enumerated, shuffled deterministically by
 seed and optionally truncated to a budget; that selects the
 combinations.  They then run, and come back, sorted by (d, r, n, k), so
-each shared prefix (counting and singleton ablation once, weighting per
-(d, r), the embedding per (d, r, n)) is built once and only the current
-one is held.  Rows are checkpointed as they complete, beside a
-fingerprint of the corpus and the spec that a resume must match; a
-checkpoint line torn by a crash mid-write is dropped on resume.  The
-V-vs-K curve is a one-(d, r, n) sweep of the same kind.
+each shared prefix is built once and only the current one is held:
+counting, singleton ablation, tf-idf and one sort of the weights once
+per sweep (``vectorize.SharedWeighing``), the D floor, R cutoff and L2
+per (d, r), the embedding per (d, r, n).  Rows are checkpointed as they
+complete, beside a fingerprint of the corpus and the spec that a resume
+must match; a checkpoint line torn by a crash mid-write is dropped on
+resume.  The V-vs-K curve is a one-(d, r, n) sweep of the same kind.
 """
 
 from __future__ import annotations
@@ -166,7 +167,8 @@ def run_sweep(
 
     The combinations run, and come back, sorted by (d, r, n, k), so each
     weighted matrix and embedding is built once and only the current one
-    of each is held.  Combinations that cannot run (the filters removed
+    of each is held; the weighted matrices share one tf-idf and one sort
+    of the weights.  Combinations that cannot run (the filters removed
     everything, the embedding dimensionality exceeds the matrix rank
     bound, more clusters than documents) become skip rows with a reason
     rather than errors.  Completed rows are appended to
@@ -186,7 +188,7 @@ def run_sweep(
     labels = corpus.labels()
 
     rows: list[SweepRow] = []
-    ablated = weighted = emb = reason = None
+    weighing = weighted = emb = reason = None
     prefix: tuple = ()  # the (d, r, n) that weighted and emb belong to
     out = None
     if checkpoint_path is not None:
@@ -197,15 +199,15 @@ def run_sweep(
                 rows.append(done[(d, r, n, k)])
                 continue
             start = time.perf_counter()
-            if ablated is None:
+            if weighing is None:
                 # Built on first use so a fully checkpointed rerun touches
                 # nothing.  A corpus where every term is a singleton raises
                 # here, aborting the sweep: that is a corpus-level failure,
                 # not a skippable combo.
-                ablated = _vec.ablate_singletons(corpus.term_counts)
+                weighing = _vec.SharedWeighing(_vec.ablate_singletons(corpus.term_counts))
             if prefix[:2] != (d, r):
                 try:
-                    weighted = _vec.weigh(ablated, d, r)
+                    weighted = weighing.at(d, r)
                 except AllTermsRemoved:
                     weighted = None
             if prefix != (d, r, n):

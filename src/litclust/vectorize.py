@@ -4,17 +4,18 @@ feature-selection controls.
 The pipeline order is fixed: counts -> singleton ablation -> document
 frequency floor -> tf-idf -> per-document rank cutoff -> L2
 normalization.  ``weigh`` runs every step after the ablation, so the
-single pipeline, the CLI and the sweep share one order;
-``CorpusVectorizer`` packages it behind a fit surface.  The individual
-steps are plain functions on the matrix types and accept any parameter
-value: the documented ranges are checked by the sweep spec and the CLI.
+single pipeline and the CLI share one order; ``CorpusVectorizer``
+packages it behind a fit surface, and ``SharedWeighing`` gives the sweep
+the same matrices for many (d, r) from one tf-idf and one sort.  The
+individual steps are plain functions on the matrix types and accept any
+parameter value: the documented ranges are checked by the sweep spec and
+the CLI.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-import math
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -113,20 +114,27 @@ def ablate_singletons(m: TermDocMatrix) -> TermDocMatrix:
     return _keep_terms(m, keep)
 
 
-def apply_df_threshold(m: TermDocMatrix, d_percent: float) -> TermDocMatrix:
-    """Keep terms whose document frequency is at least max(2, ceil(d% of docs)).
+def df_threshold(d_percent: float, n_docs: int) -> int:
+    """The D floor's minimum document frequency, max(2, ceil(d% of docs)).
 
-    The hard floor of 2 means the threshold can never readmit singleton
-    terms, whatever ``d_percent`` is.
+    The product is taken exactly, in integers, on the decimal value
+    that ``d_percent`` prints as: in binary floating point 0.9% of 1,000
+    docs is 9.000000000000002, whose ceiling is 10, not 9.  (``Fraction``
+    would do the same, but importing it loads ``decimal``, 3 ms and
+    0.3 MB.)  The hard floor of 2 means the threshold can never readmit
+    singleton terms, whatever ``d_percent`` is.
     """
-    n_docs = len(m.docs)
-    threshold = max(2, math.ceil(d_percent / 100.0 * n_docs))
-    keep = m.doc_freq >= threshold
-    if not np.any(keep):
-        raise AllTermsRemoved(
-            f"document-frequency floor {d_percent}% (min {threshold} docs) removed all terms"
-        )
-    return _keep_terms(m, keep)
+    mantissa, _, exponent = repr(float(d_percent)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    # d_percent = digits / 10**shift
+    digits, shift = int(whole + fraction), len(fraction) - int(exponent or 0)
+    numerator = digits * n_docs * 10 ** max(-shift, 0)
+    return max(2, -(-numerator // (100 * 10 ** max(shift, 0))))
+
+
+def apply_df_threshold(m: TermDocMatrix, d_percent: float) -> TermDocMatrix:
+    """Keep terms whose document frequency is at least ``df_threshold``."""
+    return _keep_terms(m, _df_keep(m.doc_freq, len(m.docs), d_percent))
 
 
 def tfidf(m: TermDocMatrix) -> WeightedMatrix:
@@ -197,6 +205,56 @@ def weigh(ablated: TermDocMatrix, d_percent: float, rank_cutoff: int) -> Weighte
     )
 
 
+class SharedWeighing:
+    """``weigh`` for many (d, r) over one ablated matrix, from one sort.
+
+    tf-idf runs once, over every ablated term: idf depends only on a
+    term's document frequency and the document count, and the D floor
+    changes neither for the terms it keeps.  The weighted entries are
+    then sorted once by document, weight descending; the sort is stable
+    and each document's entries start in term order, so equal weights
+    stay in the rank cutoff's tie-break order (the smaller term first).
+    ``at(d, r)`` returns exactly what ``weigh(ablated, d, r)`` returns.
+    """
+
+    def __init__(self, ablated: TermDocMatrix):
+        # The sorted weights replace the counts, which are not held.
+        self.terms, self.docs = ablated.terms, ablated.docs
+        self._doc_freq = ablated.doc_freq
+        csc = tfidf(ablated).weights.tocsc()
+        docs = np.repeat(np.arange(len(self.docs)), np.diff(csc.indptr))
+        order = np.lexsort((-csc.data, docs))
+        # Each document keeps its csc span in the sorted order.
+        self._indptr = csc.indptr
+        self._terms = csc.indices[order]
+        self._data = csc.data[order]
+
+    def at(self, d_percent: float, rank_cutoff: int) -> WeightedMatrix:
+        """The D floor, the R cutoff and L2 over the shared tf-idf entries."""
+        check_positive_int(rank_cutoff, "r")
+        keep = _df_keep(self._doc_freq, len(self.docs), d_percent)
+        # Rank each surviving entry within its document by counting the
+        # survivors up to it in the sorted order.
+        alive = keep[self._terms]
+        seen = np.concatenate(([0], np.cumsum(alive)))
+        before = seen[self._indptr]
+        rank = seen[1:] - np.repeat(before[:-1], np.diff(self._indptr))
+        picked = np.flatnonzero(alive & (rank <= rank_cutoff))
+        row = np.cumsum(keep) - 1
+        indptr = np.concatenate(([0], np.cumsum(np.minimum(np.diff(before), rank_cutoff))))
+        terms = tuple(itertools.compress(self.terms, keep))
+        # Each document's entries are still in weight order; the CSR
+        # conversion sorts them by term, so l2_normalize sums them in the
+        # order it does inside weigh.
+        weights = sparse.csc_array(
+            (self._data[picked], row[self._terms[picked]], indptr),
+            shape=(len(terms), len(self.docs)),
+        )
+        return l2_normalize(
+            WeightedMatrix(terms=terms, docs=self.docs, weights=sparse.csr_array(weights))
+        )
+
+
 def build_weighted_matrix(
     corpus: Corpus, d_percent: float = 0.5, rank_cutoff: int = 5
 ) -> WeightedMatrix:
@@ -225,6 +283,17 @@ class CorpusVectorizer(BaseEstimator):
 
     def fit_transform(self, corpus: Corpus, y=None) -> WeightedMatrix:
         return self.fit(corpus).weighted_
+
+
+def _df_keep(doc_freq: np.ndarray, n_docs: int, d_percent: float) -> np.ndarray:
+    """The terms the D floor keeps; AllTermsRemoved when it keeps none."""
+    threshold = df_threshold(d_percent, n_docs)
+    keep = doc_freq >= threshold
+    if not np.any(keep):
+        raise AllTermsRemoved(
+            f"document-frequency floor {d_percent}% (min {threshold} docs) removed all terms"
+        )
+    return keep
 
 
 def _keep_terms(m: TermDocMatrix, keep: np.ndarray) -> TermDocMatrix:

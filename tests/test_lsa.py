@@ -1,4 +1,5 @@
 import logging
+import re
 import subprocess
 import sys
 
@@ -17,7 +18,7 @@ from litclust.lsa import (
     reduce,
     truncated_svd,
 )
-from litclust.vectorize import WeightedMatrix
+from litclust.vectorize import WeightedMatrix, build_weighted_matrix
 
 from helpers import make_planted_corpus, subprocess_env
 
@@ -227,6 +228,41 @@ def test_debug_log_names_the_path(caplog):
     assert "block Krylov on a side of 80" in krylov_msg
     for part in ("basis columns", "Rayleigh-Ritz rounds", "largest residual"):
         assert part in krylov_msg
+
+
+def ritz_rounds(caplog, a, k):
+    """The spectrum of a Krylov solve and its logged Rayleigh-Ritz rounds."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="litclust.lsa"):
+        _, s, _ = truncated_svd(a, k, seed=0)
+    (message,) = (r.getMessage() for r in caplog.records)
+    return s, int(re.search(r"(\d+) Rayleigh-Ritz rounds", message).group(1))
+
+
+def test_residual_spacing_takes_fewer_rayleigh_ritz_rounds(caplog, monkeypatch):
+    weighted = build_weighted_matrix(make_planted_corpus(vocab_per_topic=150), 0.5, 5)
+    assert weighted.shape == (600, 400)
+    s, spaced = ritz_rounds(caplog, weighted.weights, 15)
+    # The fixed schedule: a step every RITZ_INTERVAL columns.
+    monkeypatch.setattr(lsa_mod, "_ritz_gap", lambda *args: lsa_mod.RITZ_INTERVAL)
+    s_fixed, fixed = ritz_rounds(caplog, weighted.weights, 15)
+    assert spaced < fixed
+    s_ref = np.linalg.svd(weighted.weights.toarray(), compute_uv=False)[:15]
+    for got in (s, s_fixed):
+        assert np.all(np.abs(got - s_ref) <= 1e-12 * s_ref[0])
+
+
+def test_ritz_gap_extrapolates_the_residual_decay():
+    gap = lsa_mod._ritz_gap
+    assert gap(None, 16, 1e-3, 1e-12) == lsa_mod.RITZ_INTERVAL
+    # 100x over 16 columns; 1e4 more to go takes 32 columns at that
+    # rate, and the next step goes halfway.
+    assert gap((16, 1e-2), 32, 1e-4, 1e-8) == 16
+    assert gap((16, 1e-2), 32, 1e-4, 1e-30) == lsa_mod.MAX_RITZ_GAP
+    assert gap((16, 1e-2), 32, 1e-9, 1e-10) == lsa_mod.BLOCK
+    # No decay, or a zero target: the longest gap.
+    assert gap((16, 1e-4), 32, 1e-4, 1e-8) == lsa_mod.MAX_RITZ_GAP
+    assert gap((16, 1e-4), 32, 1e-3, 0.0) == lsa_mod.MAX_RITZ_GAP
 
 
 PIPELINE_SCRIPT = """

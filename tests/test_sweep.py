@@ -266,7 +266,7 @@ class TestRunSweep:
         run_sweep(corpus, first, checkpoint_path=ckpt)
         todo = set(enumerate_grid(spec)) - set(enumerate_grid(first))
 
-        calls = {"reduce": 0, "tfidf": 0}
+        calls = {"reduce": 0, "tfidf": 0, "at": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -276,10 +276,21 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep_mod._lsa, "reduce", counted("reduce", sweep_mod._lsa.reduce))
         monkeypatch.setattr(sweep_mod._vec, "tfidf", counted("tfidf", sweep_mod._vec.tfidf))
+        shared = sweep_mod._vec.SharedWeighing
+        monkeypatch.setattr(shared, "at", counted("at", shared.at))
         rows = run_sweep(corpus, spec, checkpoint_path=ckpt)
         assert all(r.ok for r in rows)
-        assert calls["reduce"] == len({key[:3] for key in todo})
-        assert calls["tfidf"] == len({key[:2] for key in todo})
+        # tf-idf once for the sweep; the D floor, R cutoff and L2 once
+        # per new (d, r); the embedding once per new (d, r, n).
+        assert calls == {
+            "reduce": len({key[:3] for key in todo}),
+            "tfidf": 1,
+            "at": len({key[:2] for key in todo}),
+        }
+        # A fully checkpointed rerun builds nothing.
+        calls.update(reduce=0, tfidf=0, at=0)
+        assert run_sweep(corpus, spec, checkpoint_path=ckpt) == rows
+        assert calls == {"reduce": 0, "tfidf": 0, "at": 0}
 
     def test_checkpoint_resume_skips_done_rows(self, tmp_path):
         corpus = small_corpus()

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,12 +13,15 @@ from litclust.corpus import Corpus, Document, tokenize
 from litclust.errors import AllTermsRemoved, ConfigError, EmptyCorpus
 from litclust.vectorize import (
     CorpusVectorizer,
+    SharedWeighing,
+    TermDocMatrix,
     WeightedMatrix,
     ablate_singletons,
     apply_df_threshold,
     apply_rank_cutoff,
     build_weighted_matrix,
     count_matrix,
+    df_threshold,
     dump_matrix_market,
     dump_vocabulary,
     l2_normalize,
@@ -347,6 +351,32 @@ class TestDfThreshold:
         with pytest.raises(AllTermsRemoved):
             apply_df_threshold(m, 1.0)
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        d=st.floats(0.0, 1e6) | st.sampled_from([0.1, 0.3, 0.7, 0.9, 1e-5]),
+        n_docs=st.integers(0, 10**7),
+    )
+    def test_threshold_equals_the_fraction_of_the_printed_value(self, d, n_docs):
+        assert df_threshold(d, n_docs) == max(2, math.ceil(Fraction(repr(d)) * n_docs / 100))
+
+    # In binary floating point 0.9 / 100 * n_docs lands just above the
+    # integer for these sizes, and its ceiling one above the rule's.
+    @pytest.mark.parametrize("n_docs", [1000, 2000, 3000, 4000, 5000])
+    def test_threshold_is_exact_in_decimal(self, n_docs):
+        threshold = n_docs * 9 // 1000
+        assert df_threshold(0.9, n_docs) == threshold
+        # "edge" is in exactly `threshold` documents, "under" in one fewer.
+        rows = [0] * threshold + [1] * (threshold - 1)
+        cols = list(range(threshold)) + list(range(threshold - 1))
+        m = TermDocMatrix(
+            terms=("edge", "under"),
+            docs=tuple(f"d{j:04d}" for j in range(n_docs)),
+            counts=sparse.csr_array((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(2, n_docs)),
+        )
+        assert apply_df_threshold(m, 0.9).terms == ("edge",)
+        with pytest.raises(AllTermsRemoved, match=rf"0\.9% \(min {threshold} docs\)"):
+            apply_df_threshold(TermDocMatrix(m.terms[1:], m.docs, sparse.csr_array(m.counts[1:])), 0.9)
+
 
 class TestRankCutoff:
     def test_under_cutoff_unchanged(self):
@@ -446,6 +476,76 @@ def test_l2_normalize_matches_the_loop_inside_weigh(d, r):
     cut = apply_rank_cutoff(tfidf(apply_df_threshold(ablated, d)), r)
     assert_same_weights(l2_normalize(cut), reference_l2_normalize(cut))
     assert_same_weights(weigh(ablated, d, r), reference_l2_normalize(cut))
+
+
+@st.composite
+def ablated_matrices(draw):
+    """Singleton-ablated count matrices with ties, short and empty
+    documents and, when drawn, terms in every document (idf 0)."""
+    n_terms, n_docs = draw(st.integers(1, 25)), draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Counts of 1 and 2 make equal weights common within a document.
+    dense = rng.integers(1, 3, size=(n_terms, n_docs)) * (rng.random((n_terms, n_docs)) < draw(st.floats(0.05, 0.9)))
+    dense[:, rng.random(n_docs) < draw(st.sampled_from([0.0, 0.2]))] = 0  # empty documents
+    dense[rng.random(n_terms) < draw(st.sampled_from([0.0, 0.2]))] = 1  # idf 0
+    dense[0, -2:] = np.maximum(dense[0, -2:], 1)  # so the ablation keeps a term
+    return ablate_singletons(
+        TermDocMatrix(
+            terms=tuple(f"t{i:02d}" for i in range(n_terms)),
+            docs=tuple(f"d{j:02d}" for j in range(n_docs)),
+            counts=sparse.csr_array(dense),
+        )
+    )
+
+
+def weighing_outcome(weighing, d, r):
+    try:
+        return weighing(d, r)
+    except AllTermsRemoved as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ablated=ablated_matrices(),
+    grid=st.lists(
+        st.tuples(st.sampled_from([0.1, 0.5, 0.9, 1.0, 10.0, 40.0, 75.0, 100.0, 1000.0]), st.integers(1, 8)),
+        min_size=1, max_size=6,
+    ),
+)
+def test_shared_weighing_is_bit_identical_to_weigh(ablated, grid):
+    shared = SharedWeighing(ablated)
+    for d, r in grid:
+        got = weighing_outcome(shared.at, d, r)
+        want = weighing_outcome(lambda d, r: weigh(ablated, d, r), d, r)
+        if isinstance(want, str):
+            # A D floor above every document frequency removes every term.
+            assert got == want
+        else:
+            assert_same_weights(got, want)
+
+
+def test_shared_weighing_covers_the_edge_cases():
+    # t0, t1 and t2 tie at ln 2 in d0; t3 is in every document, so d3
+    # is empty and d2 holds one entry.
+    counts = np.array([
+        [1, 2, 0, 0],
+        [1, 1, 0, 0],
+        [1, 0, 1, 0],
+        [1, 1, 1, 1],
+    ])
+    ablated = TermDocMatrix(
+        terms=("t0", "t1", "t2", "t3"), docs=("d0", "d1", "d2", "d3"), counts=sparse.csr_array(counts)
+    )
+    shared = SharedWeighing(ablated)
+    for d, r in [(0.1, 1), (0.1, 2), (0.1, 3), (60.0, 1), (60.0, 5)]:
+        assert_same_weights(shared.at(d, r), weigh(ablated, d, r))
+    # Of the three tied terms in d0, r = 2 keeps the two smaller ones.
+    assert shared.at(0.1, 2).weights.toarray()[:, 0].tolist() == [math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0]
+    with pytest.raises(AllTermsRemoved, match=r"min 5 docs"):
+        shared.at(101.0, 5)
+    with pytest.raises(ConfigError):
+        shared.at(0.1, 0)
 
 
 def test_pipeline_order_is_counts_ablate_threshold_tfidf_cutoff():
