@@ -6,10 +6,11 @@ frequency floor -> tf-idf -> per-document rank cutoff -> L2
 normalization.  ``weigh`` runs every step after the ablation, so the
 single pipeline and the CLI share one order; ``CorpusVectorizer``
 packages it behind a fit surface, and ``SharedWeighing`` gives the sweep
-the same matrices for many (d, r) from one tf-idf and one sort.  The
-individual steps are plain functions on the matrix types and accept any
-parameter value: the documented ranges are checked by the sweep spec and
-the CLI.
+the same matrices for many (d, r) from one tf-idf and one ranking, in
+the rank cutoff's order, which ``apply_rank_cutoff`` also cuts from.
+The steps are plain functions on the matrix types and accept any
+parameter value: the documented ranges are checked by the sweep spec
+and the CLI.
 """
 
 from __future__ import annotations
@@ -163,24 +164,7 @@ def apply_rank_cutoff(w: WeightedMatrix, r: int) -> WeightedMatrix:
     order (the smaller term wins), which is term-index order because the
     vocabulary is sorted.
     """
-    check_positive_int(r, "r")
-    csc = w.weights.tocsc()
-    indptr, indices, data = csc.indptr, csc.indices, csc.data
-    keep_mask = np.zeros(len(data), dtype=bool)
-    for j in range(len(w.docs)):
-        lo, hi = indptr[j], indptr[j + 1]
-        if hi - lo <= r:
-            keep_mask[lo:hi] = True
-            continue
-        # Primary key: weight descending; tiebreak: term index ascending.
-        order = np.lexsort((indices[lo:hi], -data[lo:hi]))
-        keep_mask[lo + order[:r]] = True
-    col_of_entry = np.repeat(np.arange(len(w.docs)), np.diff(indptr))
-    out = sparse.csr_array(
-        (data[keep_mask], (indices[keep_mask], col_of_entry[keep_mask])),
-        shape=csc.shape,
-    )
-    return WeightedMatrix(terms=w.terms, docs=w.docs, weights=out)
+    return _Ranking(w).top(np.ones(len(w.terms), dtype=bool), r)
 
 
 def l2_normalize(w: WeightedMatrix) -> WeightedMatrix:
@@ -206,53 +190,26 @@ def weigh(ablated: TermDocMatrix, d_percent: float, rank_cutoff: int) -> Weighte
 
 
 class SharedWeighing:
-    """``weigh`` for many (d, r) over one ablated matrix, from one sort.
+    """``weigh`` for many (d, r) over one ablated matrix, from one ranking.
 
     tf-idf runs once, over every ablated term: idf depends only on a
     term's document frequency and the document count, and the D floor
     changes neither for the terms it keeps.  The weighted entries are
-    then sorted once by document, weight descending; the sort is stable
-    and each document's entries start in term order, so equal weights
-    stay in the rank cutoff's tie-break order (the smaller term first).
+    ranked once, in the order ``apply_rank_cutoff`` cuts by, and dropping
+    the terms under a floor leaves the rest in that order, so
     ``at(d, r)`` returns exactly what ``weigh(ablated, d, r)`` returns.
     """
 
     def __init__(self, ablated: TermDocMatrix):
-        # The sorted weights replace the counts, which are not held.
+        # The ranking replaces the counts, which are not held.
         self.terms, self.docs = ablated.terms, ablated.docs
         self._doc_freq = ablated.doc_freq
-        csc = tfidf(ablated).weights.tocsc()
-        docs = np.repeat(np.arange(len(self.docs)), np.diff(csc.indptr))
-        order = np.lexsort((-csc.data, docs))
-        # Each document keeps its csc span in the sorted order.
-        self._indptr = csc.indptr
-        self._terms = csc.indices[order]
-        self._data = csc.data[order]
+        self._ranking = _Ranking(tfidf(ablated))
 
     def at(self, d_percent: float, rank_cutoff: int) -> WeightedMatrix:
         """The D floor, the R cutoff and L2 over the shared tf-idf entries."""
-        check_positive_int(rank_cutoff, "r")
         keep = _df_keep(self._doc_freq, len(self.docs), d_percent)
-        # Rank each surviving entry within its document by counting the
-        # survivors up to it in the sorted order.
-        alive = keep[self._terms]
-        seen = np.concatenate(([0], np.cumsum(alive)))
-        before = seen[self._indptr]
-        rank = seen[1:] - np.repeat(before[:-1], np.diff(self._indptr))
-        picked = np.flatnonzero(alive & (rank <= rank_cutoff))
-        row = np.cumsum(keep) - 1
-        indptr = np.concatenate(([0], np.cumsum(np.minimum(np.diff(before), rank_cutoff))))
-        terms = tuple(itertools.compress(self.terms, keep))
-        # Each document's entries are still in weight order; the CSR
-        # conversion sorts them by term, so l2_normalize sums them in the
-        # order it does inside weigh.
-        weights = sparse.csc_array(
-            (self._data[picked], row[self._terms[picked]], indptr),
-            shape=(len(terms), len(self.docs)),
-        )
-        return l2_normalize(
-            WeightedMatrix(terms=terms, docs=self.docs, weights=sparse.csr_array(weights))
-        )
+        return l2_normalize(self._ranking.top(keep, rank_cutoff))
 
 
 def build_weighted_matrix(
@@ -285,6 +242,47 @@ class CorpusVectorizer(BaseEstimator):
         return self.fit(corpus).weighted_
 
 
+class _Ranking:
+    """A weighted matrix's entries in the R cutoff's order: by document,
+    then weight descending, then term ascending.  numpy sorts complex
+    numbers by real part, then imaginary part, so one stable sort of
+    (document - 1j * weight) gives that order: the CSC form lists each
+    document's entries in term order."""
+
+    def __init__(self, w: WeightedMatrix):
+        self.terms, self.docs = w.terms, w.docs
+        csc = w.weights.tocsc()
+        key = np.repeat(np.arange(len(w.docs), dtype=np.complex128), np.diff(csc.indptr))
+        key.imag = -csc.data
+        order = np.argsort(key, kind="stable")
+        # Each document keeps its csc span in the sorted order.
+        self._indptr = csc.indptr
+        self._terms = csc.indices[order]
+        self._data = csc.data[order]
+
+    def top(self, keep: np.ndarray, r: int) -> WeightedMatrix:
+        """Each document's first ``r`` entries of the terms in ``keep``,
+        over those terms only."""
+        check_positive_int(r, "r")
+        # Rank each kept entry within its document by counting the kept
+        # entries up to it in the sorted order.
+        alive = keep[self._terms]
+        seen = np.concatenate(([0], np.cumsum(alive)))
+        before = seen[self._indptr]
+        rank = seen[1:] - np.repeat(before[:-1], np.diff(self._indptr))
+        picked = np.flatnonzero(alive & (rank <= r))
+        row = np.cumsum(keep) - 1
+        indptr = np.concatenate(([0], np.cumsum(np.minimum(np.diff(before), r))))
+        terms = tuple(itertools.compress(self.terms, keep))
+        # The CSR conversion puts each document's entries back in term
+        # order, the order l2_normalize sums them in.
+        weights = sparse.csc_array(
+            (self._data[picked], row[self._terms[picked]], indptr),
+            shape=(len(terms), len(self.docs)),
+        )
+        return WeightedMatrix(terms=terms, docs=self.docs, weights=sparse.csr_array(weights))
+
+
 def _df_keep(doc_freq: np.ndarray, n_docs: int, d_percent: float) -> np.ndarray:
     """The terms the D floor keeps; AllTermsRemoved when it keeps none."""
     threshold = df_threshold(d_percent, n_docs)
@@ -297,7 +295,7 @@ def _df_keep(doc_freq: np.ndarray, n_docs: int, d_percent: float) -> np.ndarray:
 
 
 def _keep_terms(m: TermDocMatrix, keep: np.ndarray) -> TermDocMatrix:
-    terms = tuple(t for t, k in zip(m.terms, keep) if k)
+    terms = tuple(itertools.compress(m.terms, keep))
     counts = sparse.csr_array(m.counts[keep])
     return TermDocMatrix(terms=terms, docs=m.docs, counts=counts)
 

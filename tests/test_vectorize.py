@@ -380,9 +380,11 @@ class TestDfThreshold:
 
 class TestRankCutoff:
     def test_under_cutoff_unchanged(self):
-        w = weighted_from_dense([[1.0], [2.0], [0.5]])
-        out = apply_rank_cutoff(w, 5)
-        assert (out.weights.toarray() == w.weights.toarray()).all()
+        # The second matrix stores no entry at all.
+        for w in (weighted_from_dense([[1.0], [2.0], [0.5]]), weighted_from_dense(np.zeros((3, 2)))):
+            out = apply_rank_cutoff(w, 5)
+            assert out.weights.shape == w.weights.shape
+            assert (out.weights.toarray() == w.weights.toarray()).all()
 
     def test_hand_ranking(self):
         # weights x:3 y:2 z:2 w:1, keep 3 -> w dropped
@@ -417,6 +419,16 @@ class TestRankCutoff:
         after = (out.weights.toarray() > 0).sum(axis=0)
         assert after.tolist() == np.minimum(before, 7).tolist()
 
+    def test_weights_one_ulp_apart_rank_by_weight(self):
+        # d0 and d1 tie across documents at 2.0 and one ulp above it;
+        # within each, the later term holds the larger weight.  d2 is empty.
+        up = np.nextafter(2.0, 3.0)
+        w = weighted_from_dense([[2.0, 2.0, 0.0], [up, 2.0, 0.0], [1.0, up, 0.0]])
+        assert apply_rank_cutoff(w, 1).weights.toarray().tolist() == [[0.0, 0.0, 0.0], [up, 0.0, 0.0], [0.0, up, 0.0]]
+        assert apply_rank_cutoff(w, 2).weights.toarray().tolist() == [[2.0, 2.0, 0.0], [up, 0.0, 0.0], [0.0, up, 0.0]]
+        for r in (1, 2, 3):
+            assert_same_weights(apply_rank_cutoff(w, r), reference_rank_cutoff(w, r))
+
     def test_any_positive_r_accepted(self):
         w = weighted_from_dense(np.ones((3, 2)))
         out = apply_rank_cutoff(w, 99)
@@ -447,6 +459,27 @@ def reference_l2_normalize(w):
             norm = np.sqrt(np.sum(csc.data[lo:hi] ** 2))
             csc.data[lo:hi] /= norm
     return WeightedMatrix(terms=w.terms, docs=w.docs, weights=sparse.csr_array(csc))
+
+
+def reference_rank_cutoff(w, r):
+    """The per-document sort loop that the shared ranking replaced."""
+    csc = w.weights.tocsc()
+    indptr, indices, data = csc.indptr, csc.indices, csc.data
+    keep_mask = np.zeros(len(data), dtype=bool)
+    for j in range(len(w.docs)):
+        lo, hi = indptr[j], indptr[j + 1]
+        if hi - lo <= r:
+            keep_mask[lo:hi] = True
+            continue
+        # Primary key: weight descending; tiebreak: term index ascending.
+        order = np.lexsort((indices[lo:hi], -data[lo:hi]))
+        keep_mask[lo + order[:r]] = True
+    col_of_entry = np.repeat(np.arange(len(w.docs)), np.diff(indptr))
+    out = sparse.csr_array(
+        (data[keep_mask], (indices[keep_mask], col_of_entry[keep_mask])),
+        shape=csc.shape,
+    )
+    return WeightedMatrix(terms=w.terms, docs=w.docs, weights=out)
 
 
 def assert_same_weights(got, want):
@@ -516,13 +549,38 @@ def weighing_outcome(weighing, d, r):
 def test_shared_weighing_is_bit_identical_to_weigh(ablated, grid):
     shared = SharedWeighing(ablated)
     for d, r in grid:
-        got = weighing_outcome(shared.at, d, r)
-        want = weighing_outcome(lambda d, r: weigh(ablated, d, r), d, r)
-        if isinstance(want, str):
-            # A D floor above every document frequency removes every term.
-            assert got == want
-        else:
-            assert_same_weights(got, want)
+        want = weighing_outcome(
+            lambda d, r: l2_normalize(reference_rank_cutoff(tfidf(apply_df_threshold(ablated, d)), r)), d, r
+        )
+        for weighing in (shared.at, lambda d, r: weigh(ablated, d, r)):
+            got = weighing_outcome(weighing, d, r)
+            if isinstance(want, str):
+                # A D floor above every document frequency removes every term.
+                assert got == want
+            else:
+                assert_same_weights(got, want)
+
+
+# Equal weights within and across documents, and weights one ulp apart.
+TIE_WEIGHTS = (0.5, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 2.0, 1e-300, 1e300)
+
+
+@st.composite
+def weighted_matrices(draw):
+    """Weighted matrices with tied and one-ulp-apart weights, empty
+    documents and, at density 0, no stored entry at all."""
+    n_terms, n_docs = draw(st.integers(1, 25)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.concatenate([TIE_WEIGHTS, rng.random(3)])
+    dense = rng.choice(values, size=(n_terms, n_docs)) * (rng.random((n_terms, n_docs)) < draw(st.floats(0.0, 1.0)))
+    dense[:, rng.random(n_docs) < draw(st.sampled_from([0.0, 0.2]))] = 0  # empty documents
+    return weighted_from_dense(dense)
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=weighted_matrices(), r=st.integers(1, 30))
+def test_rank_cutoff_is_bit_identical_to_the_loop(w, r):
+    assert_same_weights(apply_rank_cutoff(w, r), reference_rank_cutoff(w, r))
 
 
 def test_shared_weighing_covers_the_edge_cases():
@@ -546,6 +604,11 @@ def test_shared_weighing_covers_the_edge_cases():
         shared.at(101.0, 5)
     with pytest.raises(ConfigError):
         shared.at(0.1, 0)
+    # Terms in every document weigh 0, so no entry is stored at all.
+    everywhere = TermDocMatrix(terms=ablated.terms[3:], docs=ablated.docs, counts=sparse.csr_array(counts[3:]))
+    nothing = SharedWeighing(everywhere).at(0.1, 1)
+    assert nothing.weights.nnz == 0
+    assert_same_weights(nothing, weigh(everywhere, 0.1, 1))
 
 
 def test_pipeline_order_is_counts_ablate_threshold_tfidf_cutoff():
