@@ -143,6 +143,8 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from exc
     if not isinstance(data, dict):
@@ -518,6 +520,8 @@ def cmd_export(cfg: PipelineConfig, args) -> dict:
         raise DataError(f"probe report not found: {source}")
     try:
         report = _probe.report_from_json(Path(source).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source}: not UTF-8 text ({exc.reason})") from exc
     except ParseError as exc:
         raise ParseError(f"{source}: {exc}") from exc
     if not explicit:

@@ -71,7 +71,7 @@ def kmeans(vectors, k: int, seed: int = 0, restarts: int = 1) -> Clustering:
     # Seeding happens against a canonically ordered copy of the points so
     # the chosen centers are a function of the point VALUES, never of the
     # input order; that is what makes the output permutation-invariant.
-    canon = x[np.lexsort(x.T)]
+    canon = x[_canonical_order(x)]
     x_sq = np.sum(x**2, axis=1)
 
     # min keeps the first of equal minima, so ties go to the earliest restart.
@@ -80,6 +80,25 @@ def kmeans(vectors, k: int, seed: int = 0, restarts: int = 1) -> Clustering:
         key=lambda result: result.dissimilarity,
     )
     return replace(best, restarts_used=restarts)
+
+
+def _canonical_order(x: np.ndarray) -> np.ndarray:
+    """The permutation ``np.lexsort(x.T)`` gives: rows by the last column,
+    ties broken by the columns before it from right to left, stably.
+
+    One stable sort of the last column places every row; only the rows
+    whose last value is tied are then re-sorted by the full key, in one
+    ``lexsort`` whose primary key (the last column) keeps the runs apart.
+    """
+    order = np.argsort(x[:, -1], kind="stable")
+    last = x[order, -1]
+    equal = last[1:] == last[:-1]
+    tied = np.zeros(len(order), dtype=bool)
+    tied[1:] = equal
+    tied[:-1] |= equal
+    runs = order[tied]
+    order[tied] = runs[np.lexsort(x[runs].T)]
+    return order
 
 
 def _lloyd(x: np.ndarray, x_sq: np.ndarray, canon: np.ndarray, k: int, rng) -> Clustering:

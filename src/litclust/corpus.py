@@ -50,6 +50,14 @@ class _Separators(dict):
 
 _SEPARATORS = _Separators()
 
+# Every code point other than U+0020 on which ``str.split()`` splits (the
+# ``str.isspace`` characters of the interpreter's Unicode database; a
+# test checks the list against it).
+_OTHER_WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003"
+    "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+
 
 @dataclass(frozen=True)
 class Document:
@@ -119,7 +127,19 @@ class Corpus:
 
 
 def normalize_text(text: str) -> str:
-    """Collapse all whitespace runs to single spaces and strip the ends."""
+    """Collapse all whitespace runs to single spaces and strip the ends.
+
+    Text already in that form (no space at either end, no two adjacent
+    spaces, no whitespace but U+0020) is returned as it is, after C-level
+    substring scans; splitting and rejoining it would rebuild the same
+    string.
+    """
+    if text[:1] != " " and text[-1:] != " " and "  " not in text:
+        for char in _OTHER_WHITESPACE:
+            if char in text:
+                break
+        else:
+            return text
     return " ".join(text.split())
 
 
@@ -172,27 +192,46 @@ def save_jsonl(corpus: Corpus, path: str | Path) -> None:
 def _read_jsonl(path: Path) -> tuple[list[Document], int]:
     docs: list[Document] = []
     skipped = 0
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict) or "id" not in rec:
-                raise ParseError(f"{path}:{lineno}: record must be an object with an 'id'")
-            doc_id = str(rec["id"]).strip()
-            if not doc_id:
-                raise ParseError(f"{path}:{lineno}: empty document id")
-            text = normalize_text(str(rec.get("text") or ""))
-            if not text:
-                skipped += 1
-                continue
-            label = rec.get("label")
-            docs.append(Document(id=doc_id, text=text, label=None if label is None else str(label)))
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    doc = _parse_record(line)
+                except ParseError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                if doc is None:
+                    skipped += 1
+                else:
+                    docs.append(doc)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     return docs, skipped
+
+
+def _parse_record(line: str) -> Document | None:
+    """One JSONL record as a document, or None when it has no text."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON ({exc.msg})") from exc
+    if not isinstance(rec, dict) or "id" not in rec:
+        raise ParseError("record must be an object with an 'id'")
+    doc_id, text, label = rec["id"], rec.get("text"), rec.get("label")
+    # A bool is an int to isinstance, but True is no document id.
+    if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+        raise ParseError("'id' must be a string or an integer")
+    if not isinstance(text, (str, type(None))):
+        raise ParseError("'text' must be a string or null")
+    if not isinstance(label, (str, type(None))):
+        raise ParseError("'label' must be a string or null")
+    doc_id = str(doc_id).strip()
+    if not doc_id:
+        raise ParseError("empty document id")
+    text = normalize_text(text or "")
+    return Document(id=doc_id, text=text, label=label) if text else None
 
 
 def _read_pubmed_xml(

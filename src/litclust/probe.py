@@ -119,24 +119,29 @@ class GeneDictionary:
 
 
 def load_dictionary(path: str | Path) -> GeneDictionary:
-    """Read the dictionary JSON: a list of {symbol, aliases, description}."""
+    """Read the dictionary JSON: a list of {symbol, aliases, description}
+    objects, where ``symbol`` is a string, ``aliases`` a list of strings
+    (absent: none) and ``description`` a string (absent: empty)."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc.msg})") from exc
     if not isinstance(raw, list):
         raise ParseError(f"{path}: expected a JSON list of entries")
     entries = []
     for i, rec in enumerate(raw):
-        if not isinstance(rec, dict) or "symbol" not in rec:
-            raise ParseError(f"{path}: entry {i} must be an object with a 'symbol'")
+        if not isinstance(rec, dict) or not isinstance(rec.get("symbol"), str):
+            raise ParseError(f"{path}: entry {i} must be an object with a string 'symbol'")
+        aliases, description = rec.get("aliases", []), rec.get("description", "")
+        if not (isinstance(aliases, list) and all(isinstance(a, str) for a in aliases)):
+            raise ParseError(f"{path}: entry {i}: 'aliases' must be a list of strings")
+        if not isinstance(description, str):
+            raise ParseError(f"{path}: entry {i}: 'description' must be a string")
         entries.append(
-            DictionaryEntry(
-                symbol=str(rec["symbol"]),
-                aliases=tuple(str(a) for a in rec.get("aliases", [])),
-                description=str(rec.get("description", "")),
-            )
+            DictionaryEntry(symbol=rec["symbol"], aliases=tuple(aliases), description=description)
         )
     return GeneDictionary(entries)
 

@@ -770,6 +770,24 @@ class TestExitCodes:
         assert "probe_report.json" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "name,argv,code",
+        [
+            ("corpus.jsonl", ("ingest", "--config", "config.json"), 3),
+            ("config.json", ("ingest", "--config", "config.json"), 2),
+            ("dictionary.json", ("probe", "--config", "config.json", "--dict", "dictionary.json"), 3),
+            ("out/probe_report.json", ("export", "--config", "config.json"), 3),
+        ],
+    )
+    def test_undecodable_file_exits_with_its_code(self, workspace, capsys, name, argv, code):
+        path = workspace / name
+        path.parent.mkdir(exist_ok=True)
+        # Latin-1 bytes: 0xe9 starts no valid UTF-8 sequence here.
+        path.write_bytes('{"id": "a", "text": "caf\xe9"}\n'.encode("latin-1"))
+        assert run_cli(*argv) == code
+        err = capsys.readouterr().err
+        assert name in err and "not UTF-8" in err
+
+    @pytest.mark.parametrize(
         "flag,value,allowed_code",
         [
             ("--d", "5.0", 0),

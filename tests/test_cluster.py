@@ -267,6 +267,21 @@ class TestArrayFormsMatchLoops:
                 # The same draws were taken from the stream.
                 assert ours.bit_generator.state == theirs.bit_generator.state
 
+    @pytest.mark.parametrize("n,n_dims", [(1, 1), (1, 6), (40, 1), (500, 4), (3000, 20)])
+    @pytest.mark.parametrize("kind", ["normal", "duplicates", "last_column_ties", "signed_zeros"])
+    def test_canonical_order_equals_lexsort(self, n, n_dims, kind):
+        rng = np.random.default_rng(n * n_dims)
+        if kind == "last_column_ties":
+            # Every other column distinct; the last takes three values.
+            x = rng.normal(size=(n, n_dims))
+            x[:, -1] = rng.integers(0, 3, size=n)
+        elif kind == "signed_zeros":
+            # -0.0 equals 0.0, so both sorts must keep such rows in input order.
+            x = rng.choice([-0.0, 0.0, 1.0], size=(n, n_dims))
+        else:
+            x = points(kind, n, n_dims, rng)
+        assert np.array_equal(cluster_mod._canonical_order(x), np.lexsort(x.T))
+
     def test_distances_use_the_point_norms(self, monkeypatch):
         # The norms are computed once per call; a row constant does not
         # move the argmin, so only their bits show a wrong expression.
@@ -296,6 +311,7 @@ class TestArrayFormsMatchLoops:
         got = kmeans(x, k, seed=7, restarts=restarts)
         monkeypatch.setattr(cluster_mod, "_means", reference_means)
         monkeypatch.setattr(cluster_mod, "_kmeanspp", reference_kmeanspp)
+        monkeypatch.setattr(cluster_mod, "_canonical_order", lambda x: np.lexsort(x.T))
         expected = kmeans(x, k, seed=7, restarts=restarts)
         for field in ("assignments", "centroids", "variabilities", "dissimilarity",
                       "objective_trace", "iterations", "empty_clusters", "restarts_used"):

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from litclust.corpus import (
+    _OTHER_WHITESPACE,
     Corpus,
     Document,
     load_corpus,
@@ -19,6 +21,10 @@ from litclust.errors import DuplicateId, EmptyCorpus, ParseError
 from helpers import oracle_tokens
 
 DATA = Path(__file__).parent / "data"
+
+# Every code point on which str.split() splits, from this interpreter's
+# Unicode database.
+ISSPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
 
 
 def write_jsonl(path, records):
@@ -67,6 +73,30 @@ class TestLoadJsonl:
         p.write_text('{"id": "a", "text": "ok"}\n{oops\n', encoding="utf-8")
         with pytest.raises(ParseError, match=":2:"):
             load_corpus(p)
+
+    @pytest.mark.parametrize("record,field", [
+        ({"id": "a", "text": ["alpha beta"]}, "text"),
+        ({"id": "a", "text": 5}, "text"),
+        ({"id": "a", "text": "t", "label": {"k": 1}}, "label"),
+        ({"id": "a", "text": "t", "label": True}, "label"),
+        ({"id": "a", "text": "t", "label": 3}, "label"),
+        ({"id": True, "text": "t"}, "id"),
+        ({"id": 1.5, "text": "t"}, "id"),
+        ({"id": None, "text": "t"}, "id"),
+        ({"id": ["a"], "text": "t"}, "id"),
+    ])
+    def test_value_of_the_wrong_type_reports_position(self, tmp_path, record, field):
+        p = tmp_path / "c.jsonl"
+        write_jsonl(p, [{"id": "ok", "text": "fine"}, record])
+        with pytest.raises(ParseError, match=f":2: '{field}' must be"):
+            load_corpus(p)
+
+    def test_integer_id_and_null_text_and_label(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        write_jsonl(p, [{"id": 7, "text": "seven", "label": None}, {"id": "b", "text": None}])
+        corpus = load_corpus(p)
+        assert [(d.id, d.label) for d in corpus] == [("7", None)]
+        assert corpus.skipped == 1
 
     def test_empty_file_raises(self, tmp_path):
         p = tmp_path / "c.jsonl"
@@ -186,6 +216,61 @@ class TestTokenize:
 
 def test_normalize_text_collapses_whitespace():
     assert normalize_text("  a\t b\n\nc ") == "a b c"
+
+
+def test_other_whitespace_is_every_split_point_but_the_space():
+    # Fails on an interpreter whose Unicode database has other spaces.
+    assert sorted(_OTHER_WHITESPACE) == sorted(set(ISSPACE) - {" "})
+
+
+# Every isspace code point, characters that look like or hide spaces
+# but are none, and letters, ASCII and not.
+_NORMALIZE_CHARS = st.one_of(
+    st.sampled_from(ISSPACE),
+    st.sampled_from(["\x00", "\xad", "\u200b", "a", "Z", "7", ".", "\xe9", "\u03b1", "\u4e2d"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.one_of(
+        st.text(alphabet=_NORMALIZE_CHARS),
+        # Mostly canonical: words joined by single spaces.
+        st.lists(st.text(alphabet=_NORMALIZE_CHARS, min_size=1, max_size=6)).map(" ".join),
+    )
+)
+def test_normalize_text_equals_split_and_join(text):
+    assert normalize_text(text) == " ".join(text.split())
+
+
+# Runs of a tab, a no-break space, an ideographic space and a line feed,
+# and spaces at both ends, all collapse; the Greek letter stays.
+UNCANONICAL = " \u03b1-helix\tbinding \xa0of\u3000TP53\n\n  in cells  "
+CANONICAL = "\u03b1-helix binding of TP53 in cells"
+
+
+def test_load_corpus_normalizes_jsonl_text(tmp_path):
+    p = tmp_path / "c.jsonl"
+    write_jsonl(p, [{"id": "a", "text": UNCANONICAL}, {"id": "b", "text": CANONICAL}])
+    assert [d.text for d in load_corpus(p)] == [CANONICAL, CANONICAL]
+
+
+def test_load_corpus_normalizes_pubmed_xml_text(tmp_path):
+    p = tmp_path / "c.xml"
+    head, _, tail = CANONICAL.partition(" ")
+    article = (
+        "<PubmedArticle><MedlineCitation><PMID>{pmid}</PMID><Article><Abstract>"
+        "<AbstractText>{head}</AbstractText><AbstractText>{tail}</AbstractText>"
+        "</Abstract></Article></MedlineCitation></PubmedArticle>"
+    )
+    p.write_text(
+        "<PubmedArticleSet>"
+        + article.format(pmid=1, head=UNCANONICAL, tail="\t")
+        + article.format(pmid=2, head=head, tail=tail)
+        + "</PubmedArticleSet>",
+        encoding="utf-8",
+    )
+    assert [d.text for d in load_corpus(p, format="pubmed_xml")] == [CANONICAL, CANONICAL]
 
 
 def test_corpus_rejects_duplicate_ids_directly():

@@ -150,6 +150,26 @@ class TestDictionary:
         with pytest.raises(ParseError):
             load_dictionary(p)
 
+    @pytest.mark.parametrize("entry,field", [
+        ({"symbol": 53}, "symbol"),
+        ({"symbol": None}, "symbol"),
+        ({"symbol": "TP53", "aliases": "p53"}, "aliases"),
+        ({"symbol": "TP53", "aliases": ["p53", 53]}, "aliases"),
+        ({"symbol": "TP53", "aliases": None}, "aliases"),
+        ({"symbol": "TP53", "description": ["tumor protein"]}, "description"),
+        ({"symbol": "TP53", "description": None}, "description"),
+    ])
+    def test_load_rejects_values_of_the_wrong_type(self, tmp_path, entry, field):
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps([{"symbol": "BRCA1"}, entry]), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"entry 1.*'{field}'"):
+            load_dictionary(p)
+
+    def test_load_defaults_absent_aliases_and_description(self, tmp_path):
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps([{"symbol": "TP53"}]), encoding="utf-8")
+        assert load_dictionary(p).entries == (DictionaryEntry("tp53", (), ""),)
+
     def test_parse_gene_summaries_fixture(self):
         entries = parse_gene_summaries((DATA / "gene_esummary.json").read_bytes())
         assert len(entries) == 10
