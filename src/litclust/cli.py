@@ -10,6 +10,7 @@ error, 3 data error, 4 compute error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -45,6 +46,18 @@ CHOICES = {
     "network_format": _probe.EXPORT_FORMATS,
 }
 MINIMUM = {"restarts": 1, "probe_top": 1}
+
+# What each staged artifact is made from: the keys of the record that
+# the command writing it puts in the manifest's ``provenance``, and that
+# every command reading it compares with its own config's values.
+_WEIGHTS = ("corpus_sha256", "d", "r")
+_CLUSTERING = (*_WEIGHTS, "n_dims", "k", "seed", "restarts")
+MADE_FROM = {
+    "weights.mtx": _WEIGHTS,
+    "vocabulary.tsv": _WEIGHTS,
+    "assignments.tsv": _CLUSTERING,
+    "probe_report.json": (*_CLUSTERING, "probe_mode", "dictionary_sha256"),
+}
 
 
 @dataclass
@@ -118,6 +131,17 @@ class PipelineConfig:
         spec.validate()
         return spec
 
+    def made_from(self, key: str):
+        """This config's value of a ``MADE_FROM`` key, d as a float.  The
+        corpus and dictionary digests are taken on first use, so a command
+        hashes each file at most once, and only when it records or reads an
+        artifact made from it; they are None when the config names no
+        such file."""
+        return float(self.d) if key == "d" else getattr(self, key)
+
+    corpus_sha256 = functools.cached_property(lambda self: _file_sha256(self.corpus))
+    dictionary_sha256 = functools.cached_property(lambda self: _file_sha256(self.dictionary))
+
 
 _HINTS = typing.get_type_hints(PipelineConfig)
 _KEYS = set(_HINTS)
@@ -139,7 +163,7 @@ def _fits(value, hint) -> bool:
 
 def load_config_file(path: str) -> dict:
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
@@ -178,6 +202,11 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _file_sha256(path: str | None) -> str | None:
+    """The sha256 of the regular file at ``path``; None if there is none."""
+    return _sha256(Path(path)) if path and Path(path).is_file() else None
+
+
 def _read_manifest(out_dir: Path) -> dict:
     """The directory's manifest, or an empty one if it has none.  A
     malformed manifest raises DataError: read as empty, it would let a
@@ -201,23 +230,23 @@ def _read_manifest(out_dir: Path) -> dict:
     return manifest
 
 
-def _update_manifest(
-    cfg: PipelineConfig, out_dir: Path, artifacts: list[Path], provenance: dict | None = None
-) -> list[str]:
-    """Record the artifacts' digests and, for each artifact named in
-    ``provenance``, the config fields it was made from; return the
-    artifacts' paths."""
+def _update_manifest(cfg: PipelineConfig, out_dir: Path, artifacts: list[Path]) -> list[str]:
+    """Record the artifacts' digests and, for each artifact ``MADE_FROM``
+    names, the config's values of its keys; return the artifacts' paths."""
     manifest_path = out_dir / "manifest.json"
     manifest = _read_manifest(out_dir)
     manifest["version"] = __version__
     manifest["config_hash"] = cfg.config_hash()
     manifest["seed"] = cfg.seed
     digests = manifest.get("artifacts", {})
+    provenance = manifest.get("provenance", {})
     for path in artifacts:
         digests[path.name] = _sha256(path)
+        if path.name in MADE_FROM:
+            provenance[path.name] = {key: cfg.made_from(key) for key in MADE_FROM[path.name]}
     manifest["artifacts"] = dict(sorted(digests.items()))
     if provenance:
-        manifest["provenance"] = {**manifest.get("provenance", {}), **provenance}
+        manifest["provenance"] = provenance
     # Written beside the manifest, flushed to disk and renamed over it,
     # so a write cut short never leaves a truncated manifest.
     tmp = manifest_path.with_name(manifest_path.name + ".tmp")
@@ -232,7 +261,7 @@ def _update_manifest(
 def _require_corpus(cfg: PipelineConfig):
     if not cfg.corpus:
         raise ConfigError("no corpus path given (flag --corpus or config key 'corpus')")
-    if not Path(cfg.corpus).exists():
+    if not Path(cfg.corpus).is_file():
         raise ConfigError(f"corpus file not found: {cfg.corpus}")
     return load_corpus(cfg.corpus, format=cfg.corpus_format, class_labels=cfg.class_labels)
 
@@ -243,115 +272,62 @@ def _out_dir(cfg: PipelineConfig) -> Path:
     return out
 
 
-def _weighted_matrix(cfg: PipelineConfig, corpus, clustering_fields: dict):
-    """The corpus's weighted matrix at (d, r): read from the staged
-    ``weights.mtx`` and ``vocabulary.tsv`` when the manifest records both
-    as made from this corpus, d and r and both still have their recorded
-    digests, else weighed afresh.  They are intermediates, so a stale or
-    missing pair is recomputed, never refused."""
-    fields = _weights_fields(clustering_fields)
-    out = Path(cfg.out)
-    weights_path, vocab_path = out / "weights.mtx", out / "vocabulary.tsv"
-    if _staged(weights_path, fields) and _staged(vocab_path, fields):
-        return _vec.load_weighted_matrix(weights_path, vocab_path, corpus.doc_ids())
-    return _vec.build_weighted_matrix(corpus, d_percent=cfg.d, rank_cutoff=cfg.r)
-
-
-def _build_embedding(cfg: PipelineConfig, corpus, clustering_fields: dict):
-    weighted = _weighted_matrix(cfg, corpus, clustering_fields)
-    return _lsa.reduce(
-        weighted, cfg.n_dims, seed=_sweep.derive_seed(cfg.seed, "lsa", cfg.d, cfg.r, cfg.n_dims)
-    )
-
-
-def _build_clustering(cfg: PipelineConfig, corpus, clustering_fields: dict):
-    return _cluster.kmeans(
-        _build_embedding(cfg, corpus, clustering_fields).vectors,
-        cfg.k,
-        seed=_sweep.derive_seed(cfg.seed, "kmeans", cfg.d, cfg.r, cfg.n_dims, cfg.k),
-        restarts=cfg.restarts,
-    )
-
-
-def _clustering_fields(cfg: PipelineConfig) -> dict:
-    """The config fields a clustering depends on; the corpus digest only
-    when the config names an existing corpus file.  Each command that
-    needs them computes them once, so the corpus is hashed once."""
-    fields = {"d": float(cfg.d), "r": cfg.r, "n_dims": cfg.n_dims, "k": cfg.k,
-              "seed": cfg.seed, "restarts": cfg.restarts}
-    if cfg.corpus and Path(cfg.corpus).exists():
-        fields["corpus_sha256"] = _sha256(Path(cfg.corpus))
-    return fields
-
-
-def _weights_fields(clustering_fields: dict) -> dict:
-    """The fields of a clustering that its weighted matrix depends on."""
-    return {name: clustering_fields[name] for name in ("corpus_sha256", "d", "r")}
-
-
-def _probe_fields(cfg: PipelineConfig, clustering_fields: dict) -> dict:
-    """The config fields a probe report depends on: those of its
-    clustering plus the probe mode and the dictionary digest."""
-    fields = {**clustering_fields, "probe_mode": cfg.probe_mode}
-    if cfg.dictionary and Path(cfg.dictionary).exists():
-        fields["dictionary_sha256"] = _sha256(Path(cfg.dictionary))
-    return fields
-
-
-def _record(path: Path) -> tuple[dict | None, str | None]:
-    """The config fields the manifest records ``path`` as made from and
-    the digest it records for it; None for what it does not record."""
-    manifest = _read_manifest(path.parent)
-    return (
-        manifest.get("provenance", {}).get(path.name),
-        manifest.get("artifacts", {}).get(path.name),
-    )
-
-
-def _staged(path: Path, fields: dict) -> bool:
-    """Whether ``path`` exists, the manifest records it as made from
-    exactly ``fields``, and it still has its recorded digest."""
-    if not path.exists():
-        return False
-    recorded, digest = _record(path)
-    return recorded == fields and digest == _sha256(path)
-
-
-def _vouched(path: Path, fields: dict) -> bool:
-    """Whether the staged ``path`` may be read as made from ``fields``:
-    the manifest records it, on each key of ``fields`` with the same
-    value, and it still has its recorded digest.  The record may hold
-    keys ``fields`` lacks, such as the corpus or dictionary digest when
-    the config names no such file.  False for a file with no record or
-    changed since it was recorded; ConfigError if the manifest records
-    it as made from other values of ``fields``."""
-    recorded, digest = _record(path)
+def _vouched(path: Path, cfg: PipelineConfig) -> bool:
+    """Whether the staged ``path`` may be read as made under ``cfg``: the
+    manifest records it with the config's value of each key of its
+    ``MADE_FROM`` row, and it still has its recorded digest.  A digest
+    the config has no value for (it names no such file) is not compared.
+    False for a missing file, one with no record, or one changed since
+    it was recorded; ConfigError if the record gives other values."""
+    manifest = _read_manifest(path.parent) if path.is_file() else {}
+    recorded = manifest.get("provenance", {}).get(path.name)
     if recorded is None:
         return False
-    differ = [name for name in sorted(fields) if recorded.get(name) != fields[name]]
+    values = {key: cfg.made_from(key) for key in sorted(MADE_FROM[path.name])}
+    differ = [key for key, value in values.items() if value is not None and recorded.get(key) != value]
     if differ:
-        made = ", ".join(f"{name}={recorded.get(name)!r}" for name in differ)
-        wanted = ", ".join(f"{name}={fields[name]!r}" for name in differ)
+        made = ", ".join(f"{key}={recorded.get(key)!r}" for key in differ)
+        wanted = ", ".join(f"{key}={values[key]!r}" for key in differ)
         raise ConfigError(
             f"{path} was made with {made} but the config gives {wanted}; "
             f"rerun the stage that writes it or use another --out"
         )
-    return digest == _sha256(path)
+    return manifest.get("artifacts", {}).get(path.name) == _sha256(path)
 
 
-def _load_or_compute_assignments(
-    cfg: PipelineConfig, corpus, explicit: str | None, clustering_fields: dict
-):
+def _build_embedding(cfg: PipelineConfig, corpus):
+    """The corpus's embedding at (d, r, n_dims), from the staged
+    ``weights.mtx`` and ``vocabulary.tsv`` when both are vouched for,
+    else weighed afresh.  They are intermediates, so a stale or missing
+    pair is recomputed, never refused."""
+    out = Path(cfg.out)
+    weights_path, vocab_path = out / "weights.mtx", out / "vocabulary.tsv"
+    try:
+        staged = _vouched(weights_path, cfg) and _vouched(vocab_path, cfg)
+    except ConfigError:
+        staged = False
+    if staged:
+        weighted = _vec.load_weighted_matrix(weights_path, vocab_path, corpus.doc_ids())
+    else:
+        weighted = _vec.build_weighted_matrix(corpus, d_percent=cfg.d, rank_cutoff=cfg.r)
+    return _sweep.embed_at(weighted, cfg.seed, cfg.d, cfg.r, cfg.n_dims)
+
+
+def _build_clustering(cfg: PipelineConfig, corpus):
+    vectors = _build_embedding(cfg, corpus).vectors
+    return _sweep.cluster_at(vectors, cfg.seed, cfg.d, cfg.r, cfg.n_dims, cfg.k, cfg.restarts)
+
+
+def _load_or_compute_assignments(cfg: PipelineConfig, corpus, explicit: str | None):
     """Assignments for the corpus: an explicit TSV (taken as given), the
-    staged artifact if the manifest records it as made from
-    ``clustering_fields`` and it still has its recorded digest, or a fresh
-    in-memory clustering at the configured parameters.  A staged file
-    recorded under other values is refused; one with no record, or
-    changed since it was recorded, is recomputed."""
-    if explicit and not Path(explicit).exists():
+    staged artifact if it is vouched for, or a fresh in-memory clustering
+    at the configured parameters.  A staged file recorded under other
+    values is refused; one with no record, or changed since it was
+    recorded, is recomputed."""
+    if explicit and not Path(explicit).is_file():
         raise DataError(f"assignments file not found: {explicit}")
     path = explicit or str(Path(cfg.out) / "assignments.tsv")
-    if explicit or (Path(path).exists() and _vouched(Path(path), clustering_fields)):
+    if explicit or _vouched(Path(path), cfg):
         mapping = _cluster.load_assignments(path)
         missing = [d.id for d in corpus if d.id not in mapping]
         if missing:
@@ -359,7 +335,7 @@ def _load_or_compute_assignments(
                 f"assignments file {path} does not cover document(s) {missing[:3]}"
             )
         return [mapping[d.id] for d in corpus]
-    return list(_build_clustering(cfg, corpus, clustering_fields).assignments)
+    return list(_build_clustering(cfg, corpus).assignments)
 
 
 # -- subcommands ---------------------------------------------------------
@@ -389,21 +365,17 @@ def cmd_vectorize(cfg: PipelineConfig, args) -> dict:
     _vec.dump_matrix_market(counts, counts_path)
     _vec.dump_matrix_market(weighted, weights_path)
     _vec.dump_vocabulary(weighted, vocab_path)
-    fields = _weights_fields(_clustering_fields(cfg))
     return {
         "terms": len(weighted.terms),
         "documents": len(weighted.docs),
-        "artifacts": _update_manifest(
-            cfg, out, [counts_path, weights_path, vocab_path],
-            provenance={weights_path.name: fields, vocab_path.name: fields},
-        ),
+        "artifacts": _update_manifest(cfg, out, [counts_path, weights_path, vocab_path]),
     }
 
 
 def cmd_embed(cfg: PipelineConfig, args) -> dict:
     corpus = _require_corpus(cfg)
     out = _out_dir(cfg)
-    emb = _build_embedding(cfg, corpus, _clustering_fields(cfg))
+    emb = _build_embedding(cfg, corpus)
     path = out / "embedding.tsv"
     _lsa.dump_embedding(emb, path)
     artifacts = _update_manifest(cfg, out, [path])
@@ -413,8 +385,7 @@ def cmd_embed(cfg: PipelineConfig, args) -> dict:
 def cmd_cluster(cfg: PipelineConfig, args) -> dict:
     corpus = _require_corpus(cfg)
     out = _out_dir(cfg)
-    fields = _clustering_fields(cfg)
-    clus = _build_clustering(cfg, corpus, fields)
+    clus = _build_clustering(cfg, corpus)
     assignments_path = out / "assignments.tsv"
     meta_path = out / "cluster_run.json"
     _cluster.dump_assignments(clus, corpus.doc_ids(), assignments_path)
@@ -423,19 +394,14 @@ def cmd_cluster(cfg: PipelineConfig, args) -> dict:
         "k": clus.k,
         "dissimilarity": clus.dissimilarity,
         "iterations": clus.iterations,
-        "artifacts": _update_manifest(
-            cfg, out, [assignments_path, meta_path],
-            provenance={assignments_path.name: fields},
-        ),
+        "artifacts": _update_manifest(cfg, out, [assignments_path, meta_path]),
     }
 
 
 def cmd_evaluate(cfg: PipelineConfig, args) -> dict:
     corpus = _require_corpus(cfg)
     out = _out_dir(cfg)
-    assignments = _load_or_compute_assignments(
-        cfg, corpus, getattr(args, "assignments", None), _clustering_fields(cfg)
-    )
+    assignments = _load_or_compute_assignments(cfg, corpus, getattr(args, "assignments", None))
     report = score_clustering(assignments, corpus.labels())
     path = out / "metrics.json"
     path.write_text(metrics_json(report) + "\n", encoding="utf-8")
@@ -487,13 +453,10 @@ def cmd_probe(cfg: PipelineConfig, args) -> dict:
     out = _out_dir(cfg)
     if not cfg.dictionary:
         raise ConfigError("no dictionary path given (flag --dict or config key 'dictionary')")
-    if not Path(cfg.dictionary).exists():
+    if not Path(cfg.dictionary).is_file():
         raise ConfigError(f"dictionary file not found: {cfg.dictionary}")
     dictionary = _probe.load_dictionary(cfg.dictionary)
-    clustering_fields = _clustering_fields(cfg)
-    assignments = _load_or_compute_assignments(
-        cfg, corpus, getattr(args, "assignments", None), clustering_fields
-    )
+    assignments = _load_or_compute_assignments(cfg, corpus, getattr(args, "assignments", None))
     counts = _probe.count_occurrences(corpus, assignments, dictionary, mode=cfg.probe_mode)
     report = _probe.relative_weights(counts)
     report_path = out / "probe_report.json"
@@ -505,10 +468,7 @@ def cmd_probe(cfg: PipelineConfig, args) -> dict:
         "entities": len(report.entity_globals),
         "clusters": len(report.clusters),
         "short_clusters": list(net.short_clusters),
-        "artifacts": _update_manifest(
-            cfg, out, [report_path, net_path],
-            provenance={report_path.name: _probe_fields(cfg, clustering_fields)},
-        ),
+        "artifacts": _update_manifest(cfg, out, [report_path, net_path]),
     }
 
 
@@ -516,7 +476,7 @@ def cmd_export(cfg: PipelineConfig, args) -> dict:
     out = _out_dir(cfg)
     explicit = getattr(args, "report", None)
     source = explicit or str(out / "probe_report.json")
-    if not Path(source).exists():
+    if not Path(source).is_file():
         raise DataError(f"probe report not found: {source}")
     try:
         report = _probe.report_from_json(Path(source).read_text(encoding="utf-8"))
@@ -524,14 +484,13 @@ def cmd_export(cfg: PipelineConfig, args) -> dict:
         raise ParseError(f"{source}: not UTF-8 text ({exc.reason})") from exc
     except ParseError as exc:
         raise ParseError(f"{source}: {exc}") from exc
-    if not explicit:
-        # export has no corpus step to recompute the report from, so a
-        # staged one it cannot vouch for is refused.
-        if not _vouched(Path(source), _probe_fields(cfg, _clustering_fields(cfg))):
-            raise ConfigError(
-                f"{source} has no record in manifest.json of the probe that wrote it, "
-                f"or was changed since; rerun `litclust probe` or pass the file with --report"
-            )
+    # export has no corpus step to recompute the report from, so a staged
+    # one it cannot vouch for is refused.
+    if not explicit and not _vouched(Path(source), cfg):
+        raise ConfigError(
+            f"{source} has no record in manifest.json of the probe that wrote it, "
+            f"or was changed since; rerun `litclust probe` or pass the file with --report"
+        )
     net = _probe.build_network(report, top_n=cfg.probe_top)
     net_path = out / f"network.{cfg.network_format}"
     net_path.write_bytes(_probe.export_network(net, format=cfg.network_format))

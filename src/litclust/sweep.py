@@ -140,6 +140,21 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "little")
 
 
+def embed_at(weighted, seed: int, d: float, r: int, n: int):
+    """The n-dimensional embedding of the weighted matrix at (d, r),
+    seeded from (seed, d, r, n) with d as a float, so that d = 1 and
+    d = 1.0 are one point."""
+    return _lsa.reduce(weighted, n, seed=derive_seed(seed, "lsa", float(d), r, n))
+
+
+def cluster_at(vectors, seed: int, d: float, r: int, n: int, k: int, restarts: int):
+    """k-means into k clusters of the (d, r, n) embedding's vectors,
+    seeded from (seed, d, r, n, k) with d as a float."""
+    return _cluster.kmeans(
+        vectors, k, seed=derive_seed(seed, "kmeans", float(d), r, n, k), restarts=restarts
+    )
+
+
 def enumerate_grid(spec: SweepSpec) -> list[tuple[float, int, int, int]]:
     """Full Cartesian product in seed-shuffled order, truncated to budget.
 
@@ -218,12 +233,7 @@ def run_sweep(
             if reason is None and k > weighted.shape[1]:
                 row.skip_reason = "k_too_large"
             elif reason is None:
-                clus = _cluster.kmeans(
-                    emb.vectors,
-                    k,
-                    seed=derive_seed(spec.seed, "kmeans", d, r, n, k),
-                    restarts=spec.restarts,
-                )
+                clus = cluster_at(emb.vectors, spec.seed, d, r, n, k, spec.restarts)
                 report = score_clustering(clus.assignments, labels)
                 row.completeness = report.completeness
                 row.homogeneity = report.homogeneity
@@ -247,7 +257,7 @@ def _embed(weighted, seed: int, d: float, r: int, n: int):
     if n > min(weighted.shape):
         return None, "n_dims_too_large"
     try:
-        return _lsa.reduce(weighted, n, seed=derive_seed(seed, "lsa", d, r, n)), None
+        return embed_at(weighted, seed, d, r, n), None
     except ConvergenceFailure:
         return None, "svd_convergence_failure"
 
@@ -289,8 +299,9 @@ def _resume(path: Path, expected: str) -> dict[tuple, SweepRow]:
     if not path.exists():
         sidecar.write_text(expected + "\n", encoding="utf-8")
         return {}
-    recorded = sidecar.read_text(encoding="utf-8").strip() if sidecar.exists() else None
-    if recorded != expected:
+    # Compared as bytes, so a sidecar that is not UTF-8 text differs too.
+    recorded = sidecar.read_bytes().strip() if sidecar.is_file() else None
+    if recorded != expected.encode():
         raise ConfigError(
             f"{path} was checkpointed for another corpus or sweep configuration "
             f"(grid values, seed or restarts; per {sidecar.name}); "

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from litclust.cli import main
-from litclust.corpus import Corpus, Document, save_jsonl
+from litclust.cli import MADE_FROM, main
+from litclust.corpus import Corpus, Document, load_corpus, save_jsonl
+from litclust.sweep import SweepSpec, run_sweep
 
 from helpers import make_planted_corpus, subprocess_env
 
@@ -247,6 +248,30 @@ class TestStaleArtifacts:
             hashed.clear()
             assert run_cli(command, "--config", "config.json") == 0
             assert hashed.count("corpus.jsonl") == 1, command
+            # Only a probe report is made from the dictionary.
+            expected = 1 if command in ("probe", "export") else 0
+            assert hashed.count("dictionary_10.json") == expected, command
+
+    def test_provenance_records_exactly_the_made_from_keys(self, workspace):
+        for command in ("vectorize", "cluster", "probe"):
+            assert run_cli(command, "--config", "config.json") == 0
+        provenance = json.loads((workspace / "out" / "manifest.json").read_text())["provenance"]
+        assert {name: sorted(record) for name, record in provenance.items()} == {
+            name: sorted(keys) for name, keys in MADE_FROM.items()
+        }
+
+    def test_readme_table_lists_made_from(self):
+        """The README's staged-artifact table names each artifact and the
+        keys it is made from, as ``MADE_FROM`` does."""
+        lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+        start = lines.index("| artifact | written by | made from | read by | on a mismatch |")
+        table = {}
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            artifact, _, made_from = (cell.strip() for cell in line.strip("|").split("|")[:3])
+            table[artifact.strip("`")] = tuple(key.strip(" `") for key in made_from.split(","))
+        assert table == MADE_FROM
 
     @pytest.mark.parametrize("damage", [
         b"", b'{"artifacts": {', b"[]", b"\xff\xfe",
@@ -516,6 +541,14 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", "config.json", "--seed", "99",
                        "--out", "out2") == 0
 
+
+    def test_undecodable_fingerprint_exits_2(self, workspace, capsys):
+        self.sweep_config(workspace)
+        assert run_cli("sweep", "--config", "config.json") == 0
+        (workspace / "out" / "rows.jsonl.fingerprint").write_bytes(b"\xff\xfe\n")
+        capsys.readouterr()
+        assert run_cli("sweep", "--config", "config.json") == 2
+        assert "rows.jsonl.fingerprint" in capsys.readouterr().err
 
     def test_checkpoint_fingerprint_sidecar(self, workspace, capsys):
         self.sweep_config(workspace)
@@ -809,6 +842,28 @@ class TestExitCodes:
         )
         assert code == allowed_code
 
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (("ingest", "--corpus", "{}", "--out", "o"), 2),
+            (("ingest", "--config", "{}", "--corpus", "corpus.jsonl"), 2),
+            (("probe", "--config", "config.json", "--dict", "{}"), 2),
+            (("evaluate", "--config", "config.json", "--assignments", "{}"), 3),
+            # export compares the dictionary's digest only when there is a file.
+            (("export", "--config", "dict.json"), 0),
+        ],
+        ids=["corpus", "config", "dictionary", "assignments", "export_dictionary"],
+    )
+    def test_a_directory_exits_as_a_missing_file_does(self, workspace, argv, code):
+        (workspace / "adir").mkdir()
+        if argv[0] == "export":
+            assert run_cli("cluster", "--config", "config.json") == 0
+            assert run_cli("probe", "--config", "config.json") == 0
+        config = json.loads((workspace / "config.json").read_text())
+        for path in ("absent", "adir"):
+            (workspace / "dict.json").write_text(json.dumps({**config, "dictionary": path}))
+            assert run_cli(*(arg.format(path) for arg in argv)) == code, path
+
     def test_compute_error_exit_4(self, workspace):
         code = run_cli(
             "cluster", "--config", "config.json", "--k", "500",
@@ -841,6 +896,22 @@ def test_end_to_end_determinism(tmp_path, monkeypatch):
         a = (outputs[0] / name).read_bytes()
         b = (outputs[1] / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+
+
+def test_integer_d_is_the_float_d_and_the_sweep_row(workspace):
+    config = json.loads((workspace / "config.json").read_text())
+    for name, d in (("int", 1), ("float", 1.0)):
+        (workspace / f"{name}.json").write_text(json.dumps({**config, "d": d, "out": name}))
+        for command in ("embed", "cluster", "evaluate"):
+            assert run_cli(command, "--config", f"{name}.json") == 0
+    for artifact in ("embedding.tsv", "assignments.tsv", "cluster_run.json", "metrics.json"):
+        assert (workspace / "int" / artifact).read_bytes() == (workspace / "float" / artifact).read_bytes()
+    spec = SweepSpec(d_values=(1.0,), r_values=(5,), n_values=(15,), k_values=(4,), seed=3, restarts=3)
+    row, = run_sweep(load_corpus(workspace / "corpus.jsonl"), spec)
+    metrics = json.loads((workspace / "int" / "metrics.json").read_text())
+    assert (metrics["homogeneity"], metrics["completeness"], metrics["v_measure"]) == (
+        row.homogeneity, row.completeness, row.v_measure,
+    )
 
 
 def test_config_hash_and_fields_are_unchanged():

@@ -504,6 +504,15 @@ class TestCheckpointFingerprint:
             run_sweep(corpus, spec, checkpoint_path=ckpt)
         assert ckpt.read_bytes() == blob
 
+    def test_undecodable_fingerprint_is_refused(self, checkpointed, tmp_path):
+        corpus, spec, blob, _ = checkpointed
+        ckpt = tmp_path / "rows.jsonl"
+        ckpt.write_bytes(blob)
+        ckpt.with_name("rows.jsonl.fingerprint").write_bytes(b"\xff\xfe\n")
+        with pytest.raises(ConfigError, match=r"rows\.jsonl\.fingerprint"):
+            run_sweep(corpus, spec, checkpoint_path=ckpt)
+        assert ckpt.read_bytes() == blob
+
     def test_fingerprint_without_checkpoint_is_rewritten(self, checkpointed, tmp_path):
         corpus, spec, blob, sidecar = checkpointed
         ckpt = tmp_path / "rows.jsonl"
