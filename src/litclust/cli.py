@@ -216,7 +216,7 @@ def _read_manifest(out_dir: Path) -> dict:
         return {"artifacts": {}}
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (IsADirectoryError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{manifest_path}: malformed manifest ({exc})") from exc
     if not isinstance(manifest, dict):
         raise DataError(f"{manifest_path}: malformed manifest (not a JSON object)")
@@ -268,7 +268,10 @@ def _require_corpus(cfg: PipelineConfig):
 
 def _out_dir(cfg: PipelineConfig) -> Path:
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"output directory {out} is not a directory (a file is in its path)") from exc
     return out
 
 

@@ -113,7 +113,9 @@ def _lloyd(x: np.ndarray, x_sq: np.ndarray, canon: np.ndarray, k: int, rng) -> C
     for _ in range(MAX_ITER):
         new_labels, sizes = _repair_empty(x, np.argmin(_sq_dists(x, x_sq, centers), axis=1), k)
         centers = _means(x, new_labels, sizes, centers)
-        obj = float(np.sum((x - centers[new_labels]) ** 2))
+        sq = x - centers[new_labels]
+        np.square(sq, out=sq)
+        obj = float(np.sum(sq))
         trace.append(obj)
         converged = bool(np.array_equal(new_labels, labels))
         labels = new_labels
@@ -126,11 +128,12 @@ def _lloyd(x: np.ndarray, x_sq: np.ndarray, canon: np.ndarray, k: int, rng) -> C
         raise ComputeError("objective increased during Lloyd iterations")
 
     empty = tuple(int(c) for c in np.flatnonzero(sizes == 0))
+    # ``sq`` holds each point's squared offsets from its centroid, which
+    # ``_means`` made its members' mean bit for bit, so a cluster's rows
+    # of it sum to the bits ``variability`` gives for its members.
     variabilities = np.zeros(k)
-    for c in range(k):
-        members = x[labels == c]
-        if len(members):
-            variabilities[c] = np.sum((members - members.mean(axis=0)) ** 2)
+    for c in np.flatnonzero(sizes):
+        variabilities[c] = np.sum(sq[labels == c])
     return Clustering(
         k=k,
         assignments=labels,
@@ -145,23 +148,38 @@ def _lloyd(x: np.ndarray, x_sq: np.ndarray, canon: np.ndarray, k: int, rng) -> C
 
 
 def _kmeanspp(x: np.ndarray, k: int, rng) -> np.ndarray:
-    """k-means++ seeding, greedy variant.
+    """k-means++ seeding, greedy variant (Arthur & Vassilvitskii, SODA 2007).
 
     Each new center is the best of ``INIT_CANDIDATES`` draws made with
     probability proportional to squared distance from the nearest chosen
     center ("best" = smallest resulting potential).  One candidate is
     the plain k-means++ rule.
+
+    The seeding owns its draw and its summation order, because its centers
+    must stay what ``rng.choice(p=)`` and ``np.sum(..., axis=-1)`` over
+    the points give, draw for draw and bit for bit: a rounding change in
+    one distance can move a later draw, and with it the clustering.
+    ``_draw_candidates`` takes from the rng exactly what ``choice`` takes,
+    without its validation of ``p``.  The distances are summed over a
+    feature-major copy of the points, one long vector per feature, by
+    ``_sum_terms``, which adds each point's features in numpy's order;
+    numpy's own reduction over a 4- to 20-wide axis is the slow step.
     """
     n = x.shape[0]
+    features = np.ascontiguousarray(x.T)
+
+    def sq_dists_to(rows):
+        diffs = features[:, None, :] - features[:, rows, None]
+        return _sum_terms(np.square(diffs, out=diffs))
+
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    d2 = np.sum((x - x[chosen[0]]) ** 2, axis=1)
+    d2 = sq_dists_to(chosen[:1])[0]
     for i in range(1, k):
         total = d2.sum()
         if total > 0:
-            candidates = rng.choice(n, size=INIT_CANDIDATES, p=d2 / total)
-            diffs = x - x[candidates][:, None]
-            cand_d2 = np.minimum(d2, np.sum(np.square(diffs, out=diffs), axis=2))
+            candidates = _draw_candidates(d2, total, rng)
+            cand_d2 = np.minimum(d2, sq_dists_to(candidates))
             # argmin keeps the first of equal potentials, the earliest draw.
             best = int(np.argmin(cand_d2.sum(axis=1)))
             idx, d2 = int(candidates[best]), cand_d2[best]
@@ -170,18 +188,65 @@ def _kmeanspp(x: np.ndarray, k: int, rng) -> np.ndarray:
             # the first index not yet used to keep k centers distinct.
             used = set(chosen[:i].tolist())
             idx = next(j for j in range(n) if j not in used)
-            d2 = np.minimum(d2, np.sum((x - x[idx]) ** 2, axis=1))
+            d2 = np.minimum(d2, sq_dists_to([idx])[0])
         chosen[i] = idx
     return x[chosen].copy()
 
 
+def _draw_candidates(d2: np.ndarray, total: float, rng) -> np.ndarray:
+    """``INIT_CANDIDATES`` indices drawn with probability ``d2 / total``.
+
+    The same indices, from the same draws, as ``rng.choice(len(d2),
+    INIT_CANDIDATES, p=d2 / total)``: this is the inverse-CDF step that
+    ``Generator.choice`` runs after validating ``p``, which ``d2`` (finite,
+    non-negative, positive ``total``) needs no check for.
+    """
+    cdf = np.cumsum(d2 / total)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(INIT_CANDIDATES), side="right")
+
+
+def _sum_terms(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis in numpy's pairwise order, elementwise.
+
+    Equals ``np.sum(np.moveaxis(terms, 0, -1), axis=-1)`` bit for bit
+    (the sign of a zero sum aside): numpy adds fewer than 8 terms in
+    sequence, up to 128 in 8 interleaved accumulators that it combines
+    as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` before adding the
+    remainder, and splits more at ``n//2 - (n//2) % 8``.  Reducing a
+    short axis per point is slow in numpy; this adds long vectors.
+    """
+    m = len(terms)
+    if m > 128:
+        half = m // 2 - (m // 2) % 8
+        return _sum_terms(terms[:half]) + _sum_terms(terms[half:])
+    if m < 8:
+        total = terms[0].copy()
+        rest = terms[1:]
+    else:
+        acc = terms[:8].copy()
+        blocks = m - m % 8
+        for i in range(8, blocks, 8):
+            acc += terms[i : i + 8]
+        pairs = acc[0::2] + acc[1::2]
+        quads = pairs[0::2] + pairs[1::2]
+        total = quads[0] + quads[1]
+        rest = terms[blocks:]
+    for term in rest:
+        total += term
+    return total
+
+
 def _sq_dists(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances of the rows of ``x`` (squared norms ``x_sq``) to ``centers``."""
-    d2 = (
-        x_sq[:, None]
-        - 2.0 * (x @ centers.T)
-        + np.sum(centers**2, axis=1)[None, :]
-    )
+    """Squared distances of the rows of ``x`` (squared norms ``x_sq``) to ``centers``.
+
+    ``x_sq - 2 x.c + |c|^2``, formed in place: scaling by -2 is exact, so
+    ``x @ (-2 c)`` is ``-2 (x @ c)`` bit for bit, and adding it to the
+    norms gives the bits subtracting it would.
+    """
+    d2 = x @ (-2.0 * centers).T
+    d2 += x_sq[:, None]
+    d2 += np.sum(centers**2, axis=1)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -250,6 +315,10 @@ class KMeans(BaseEstimator):
         if not hasattr(self, "clustering_"):
             raise ConfigError("KMeans is not fitted; call fit first")
         pts = check_vectors(x, "x")
+        if pts.shape[1] != self.centroids_.shape[1]:
+            raise ConfigError(
+                f"x has {pts.shape[1]} columns but the centroids were fitted on {self.centroids_.shape[1]}"
+            )
         return np.argmin(_sq_dists(pts, np.sum(pts**2, axis=1), self.centroids_), axis=1)
 
     def fit_predict(self, x, y=None) -> np.ndarray:

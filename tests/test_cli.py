@@ -864,6 +864,20 @@ class TestExitCodes:
             (workspace / "dict.json").write_text(json.dumps({**config, "dictionary": path}))
             assert run_cli(*(arg.format(path) for arg in argv)) == code, path
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_through_a_regular_file_exits_2(self, workspace, capsys, out):
+        (workspace / "afile").write_text("not a directory", encoding="utf-8")
+        assert run_cli("ingest", "--corpus", "corpus.jsonl", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and out in err
+        assert (workspace / "afile").read_text(encoding="utf-8") == "not a directory"
+
+    def test_a_manifest_directory_exits_3(self, workspace, capsys):
+        (workspace / "out" / "manifest.json").mkdir(parents=True)
+        assert run_cli("cluster", "--config", "config.json") == 3
+        assert "malformed manifest" in capsys.readouterr().err
+        assert (workspace / "out" / "manifest.json").is_dir()
+
     def test_compute_error_exit_4(self, workspace):
         code = run_cli(
             "cluster", "--config", "config.json", "--k", "500",

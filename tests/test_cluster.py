@@ -217,6 +217,13 @@ def reference_kmeanspp(x, k, rng):
     return x[chosen].copy()
 
 
+def reference_sq_dists(x, x_sq, centers):
+    """The three-term distance expression that ``_sq_dists`` forms in place."""
+    d2 = x_sq[:, None] - 2.0 * (x @ centers.T) + np.sum(centers**2, axis=1)[None, :]
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -251,7 +258,9 @@ class TestArrayFormsMatchLoops:
             assert np.array_equal(got, expected)
             assert same_bits(got, expected)
 
-    @pytest.mark.parametrize("n_dims", [1, 3, 20])
+    # 7, 8 and 9 straddle the width where numpy's pairwise sum switches
+    # to 8 accumulators, and 130 the width where it splits in two.
+    @pytest.mark.parametrize("n_dims", [1, 3, 7, 8, 9, 16, 20, 130])
     @pytest.mark.parametrize("kind", ["normal", "duplicates"])
     def test_kmeanspp_with_candidate_loop(self, n_dims, kind):
         rng = np.random.default_rng(100 + n_dims)
@@ -266,6 +275,52 @@ class TestArrayFormsMatchLoops:
                 assert same_bits(got, expected)
                 # The same draws were taken from the stream.
                 assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_sum_terms_equals_np_sum_at_every_width(self):
+        rng = np.random.default_rng(17)
+        for width in range(1, 261):
+            # Signed values over many magnitudes, so any other grouping of
+            # the additions rounds differently somewhere.
+            rows = rng.normal(size=(5, 3, width)) * 10.0 ** rng.integers(-6, 7, size=(5, 3, width))
+            for values in (rows, np.square(rows)):
+                got = cluster_mod._sum_terms(np.ascontiguousarray(np.moveaxis(values, -1, 0)))
+                assert same_bits(got, np.sum(values, axis=-1)), width
+
+    def test_candidate_draw_equals_choice(self):
+        rng = np.random.default_rng(18)
+        for trial in range(300):
+            n = int(rng.integers(1, 60))
+            d2 = rng.random(n) * 10.0 ** rng.integers(-5, 6, size=n)
+            # Zero mass, at the ends too: such an index is never drawn.
+            d2[rng.random(n) < 0.4] = 0.0
+            if trial % 3 == 0:
+                d2[[0, -1]] = 0.0
+            if not d2.any():
+                d2[n // 2] = 1.0
+            total = d2.sum()
+            ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
+            for _ in range(3):
+                got = cluster_mod._draw_candidates(d2, total, ours)
+                expected = theirs.choice(n, size=cluster_mod.INIT_CANDIDATES, p=d2 / total)
+                assert same_bits(got, expected)
+                assert np.all(d2[got] > 0)
+                assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_candidate_draw_at_a_cdf_boundary(self, side):
+        # A cdf step placed 1e-12 (relative) to one side of the uniform the
+        # rng will draw: rounding the cdf any coarser than float64 moves the
+        # step across it for one of the two sides, and so the drawn index.
+        for seed in range(20):
+            u = np.random.default_rng(seed).random()
+            step = u * (1.0 + side * 1e-12)
+            d2 = np.array([0.0, step, 0.0, 1.0 - step, 0.0])
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = cluster_mod._draw_candidates(d2, d2.sum(), ours)
+            expected = theirs.choice(len(d2), size=cluster_mod.INIT_CANDIDATES, p=d2 / d2.sum())
+            assert same_bits(got, expected)
+            assert got[0] == (1 if side > 0 else 3)
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
     @pytest.mark.parametrize("n,n_dims", [(1, 1), (1, 6), (40, 1), (500, 4), (3000, 20)])
     @pytest.mark.parametrize("kind", ["normal", "duplicates", "last_column_ties", "signed_zeros"])
@@ -304,6 +359,8 @@ class TestArrayFormsMatchLoops:
             (150, 15, 20, 2, "normal"),
             (30, 2, 30, 1, "normal"),
             (60, 4, 12, 2, "duplicates"),
+            # The shape of one sweep_k row: 8 dimensions, 4 restarts.
+            (300, 8, 12, 4, "normal"),
         ],
     )
     def test_kmeans_equals_a_run_on_the_loops(self, monkeypatch, n, n_dims, k, restarts, kind):
@@ -312,10 +369,18 @@ class TestArrayFormsMatchLoops:
         monkeypatch.setattr(cluster_mod, "_means", reference_means)
         monkeypatch.setattr(cluster_mod, "_kmeanspp", reference_kmeanspp)
         monkeypatch.setattr(cluster_mod, "_canonical_order", lambda x: np.lexsort(x.T))
+        monkeypatch.setattr(cluster_mod, "_sq_dists", reference_sq_dists)
         expected = kmeans(x, k, seed=7, restarts=restarts)
         for field in ("assignments", "centroids", "variabilities", "dissimilarity",
                       "objective_trace", "iterations", "empty_clusters", "restarts_used"):
             assert same_bits(getattr(got, field), getattr(expected, field)), field
+        # Each variability as the sum over its members' offsets from their mean.
+        variabilities = np.zeros(k)
+        for c in range(k):
+            members = x[got.assignments == c]
+            if len(members):
+                variabilities[c] = np.sum((members - members.mean(axis=0)) ** 2)
+        assert same_bits(got.variabilities, variabilities)
 
 
 class TestEstimator:
@@ -332,6 +397,12 @@ class TestEstimator:
         probe = np.array([[0.2, -0.1], [9.5, 10.4]])
         labels = est.predict(probe)
         assert labels[0] != labels[1]
+
+    def test_predict_rejects_another_width(self):
+        x, _ = blobs(20, centers=[(0.0, 0.0), (10.0, 10.0)], spread=0.5, seed=12)
+        est = KMeans(k=2, seed=0).fit(x)
+        with pytest.raises(ConfigError, match="3 columns .* fitted on 2"):
+            est.predict(np.zeros((4, 3)))
 
     def test_predict_requires_fit(self):
         with pytest.raises(ConfigError):
