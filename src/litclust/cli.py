@@ -267,11 +267,15 @@ def _require_corpus(cfg: PipelineConfig):
 
 
 def _out_dir(cfg: PipelineConfig) -> Path:
+    """The output directory, made if missing.  Its manifest is read here,
+    before any command writes an artifact, so a malformed one (DataError)
+    leaves the directory as it was."""
     out = Path(cfg.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise ConfigError(f"output directory {out} is not a directory (a file is in its path)") from exc
+    _read_manifest(out)
     return out
 
 

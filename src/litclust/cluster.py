@@ -8,6 +8,7 @@ the objective the Lloyd iterations minimize.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -15,6 +16,8 @@ import numpy as np
 
 from litclust.base import BaseEstimator, check_positive_int, check_vectors
 from litclust.errors import ComputeError, ConfigError, EmptyCluster, KTooLarge, ParseError
+
+logger = logging.getLogger(__name__)
 
 MAX_ITER = 300
 # Candidate draws per k-means++ center (greedy variant); 1 recovers the
@@ -72,11 +75,21 @@ def kmeans(vectors, k: int, seed: int = 0, restarts: int = 1) -> Clustering:
     # the chosen centers are a function of the point VALUES, never of the
     # input order; that is what makes the output permutation-invariant.
     canon = x[_canonical_order(x)]
-    x_sq = np.sum(x**2, axis=1)
+    # Two tables every restart shares.  ``norms`` repeats each point's
+    # squared norm across the k distance columns, so adding it is one
+    # contiguous pass where broadcasting a column along a short row is
+    # numpy's slow path; the sums are the same.  ``codes`` holds the
+    # bincount bin of each (cluster, coordinate), so a point's bins are
+    # one row gathered by its label.
+    norms = np.repeat(np.sum(x**2, axis=1)[:, None], k, axis=1)
+    codes = np.arange(k * x.shape[1]).reshape(k, x.shape[1])
 
     # min keeps the first of equal minima, so ties go to the earliest restart.
     best = min(
-        (_lloyd(x, x_sq, canon, k, np.random.default_rng([seed, restart])) for restart in range(restarts)),
+        (
+            _lloyd(x, norms, codes, canon, k, np.random.default_rng([seed, restart]), restart)
+            for restart in range(restarts)
+        ),
         key=lambda result: result.dissimilarity,
     )
     return replace(best, restarts_used=restarts)
@@ -101,26 +114,39 @@ def _canonical_order(x: np.ndarray) -> np.ndarray:
     return order
 
 
-def _lloyd(x: np.ndarray, x_sq: np.ndarray, canon: np.ndarray, k: int, rng) -> Clustering:
+def _lloyd(
+    x: np.ndarray, norms: np.ndarray, codes: np.ndarray, canon: np.ndarray, k: int, rng, restart: int
+) -> Clustering:
     """One Lloyd run from a k-means++ seeding; ``restarts_used`` is set by the caller.
 
-    ``x_sq`` holds the squared norms of the rows of ``x``.
+    ``norms`` and ``codes`` are the per-call tables ``kmeans`` builds.
+    The loop stops as soon as the repaired labels repeat, and the objective
+    of that last step is the one before it: equal labels give equal sizes,
+    so ``_means`` would add the same sums and keep the same fallbacks, and
+    the centers, the offsets and the objective would come out the same bits.
     """
     centers = _kmeanspp(canon, k, rng)
     labels = np.full(x.shape[0], -1, dtype=np.int64)
     trace: list[float] = []
+    repaired = 0
 
     for _ in range(MAX_ITER):
-        new_labels, sizes = _repair_empty(x, np.argmin(_sq_dists(x, x_sq, centers), axis=1), k)
-        centers = _means(x, new_labels, sizes, centers)
-        sq = x - centers[new_labels]
-        np.square(sq, out=sq)
-        obj = float(np.sum(sq))
-        trace.append(obj)
-        converged = bool(np.array_equal(new_labels, labels))
-        labels = new_labels
-        if converged:
+        nearest = np.argmin(_sq_dists(x, norms, centers), axis=1)
+        new_labels, sizes = _repair_empty(x, nearest, k)
+        if new_labels is not nearest:
+            # Each repair moves one point into an empty cluster, and no later
+            # repair of the pass moves it again, so the changed labels count them.
+            repaired += int(np.count_nonzero(new_labels != nearest))
+        if np.array_equal(new_labels, labels):
+            trace.append(trace[-1])
             break
+        labels = new_labels
+        centers = _means(x, labels, sizes, codes, centers)
+        # ``take`` gathers whole rows by label; fancy indexing gives the
+        # same rows through a slower path.
+        sq = x - centers.take(labels, axis=0)
+        np.square(sq, out=sq)
+        trace.append(float(np.add.reduce(sq, axis=None)))
 
     # Lloyd's objective can never go up between iterations; tolerate only
     # float accumulation noise.
@@ -134,6 +160,10 @@ def _lloyd(x: np.ndarray, x_sq: np.ndarray, canon: np.ndarray, k: int, rng) -> C
     variabilities = np.zeros(k)
     for c in np.flatnonzero(sizes):
         variabilities[c] = np.sum(sq[labels == c])
+    logger.debug(
+        "kmeans: restart %d, %d Lloyd iterations, %d empty clusters repaired, objective %r",
+        restart, len(trace), repaired, trace[-1],
+    )
     return Clustering(
         k=k,
         assignments=labels,
@@ -237,15 +267,17 @@ def _sum_terms(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _sq_dists(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances of the rows of ``x`` (squared norms ``x_sq``) to ``centers``.
+def _sq_dists(x: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances of the rows of ``x`` to ``centers``; ``norms`` holds
+    the rows' squared norms, as an (n, k) table or an (n, 1) column.
 
     ``x_sq - 2 x.c + |c|^2``, formed in place: scaling by -2 is exact, so
     ``x @ (-2 c)`` is ``-2 (x @ c)`` bit for bit, and adding it to the
-    norms gives the bits subtracting it would.
+    norms gives the bits subtracting it would.  The table and the column
+    add the same numbers; the table does it in one contiguous pass.
     """
     d2 = x @ (-2.0 * centers).T
-    d2 += x_sq[:, None]
+    d2 += norms
     d2 += np.sum(centers**2, axis=1)
     np.maximum(d2, 0.0, out=d2)
     return d2
@@ -256,10 +288,13 @@ def _repair_empty(x: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray
 
     Keeps k fixed.  If the largest cluster has a single member there is
     nothing left to split and the remaining empties are left flagged.
-    Returns the repaired labels and the cluster sizes they give.
+    Returns the repaired labels and the cluster sizes they give; with no
+    cluster empty, the labels are returned as given, not copied.
     """
-    labels = labels.copy()
     sizes = np.bincount(labels, minlength=k)
+    if sizes.all():
+        return labels, sizes
+    labels = labels.copy()
     for empty in np.flatnonzero(sizes == 0):
         largest = int(np.argmax(sizes))
         if sizes[largest] <= 1:
@@ -273,23 +308,29 @@ def _repair_empty(x: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray
     return labels, sizes
 
 
-def _means(x: np.ndarray, labels: np.ndarray, sizes: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+def _means(
+    x: np.ndarray, labels: np.ndarray, sizes: np.ndarray, codes: np.ndarray, fallback: np.ndarray
+) -> np.ndarray:
     """Member means of the clusters of ``labels`` (sizes ``sizes``); an
-    empty cluster keeps its ``fallback`` center.
+    empty cluster keeps its ``fallback`` center.  ``codes`` is the
+    (k, n_dims) table of bincount bins, ``codes[c, j] = c * n_dims + j``.
 
     The sums are added in the order numpy's ``x[labels == c].mean(axis=0)``
     adds them, so the means are bit-identical to it.  numpy adds the rows
     of a block with several columns one after another, as ``bincount``
     does, but sums a single column pairwise, so one column is reduced per
-    cluster over the label-sorted points.
+    cluster over the label-sorted points.  Each mean is one division of
+    its sum by its size, whether or not every cluster is filled.
     """
     k, n_dims = fallback.shape
     if n_dims == 1:
         runs = np.split(x[np.argsort(labels, kind="stable"), 0], np.cumsum(sizes)[:-1])
         sums = np.array([np.add.reduce(run) for run in runs])[:, None]
     else:
-        codes = (labels[:, None] * n_dims + np.arange(n_dims)).ravel()
-        sums = np.bincount(codes, weights=x.ravel(), minlength=k * n_dims).reshape(k, n_dims)
+        bins = codes.take(labels, axis=0).ravel()
+        sums = np.bincount(bins, weights=x.ravel(), minlength=k * n_dims).reshape(k, n_dims)
+    if sizes.all():
+        return sums / sizes[:, None]
     centers = fallback.copy()
     filled = sizes > 0
     centers[filled] = sums[filled] / sizes[filled, None]
@@ -319,7 +360,7 @@ class KMeans(BaseEstimator):
             raise ConfigError(
                 f"x has {pts.shape[1]} columns but the centroids were fitted on {self.centroids_.shape[1]}"
             )
-        return np.argmin(_sq_dists(pts, np.sum(pts**2, axis=1), self.centroids_), axis=1)
+        return np.argmin(_sq_dists(pts, np.sum(pts**2, axis=1)[:, None], self.centroids_), axis=1)
 
     def fit_predict(self, x, y=None) -> np.ndarray:
         return self.fit(x).labels_

@@ -287,6 +287,16 @@ class TestStaleArtifacts:
         assert not (workspace / "out" / "metrics.json").exists()
         assert manifest_path.read_bytes() == damage
 
+    @pytest.mark.parametrize("command", ["ingest", "vectorize", "cluster"])
+    def test_malformed_manifest_leaves_the_directory_as_it_was(self, workspace, capsys, command):
+        out = workspace / "out"
+        out.mkdir()
+        (out / "manifest.json").write_bytes(b'{"artifacts": {')
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert run_cli(command, "--config", "config.json") == 3
+        assert "malformed manifest" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_manifest_is_replaced_whole(self, workspace, monkeypatch):
         import os
 

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import subprocess
 import sys
 import textwrap
@@ -156,7 +157,7 @@ class TestKmeans:
         means, step = cluster_mod._means, itertools.count(1)
         monkeypatch.setattr(
             cluster_mod, "_means",
-            lambda x, labels, k, fallback: means(x, labels, k, fallback) + 10.0 * next(step),
+            lambda x, labels, sizes, codes, fallback: means(x, labels, sizes, codes, fallback) + 10.0 * next(step),
         )
         x = np.random.default_rng(15).random((30, 2))
         with pytest.raises(ComputeError, match="objective increased"):
@@ -169,7 +170,9 @@ class TestKmeans:
             from litclust import cluster
             from litclust.errors import ComputeError
             means, step = cluster._means, itertools.count(1)
-            cluster._means = lambda x, labels, k, fallback: means(x, labels, k, fallback) + 10.0 * next(step)
+            cluster._means = lambda x, labels, sizes, codes, fallback: (
+                means(x, labels, sizes, codes, fallback) + 10.0 * next(step)
+            )
             try:
                 cluster.kmeans(np.random.default_rng(15).random((30, 2)), k=3, seed=0)
             except ComputeError as exc:
@@ -224,6 +227,73 @@ def reference_sq_dists(x, x_sq, centers):
     return d2
 
 
+def reference_repair_empty(x, labels, k):
+    """The empty-cluster repair on a copy of the labels, whatever the sizes."""
+    labels = labels.copy()
+    sizes = np.bincount(labels, minlength=k)
+    for empty in np.flatnonzero(sizes == 0):
+        largest = int(np.argmax(sizes))
+        if sizes[largest] <= 1:
+            break
+        members = np.flatnonzero(labels == largest)
+        centroid = x[members].mean(axis=0)
+        farthest = members[int(np.argmax(np.sum((x[members] - centroid) ** 2, axis=1)))]
+        labels[farthest] = empty
+        sizes[largest] -= 1
+        sizes[empty] += 1
+    return labels, sizes
+
+
+def reference_lloyd(x, x_sq, canon, k, rng):
+    """Lloyd's loop before the per-call tables: fancy-indexed gathers, a
+    repair on copied labels, and a last iteration that recomputes the
+    means and the objective of labels that did not change.  Also lists
+    the iterations after the first in which a repair moved a point."""
+    centers = reference_kmeanspp(canon, k, rng)
+    labels = np.full(x.shape[0], -1, dtype=np.int64)
+    trace, repaired_at = [], []
+    for iteration in range(cluster_mod.MAX_ITER):
+        nearest = np.argmin(reference_sq_dists(x, x_sq, centers), axis=1)
+        new_labels, sizes = reference_repair_empty(x, nearest, k)
+        if iteration and not np.array_equal(new_labels, nearest):
+            repaired_at.append(iteration)
+        centers = reference_means(x, new_labels, sizes, centers)
+        sq = x - centers[new_labels]
+        np.square(sq, out=sq)
+        trace.append(float(np.sum(sq)))
+        converged = bool(np.array_equal(new_labels, labels))
+        labels = new_labels
+        if converged:
+            break
+    if np.any(np.diff(trace) > 1e-9 * (1.0 + trace[0])):
+        raise ComputeError("objective increased during Lloyd iterations")
+    variabilities = np.zeros(k)
+    for c in np.flatnonzero(sizes):
+        variabilities[c] = np.sum(sq[labels == c])
+    return {
+        "assignments": labels,
+        "centroids": centers,
+        "variabilities": variabilities,
+        "dissimilarity": float(variabilities.sum()),
+        "iterations": len(trace),
+        "objective_trace": tuple(trace),
+        "empty_clusters": tuple(int(c) for c in np.flatnonzero(sizes == 0)),
+        "repaired_at": tuple(repaired_at),
+    }
+
+
+def reference_kmeans(x, k, seed, restarts):
+    """``kmeans`` on the loops above: the best of ``restarts`` reference runs."""
+    canon = x[np.lexsort(x.T)]
+    x_sq = np.sum(x**2, axis=1)
+    runs = [reference_lloyd(x, x_sq, canon, k, np.random.default_rng([seed, r])) for r in range(restarts)]
+    return {**min(runs, key=lambda run: run["dissimilarity"]), "restarts_used": restarts}
+
+
+CLUSTERING_FIELDS = ("assignments", "centroids", "variabilities", "dissimilarity",
+                     "objective_trace", "iterations", "empty_clusters", "restarts_used")
+
+
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -253,8 +323,9 @@ class TestArrayFormsMatchLoops:
                 labels = rng.permutation(n)
             sizes = np.bincount(labels, minlength=k)
             fallback = rng.normal(size=(k, n_dims))
+            codes = np.arange(k * n_dims).reshape(k, n_dims)
             expected = reference_means(x, labels, sizes, fallback)
-            got = cluster_mod._means(x, labels, sizes, fallback)
+            got = cluster_mod._means(x, labels, sizes, codes, fallback)
             assert np.array_equal(got, expected)
             assert same_bits(got, expected)
 
@@ -338,18 +409,31 @@ class TestArrayFormsMatchLoops:
         assert np.array_equal(cluster_mod._canonical_order(x), np.lexsort(x.T))
 
     def test_distances_use_the_point_norms(self, monkeypatch):
-        # The norms are computed once per call; a row constant does not
-        # move the argmin, so only their bits show a wrong expression.
+        # The norms are computed once per call, as a table of one column
+        # per center; a row constant does not move the argmin, so only
+        # their bits show a wrong expression.
         x = np.random.default_rng(16).normal(size=(40, 3))
         sq_dists, seen = cluster_mod._sq_dists, []
 
-        def checked(pts, pts_sq, centers):
-            seen.append(same_bits(pts_sq, np.sum(pts**2, axis=1)))
-            return sq_dists(pts, pts_sq, centers)
+        def checked(pts, norms, centers):
+            table = np.repeat(np.sum(pts**2, axis=1)[:, None], len(centers), axis=1)
+            seen.append((id(norms), same_bits(norms, table)))
+            return sq_dists(pts, norms, centers)
 
         monkeypatch.setattr(cluster_mod, "_sq_dists", checked)
         kmeans(x, k=4, seed=0, restarts=2)
-        assert seen and all(seen)
+        assert seen and all(ok for _, ok in seen)
+        assert len({table for table, _ in seen}) == 1
+
+    def test_distances_equal_the_three_term_form(self):
+        rng = np.random.default_rng(19)
+        for n, n_dims, k in [(1, 1, 1), (40, 3, 4), (300, 8, 20), (200, 20, 7)]:
+            x, centers = rng.normal(size=(n, n_dims)), rng.normal(size=(k, n_dims))
+            x_sq = np.sum(x**2, axis=1)
+            expected = reference_sq_dists(x, x_sq, centers)
+            table = np.repeat(x_sq[:, None], k, axis=1)
+            assert same_bits(cluster_mod._sq_dists(x, table, centers), expected)
+            assert same_bits(cluster_mod._sq_dists(x, x_sq[:, None], centers), expected)
 
     @pytest.mark.parametrize(
         "n,n_dims,k,restarts,kind",
@@ -361,26 +445,70 @@ class TestArrayFormsMatchLoops:
             (60, 4, 12, 2, "duplicates"),
             # The shape of one sweep_k row: 8 dimensions, 4 restarts.
             (300, 8, 12, 4, "normal"),
+            # k = 1, and k = n with one column.
+            (40, 3, 1, 2, "normal"),
+            (25, 1, 25, 2, "normal"),
+            # Five copies of each of 12 points and k near n: clusters
+            # empty and are refilled on most iterations.
+            (60, 2, 58, 2, "duplicates"),
+            (60, 1, 40, 2, "duplicates"),
         ],
     )
-    def test_kmeans_equals_a_run_on_the_loops(self, monkeypatch, n, n_dims, k, restarts, kind):
+    def test_kmeans_equals_a_run_on_the_loops(self, n, n_dims, k, restarts, kind):
         x = points(kind, n, n_dims, np.random.default_rng(n))
-        got = kmeans(x, k, seed=7, restarts=restarts)
-        monkeypatch.setattr(cluster_mod, "_means", reference_means)
-        monkeypatch.setattr(cluster_mod, "_kmeanspp", reference_kmeanspp)
-        monkeypatch.setattr(cluster_mod, "_canonical_order", lambda x: np.lexsort(x.T))
-        monkeypatch.setattr(cluster_mod, "_sq_dists", reference_sq_dists)
-        expected = kmeans(x, k, seed=7, restarts=restarts)
-        for field in ("assignments", "centroids", "variabilities", "dissimilarity",
-                      "objective_trace", "iterations", "empty_clusters", "restarts_used"):
-            assert same_bits(getattr(got, field), getattr(expected, field)), field
-        # Each variability as the sum over its members' offsets from their mean.
-        variabilities = np.zeros(k)
-        for c in range(k):
-            members = x[got.assignments == c]
-            if len(members):
-                variabilities[c] = np.sum((members - members.mean(axis=0)) ** 2)
-        assert same_bits(got.variabilities, variabilities)
+        assert_kmeans_equals_the_reference(x, k, seed=7, restarts=restarts)
+
+    @pytest.mark.parametrize("n_dims", [1, 2])
+    def test_kmeans_equals_the_loops_with_a_repair_mid_run(self, n_dims):
+        # Duplicated points at k = 20 of 80: a cluster empties after the
+        # first iteration and is refilled by the repair.
+        x = points("duplicates", 80, n_dims, np.random.default_rng(80))
+        expected = assert_kmeans_equals_the_reference(x, 20, seed=0, restarts=1)
+        assert expected["repaired_at"]
+
+    def test_kmeans_equals_the_loops_at_the_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(cluster_mod, "MAX_ITER", 3)
+        x = np.random.default_rng(21).normal(size=(400, 4))
+        expected = assert_kmeans_equals_the_reference(x, 12, seed=3, restarts=2)
+        # Both runs were cut, so the last labels are no repeat.
+        assert expected["iterations"] == 3
+        assert expected["objective_trace"][-1] < expected["objective_trace"][-2]
+
+
+def assert_kmeans_equals_the_reference(x, k, seed, restarts):
+    """Every ``Clustering`` field of ``kmeans`` has the bits ``reference_kmeans``
+    gives; return the reference's fields."""
+    got = kmeans(x, k, seed=seed, restarts=restarts)
+    expected = reference_kmeans(x, k, seed, restarts)
+    for field in CLUSTERING_FIELDS:
+        assert same_bits(getattr(got, field), expected[field]), field
+    # Each variability as the sum over its members' offsets from their mean.
+    variabilities = np.zeros(k)
+    for c in range(k):
+        members = x[got.assignments == c]
+        if len(members):
+            variabilities[c] = np.sum((members - members.mean(axis=0)) ** 2)
+    assert same_bits(got.variabilities, variabilities)
+    return expected
+
+
+def test_kmeans_logs_each_restart(caplog):
+    # Duplicates at k near n, so the restarts repair empty clusters.
+    x = points("duplicates", 60, 2, np.random.default_rng(60))
+    with caplog.at_level(logging.DEBUG, logger="litclust.cluster"):
+        result = kmeans(x, k=40, seed=7, restarts=3)
+    messages = [r.getMessage() for r in caplog.records if r.name == "litclust.cluster"]
+    assert len(messages) == 3
+    for restart, message in enumerate(messages):
+        assert message.startswith(f"kmeans: restart {restart}, ")
+    best = [m for m in messages if f"{result.iterations} Lloyd iterations" in m
+            and m.endswith(f"objective {result.objective_trace[-1]!r}")]
+    assert best
+    assert any(" 0 empty clusters repaired" not in m for m in messages)
+    # Logging at DEBUG changes no result.
+    again = kmeans(x, k=40, seed=7, restarts=3)
+    for field in CLUSTERING_FIELDS:
+        assert same_bits(getattr(result, field), getattr(again, field)), field
 
 
 class TestEstimator:
