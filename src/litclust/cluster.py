@@ -27,7 +27,12 @@ INIT_CANDIDATES = 3
 
 @dataclass(frozen=True, eq=False)
 class Clustering:
-    """Result of one k-means run (the best restart)."""
+    """Result of one k-means run (the best restart).
+
+    Every one of the ``k`` clusters holds at least one point, so
+    ``empty_clusters`` is always ``()``; it stays until the benchmark
+    stops reading it.
+    """
 
     k: int
     assignments: np.ndarray
@@ -49,11 +54,6 @@ def variability(points) -> float:
         raise EmptyCluster("variability of an empty point set is undefined")
     center = pts.mean(axis=0)
     return float(np.sum((pts - center) ** 2))
-
-
-def dissimilarity(per_cluster_points) -> float:
-    """Sum of the variabilities of a group of clusters."""
-    return float(sum(variability(p) for p in per_cluster_points))
 
 
 def kmeans(vectors, k: int, seed: int = 0, restarts: int = 1) -> Clustering:
@@ -121,9 +121,9 @@ def _lloyd(
 
     ``norms`` and ``codes`` are the per-call tables ``kmeans`` builds.
     The loop stops as soon as the repaired labels repeat, and the objective
-    of that last step is the one before it: equal labels give equal sizes,
-    so ``_means`` would add the same sums and keep the same fallbacks, and
-    the centers, the offsets and the objective would come out the same bits.
+    of that last step is the one before it: equal labels give equal sums
+    and sizes, so the centers, the offsets and the objective would come
+    out the same bits.
     """
     centers = _kmeanspp(canon, k, rng)
     labels = np.full(x.shape[0], -1, dtype=np.int64)
@@ -141,7 +141,7 @@ def _lloyd(
             trace.append(trace[-1])
             break
         labels = new_labels
-        centers = _means(x, labels, sizes, codes, centers)
+        centers = _means(x, labels, sizes, codes)
         # ``take`` gathers whole rows by label; fancy indexing gives the
         # same rows through a slower path.
         sq = x - centers.take(labels, axis=0)
@@ -153,12 +153,11 @@ def _lloyd(
     if np.any(np.diff(trace) > 1e-9 * (1.0 + trace[0])):
         raise ComputeError("objective increased during Lloyd iterations")
 
-    empty = tuple(int(c) for c in np.flatnonzero(sizes == 0))
     # ``sq`` holds each point's squared offsets from its centroid, which
     # ``_means`` made its members' mean bit for bit, so a cluster's rows
     # of it sum to the bits ``variability`` gives for its members.
     variabilities = np.zeros(k)
-    for c in np.flatnonzero(sizes):
+    for c in range(k):
         variabilities[c] = np.sum(sq[labels == c])
     logger.debug(
         "kmeans: restart %d, %d Lloyd iterations, %d empty clusters repaired, objective %r",
@@ -173,7 +172,6 @@ def _lloyd(
         iterations=len(trace),
         restarts_used=1,
         objective_trace=tuple(trace),
-        empty_clusters=empty,
     )
 
 
@@ -286,10 +284,12 @@ def _sq_dists(x: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndarr
 def _repair_empty(x: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Move the farthest point of the largest cluster into each empty one.
 
-    Keeps k fixed.  If the largest cluster has a single member there is
-    nothing left to split and the remaining empties are left flagged.
-    Returns the repaired labels and the cluster sizes they give; with no
-    cluster empty, the labels are returned as given, not copied.
+    Keeps k fixed, and leaves no cluster empty when k <= n, as ``kmeans``
+    requires: with a cluster empty, the other k - 1 hold all n >= k points,
+    so the largest holds at least two and can give one up, after every
+    move too.  Returns the repaired labels and the cluster sizes they give,
+    all positive; with no cluster empty, the labels are returned as given,
+    not copied.
     """
     sizes = np.bincount(labels, minlength=k)
     if sizes.all():
@@ -298,7 +298,9 @@ def _repair_empty(x: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray
     for empty in np.flatnonzero(sizes == 0):
         largest = int(np.argmax(sizes))
         if sizes[largest] <= 1:
-            break
+            raise EmptyCluster(
+                f"cluster {empty} is empty: {len(labels)} points cannot fill k={k} clusters"
+            )
         members = np.flatnonzero(labels == largest)
         centroid = x[members].mean(axis=0)
         farthest = members[int(np.argmax(np.sum((x[members] - centroid) ** 2, axis=1)))]
@@ -308,33 +310,26 @@ def _repair_empty(x: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray
     return labels, sizes
 
 
-def _means(
-    x: np.ndarray, labels: np.ndarray, sizes: np.ndarray, codes: np.ndarray, fallback: np.ndarray
-) -> np.ndarray:
-    """Member means of the clusters of ``labels`` (sizes ``sizes``); an
-    empty cluster keeps its ``fallback`` center.  ``codes`` is the
-    (k, n_dims) table of bincount bins, ``codes[c, j] = c * n_dims + j``.
+def _means(x: np.ndarray, labels: np.ndarray, sizes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Member means of the clusters of ``labels``, whose sizes ``sizes``
+    are all positive.  ``codes`` is the (k, n_dims) table of bincount
+    bins, ``codes[c, j] = c * n_dims + j``.
 
     The sums are added in the order numpy's ``x[labels == c].mean(axis=0)``
     adds them, so the means are bit-identical to it.  numpy adds the rows
     of a block with several columns one after another, as ``bincount``
     does, but sums a single column pairwise, so one column is reduced per
     cluster over the label-sorted points.  Each mean is one division of
-    its sum by its size, whether or not every cluster is filled.
+    its sum by its size.
     """
-    k, n_dims = fallback.shape
+    k, n_dims = codes.shape
     if n_dims == 1:
         runs = np.split(x[np.argsort(labels, kind="stable"), 0], np.cumsum(sizes)[:-1])
         sums = np.array([np.add.reduce(run) for run in runs])[:, None]
     else:
         bins = codes.take(labels, axis=0).ravel()
         sums = np.bincount(bins, weights=x.ravel(), minlength=k * n_dims).reshape(k, n_dims)
-    if sizes.all():
-        return sums / sizes[:, None]
-    centers = fallback.copy()
-    filled = sizes > 0
-    centers[filled] = sums[filled] / sizes[filled, None]
-    return centers
+    return sums / sizes[:, None]
 
 
 class KMeans(BaseEstimator):

@@ -684,6 +684,16 @@ class TestExitCodes:
         (workspace / "bad.json").write_text("{oops", encoding="utf-8")
         assert run_cli("ingest", "--config", "bad.json") == 2
 
+    def test_config_that_is_no_object_exits_2(self, workspace, capsys):
+        (workspace / "bad.json").write_text("[1, 2]", encoding="utf-8")
+        assert run_cli("ingest", "--config", "bad.json", "--corpus", "corpus.jsonl") == 2
+        assert "bad.json: config must be a JSON object" in capsys.readouterr().err
+
+    def test_no_corpus_path_exits_2(self, workspace, capsys):
+        assert run_cli("evaluate", "--out", "fresh") == 2
+        assert "no corpus path given" in capsys.readouterr().err
+        assert not (workspace / "fresh").exists()
+
     def test_unknown_config_key(self, workspace):
         (workspace / "bad.json").write_text('{"bogus_key": 1}', encoding="utf-8")
         assert run_cli("ingest", "--config", "bad.json", "--corpus", "corpus.jsonl") == 2
@@ -799,6 +809,24 @@ class TestExitCodes:
             "--d", "0.1", "--n-dims", "1", "--k", "2", "--allow-out-of-bounds",
         )
         assert code == 3
+
+    def test_assignments_that_miss_documents_exit_3(self, workspace, capsys):
+        ids = [doc.id for doc in load_corpus(workspace / "corpus.jsonl")]
+        (workspace / "part.tsv").write_text("".join(f"{i}\t0\n" for i in ids[2:]), encoding="utf-8")
+        assert run_cli("evaluate", "--config", "config.json", "--assignments", "part.tsv") == 3
+        err = capsys.readouterr().err
+        assert f"part.tsv does not cover document(s) {ids[:2]}" in err
+        assert not (workspace / "out" / "metrics.json").exists()
+
+    def test_export_without_a_staged_report_exits_3(self, workspace, capsys):
+        assert run_cli("export", "--config", "config.json") == 3
+        assert "probe report not found: out/probe_report.json" in capsys.readouterr().err
+
+    def test_malformed_pubmed_xml_exits_3(self, workspace, capsys):
+        (workspace / "bad.xml").write_text("<PubmedArticleSet>\n<PubmedArticle>\n", encoding="utf-8")
+        code = run_cli("ingest", "--corpus", "bad.xml", "--corpus-format", "pubmed_xml", "--out", "fresh")
+        assert code == 3
+        assert "bad.xml: malformed XML at (3, 0)" in capsys.readouterr().err
 
     def test_malformed_assignments_exit_3(self, workspace, capsys):
         (workspace / "bad.tsv").write_text("d0000\t1\nd0001 2\n", encoding="utf-8")

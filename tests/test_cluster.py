@@ -157,7 +157,7 @@ class TestKmeans:
         means, step = cluster_mod._means, itertools.count(1)
         monkeypatch.setattr(
             cluster_mod, "_means",
-            lambda x, labels, sizes, codes, fallback: means(x, labels, sizes, codes, fallback) + 10.0 * next(step),
+            lambda x, labels, sizes, codes: means(x, labels, sizes, codes) + 10.0 * next(step),
         )
         x = np.random.default_rng(15).random((30, 2))
         with pytest.raises(ComputeError, match="objective increased"):
@@ -170,8 +170,8 @@ class TestKmeans:
             from litclust import cluster
             from litclust.errors import ComputeError
             means, step = cluster._means, itertools.count(1)
-            cluster._means = lambda x, labels, sizes, codes, fallback: (
-                means(x, labels, sizes, codes, fallback) + 10.0 * next(step)
+            cluster._means = lambda x, labels, sizes, codes: (
+                means(x, labels, sizes, codes) + 10.0 * next(step)
             )
             try:
                 cluster.kmeans(np.random.default_rng(15).random((30, 2)), k=3, seed=0)
@@ -183,6 +183,29 @@ class TestKmeans:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False objective increased during Lloyd iterations"
+
+    def test_repair_with_fewer_points_than_clusters_raises(self):
+        # kmeans refuses k > n, so only a direct call can ask the repair
+        # to fill more clusters than there are points.
+        x = np.arange(6.0).reshape(3, 2)
+        with pytest.raises(EmptyCluster, match=r"cluster 3 is empty: 3 points cannot fill k=5"):
+            cluster_mod._repair_empty(x, np.array([0, 0, 1]), 5)
+
+    def test_repair_check_survives_python_O(self):
+        script = textwrap.dedent("""
+            import numpy as np
+            from litclust import cluster
+            from litclust.errors import EmptyCluster
+            try:
+                cluster._repair_empty(np.arange(6.0).reshape(3, 2), np.array([0, 0, 1]), 5)
+            except EmptyCluster as exc:
+                print(__debug__, exc)
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=subprocess_env(), timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False cluster 3 is empty: 3 points cannot fill k=5 clusters"
 
 
 def reference_means(x, labels, sizes, fallback):
@@ -314,18 +337,17 @@ class TestArrayFormsMatchLoops:
     @pytest.mark.parametrize("n_dims", [1, 2, 5, 16])
     @pytest.mark.parametrize("kind", ["normal", "duplicates"])
     def test_means_with_empty_clusters(self, n_dims, kind):
+        # The repair leaves no cluster empty, so ``_means`` is only given
+        # filled ones; the test keeps its earlier name.
         rng = np.random.default_rng(n_dims)
         for n, k in [(1, 1), (7, 3), (40, 40), (300, 9), (900, 25)]:
             x = points(kind, n, n_dims, rng)
-            # Labels drawn from fewer clusters than k leave some empty.
-            labels = rng.integers(0, max(1, k - 2), size=len(x))
-            if k == n:
-                labels = rng.permutation(n)
+            # Every cluster takes one point, the rest go anywhere.
+            labels = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)]))
             sizes = np.bincount(labels, minlength=k)
-            fallback = rng.normal(size=(k, n_dims))
             codes = np.arange(k * n_dims).reshape(k, n_dims)
-            expected = reference_means(x, labels, sizes, fallback)
-            got = cluster_mod._means(x, labels, sizes, codes, fallback)
+            expected = reference_means(x, labels, sizes, np.full((k, n_dims), np.nan))
+            got = cluster_mod._means(x, labels, sizes, codes)
             assert np.array_equal(got, expected)
             assert same_bits(got, expected)
 

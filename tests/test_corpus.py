@@ -91,6 +91,19 @@ class TestLoadJsonl:
         with pytest.raises(ParseError, match=f":2: '{field}' must be"):
             load_corpus(p)
 
+    @pytest.mark.parametrize("line,message", [
+        ('["a", "text"]', "record must be an object with an 'id'"),
+        ('"a"', "record must be an object with an 'id'"),
+        ('{"text": "no id"}', "record must be an object with an 'id'"),
+        ('{"id": "", "text": "t"}', "empty document id"),
+        ('{"id": " \\t ", "text": "t"}', "empty document id"),
+    ])
+    def test_record_without_an_id_reports_position(self, tmp_path, line, message):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"id": "a", "text": "ok"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"c\\.jsonl:2: {message}"):
+            load_corpus(p)
+
     def test_integer_id_and_null_text_and_label(self, tmp_path):
         p = tmp_path / "c.jsonl"
         write_jsonl(p, [{"id": 7, "text": "seven", "label": None}, {"id": "b", "text": None}])
@@ -161,6 +174,23 @@ class TestPubmedXml:
         corpus = load_corpus(DATA / "pubmed_two_records.xml", format="pubmed_xml")
         by_id = {d.id: d for d in corpus}
         assert by_id["10000002"].label == "Carcinoma, Ductal, Breast"
+
+    def test_articles_without_pmid_or_abstract_are_skipped(self, tmp_path):
+        p = tmp_path / "c.xml"
+        p.write_text(
+            "<PubmedArticleSet>"
+            "<PubmedArticle><MedlineCitation><PMID>1</PMID><Article><Abstract>"
+            "<AbstractText>kept abstract</AbstractText></Abstract></Article></MedlineCitation></PubmedArticle>"
+            "<PubmedArticle><MedlineCitation><Article><Abstract>"
+            "<AbstractText>no pmid</AbstractText></Abstract></Article></MedlineCitation></PubmedArticle>"
+            "<PubmedArticle><MedlineCitation><PMID>3</PMID><Article>"
+            "<ArticleTitle>No abstract</ArticleTitle></Article></MedlineCitation></PubmedArticle>"
+            "</PubmedArticleSet>",
+            encoding="utf-8",
+        )
+        corpus = load_corpus(p, format="pubmed_xml")
+        assert [(d.id, d.text) for d in corpus] == [("1", "kept abstract")]
+        assert corpus.skipped == 2
 
     def test_unknown_format(self, tmp_path):
         p = tmp_path / "c.bin"
