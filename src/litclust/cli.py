@@ -450,8 +450,7 @@ def cmd_sweep(cfg: PipelineConfig, args) -> dict:
         "combinations": len(rows),
         "executed": executed,
         "skipped": len(rows) - executed,
-        # rows.jsonl holds measured runtimes, so it has no digest.
-        "artifacts": [str(rows_path), *_update_manifest(cfg, out, [report_path, curve_path])],
+        "artifacts": _update_manifest(cfg, out, [rows_path, report_path, curve_path]),
     }
 
 

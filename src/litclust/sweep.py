@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import time
 from collections.abc import Collection
@@ -40,11 +41,16 @@ from litclust.errors import (
 )
 from litclust.evaluate import score_clustering
 
+logger = logging.getLogger(__name__)
+
 # Named baseline preset used as the default configuration everywhere.
 BASELINE_PRESET = {"d": 0.5, "r": 5, "n_dims": 15, "k": 4}
 # Documented range of each tuned parameter.  SweepSpec and the CLI
 # check it unless told not to; library functions accept any value.
 BOUNDS = {"d": (0.1, 1.0), "r": (5, 14), "n": (1, 20), "k": (2, 20)}
+# The fields of a sweep row's key and of its scores.
+_KEY = ("d", "r", "n", "k")
+_SCORES = ("completeness", "homogeneity", "v_measure")
 
 
 def out_of_bounds(param: str, values) -> list:
@@ -110,7 +116,6 @@ class SweepRow:
     completeness: float | None = None
     homogeneity: float | None = None
     v_measure: float | None = None
-    runtime_ms: int | None = None
     skip_reason: str | None = None
 
     @property
@@ -124,14 +129,30 @@ class SweepRow:
     def to_json(self) -> str:
         """An executed row without skip_reason; a skipped one with only its key and reason."""
         rec = asdict(self)
-        scores = ("completeness", "homogeneity", "v_measure", "runtime_ms")
-        for name in ("skip_reason",) if self.ok else scores:
+        for name in ("skip_reason",) if self.ok else _SCORES:
             del rec[name]
         return json.dumps(rec, sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "SweepRow":
-        return cls(**json.loads(line))
+        """The row whose ``to_json`` is ``line``.  Any other line raises
+        ValueError: one whose fields are not the key's plus either the
+        three scores or ``skip_reason``, or whose key holds no number (r,
+        n and k no integer), a score no finite number or the skip reason
+        no string."""
+        rec = json.loads(line)
+        if not isinstance(rec, dict):
+            raise ValueError("not a JSON object")
+        fields = (*_KEY, "skip_reason") if "skip_reason" in rec else (*_KEY, *_SCORES)
+        unknown = sorted(set(rec) - set(fields))
+        missing = [name for name in fields if name not in rec]
+        if unknown or missing:
+            raise ValueError(f"unknown fields {unknown}, missing fields {missing}")
+        for name, value in rec.items():
+            integer = name in ("r", "n", "k")
+            if not (isinstance(value, str) if name == "skip_reason" else is_number(value, integer)):
+                raise ValueError(f"{name} is {value!r}")
+        return cls(**rec)
 
 
 def derive_seed(*parts) -> int:
@@ -187,7 +208,8 @@ def run_sweep(
     everything, the embedding dimensionality exceeds the matrix rank
     bound, more clusters than documents) become skip rows with a reason
     rather than errors.  Completed rows are appended to
-    ``checkpoint_path`` as they finish and are not recomputed on a rerun.
+    ``checkpoint_path`` as they finish and are not recomputed on a rerun;
+    each row computed is logged at DEBUG with the seconds it took.
     Rows are a pure function of the corpus and the spec, so the
     checkpoint's sidecar ``<checkpoint_path>.fingerprint`` records a
     digest of both (the budget aside), and a checkpoint whose sidecar is
@@ -238,7 +260,8 @@ def run_sweep(
                 row.completeness = report.completeness
                 row.homogeneity = report.homogeneity
                 row.v_measure = report.v_measure
-                row.runtime_ms = int((time.perf_counter() - start) * 1000)
+            seconds = time.perf_counter() - start
+            logger.debug("sweep: row %s %s in %.3f s", row.key, row.skip_reason or "scored", seconds)
             rows.append(row)
             if out is not None:
                 out.write(row.to_json() + "\n")
@@ -370,12 +393,6 @@ def write_v_curve(curve: Sequence[tuple[int, float]], path: str | Path) -> None:
             fh.write(f"{k}\t{v:.6f}\n")
 
 
-def write_rows(rows: Iterable[SweepRow], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(row.to_json() + "\n")
-
-
 def read_rows(path: str | Path) -> list[SweepRow]:
     """Rows of a JSONL file; a line that is not a row raises ParseError."""
     rows = []
@@ -385,6 +402,6 @@ def read_rows(path: str | Path) -> list[SweepRow]:
                 continue
             try:
                 rows.append(SweepRow.from_json(line.decode("utf-8")))
-            except (ValueError, KeyError, TypeError) as exc:
+            except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: not a sweep row ({exc})") from exc
     return rows

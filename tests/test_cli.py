@@ -594,10 +594,34 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", "config.json") == 0
         rows_path = workspace / "out" / "rows.jsonl"
         lines = rows_path.read_text().splitlines(keepends=True)
-        lines[1] = "{not json\n"
-        rows_path.write_text("".join(lines))
-        assert run_cli("sweep", "--config", "config.json") == 3
-        assert "rows.jsonl:2:" in capsys.readouterr().err
+        # Not JSON; no scores; a string score; a row that still carries
+        # the wall-clock field checkpoints held before it was removed.
+        for corrupt, named in [
+            ("{not json", "rows.jsonl:2:"),
+            ('{"d": 0.5, "k": 2, "n": 5, "r": 5}', "missing fields"),
+            (json.dumps({**json.loads(lines[1]), "v_measure": "abc"}), "v_measure is 'abc'"),
+            (json.dumps({**json.loads(lines[1]), "runtime_ms": 12}), "unknown fields ['runtime_ms']"),
+        ]:
+            rows_path.write_text("".join([lines[0], corrupt + "\n", *lines[2:]]))
+            capsys.readouterr()
+            assert run_cli("sweep", "--config", "config.json") == 3, corrupt
+            err = capsys.readouterr().err
+            assert "rows.jsonl:2:" in err and named in err, err
+
+    def test_reruns_into_fresh_directories_are_byte_identical(self, workspace):
+        self.sweep_config(workspace)
+        assert run_cli("sweep", "--config", "config.json") == 0
+        (workspace / "out").rename(workspace / "first")
+        assert run_cli("sweep", "--config", "config.json") == 0
+        first, second = workspace / "first", workspace / "out"
+        names = sorted(p.name for p in second.iterdir())
+        assert names == sorted(p.name for p in first.iterdir())
+        for name in names:
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+        manifest = json.loads((second / "manifest.json").read_text())
+        digest = hashlib.sha256((second / "rows.jsonl").read_bytes()).hexdigest()
+        assert manifest["artifacts"]["rows.jsonl"] == digest
+        assert set(manifest["artifacts"]) == {"rows.jsonl", "report.md", "vk_curve.tsv"}
 
     def test_curve_from_grid_rows_recomputes_nothing(self, workspace, monkeypatch):
         import litclust.lsa

@@ -1,4 +1,5 @@
-import json
+import logging
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +25,6 @@ from litclust.sweep import (
     render_report,
     run_sweep,
     v_curve,
-    write_rows,
     write_v_curve,
 )
 from litclust.vectorize import build_weighted_matrix
@@ -54,11 +54,19 @@ def small_spec(**kwargs):
     return SweepSpec(**defaults)
 
 
-def strip_runtime(rows):
-    return [
-        {k: v for k, v in json.loads(r.to_json()).items() if k != "runtime_ms"}
-        for r in rows
-    ]
+# Checkpoint lines that parse as JSON objects but are not rows: no
+# scores, a string score and a boolean key.
+NOT_ROWS = [
+    b'{"d": 0.5, "k": 2, "n": 5, "r": 5}',
+    b'{"completeness": 0.5, "d": 0.5, "homogeneity": 0.5, "k": 2, "n": 5, "r": 5, "v_measure": "abc"}',
+    b'{"completeness": 0.5, "d": 0.5, "homogeneity": 0.5, "k": true, "n": 5, "r": 5, "v_measure": 0.5}',
+]
+# An executed row as checkpoints carried it before rows lost their
+# measured wall-clock field.
+OLD_FORMAT_ROW = (
+    b'{"completeness": 0.5, "d": 0.5, "homogeneity": 0.5, "k": 2, "n": 5, "r": 5, '
+    b'"runtime_ms": 12, "v_measure": 0.5}'
+)
 
 
 def tiny_corpus():
@@ -217,11 +225,25 @@ class TestRunSweep:
         rows = run_sweep(small_corpus(), small_spec(budget=1))
         assert len(rows) == 1
 
-    def test_rerun_identical_modulo_runtime(self):
+    def test_rerun_identical(self):
         corpus = small_corpus()
         a = run_sweep(corpus, small_spec(budget=6))
         b = run_sweep(corpus, small_spec(budget=6))
-        assert strip_runtime(a) == strip_runtime(b)
+        assert [r.to_json() for r in a] == [r.to_json() for r in b]
+
+    def test_logs_each_row(self, caplog):
+        spec = small_spec(n_values=(5, 200), enforce_bounds=False)
+        with caplog.at_level(logging.DEBUG, logger="litclust.sweep"):
+            rows = run_sweep(small_corpus(), spec)
+        messages = [r.getMessage() for r in caplog.records if r.name == "litclust.sweep"]
+        assert len(messages) == len(rows) == 12
+        for row, message in zip(rows, messages):
+            head = f"sweep: row {row.key} {row.skip_reason or 'scored'} in "
+            assert message.startswith(head), message
+            assert re.fullmatch(r"\d+\.\d{3} s", message[len(head):]), message
+        assert {row.skip_reason for row in rows} == {None, "n_dims_too_large"}
+        # Logging at DEBUG changes no row.
+        assert [r.to_json() for r in run_sweep(small_corpus(), spec)] == [r.to_json() for r in rows]
 
     def test_unlabeled_corpus_rejected(self):
         corpus = make_planted_corpus(docs_per_topic=5)
@@ -251,7 +273,7 @@ class TestRunSweep:
         )
         rows = run_sweep(corpus, spec)
         expected = [standalone_row(corpus, spec, *key) for key in sorted(enumerate_grid(spec))]
-        assert strip_runtime(rows) == strip_runtime(expected)
+        assert [r.to_json() for r in rows] == [r.to_json() for r in expected]
         reasons = {r.skip_reason for r in rows}
         assert reasons == {None, "all_terms_removed", "n_dims_too_large", "k_too_large"}
 
@@ -300,7 +322,7 @@ class TestRunSweep:
         # run must reuse it verbatim instead of recomputing.
         sentinel = SweepRow(
             d=combos[0][0], r=combos[0][1], n=combos[0][2], k=combos[0][3],
-            completeness=0.123, homogeneity=0.456, v_measure=0.789, runtime_ms=1,
+            completeness=0.123, homogeneity=0.456, v_measure=0.789,
         )
         ckpt = tmp_path / "rows.jsonl"
         # A one-row run writes the checkpoint's fingerprint sidecar; its
@@ -316,7 +338,9 @@ class TestRunSweep:
         run_sweep(corpus, spec, checkpoint_path=ckpt)
         assert ckpt.read_text() == before
 
-    @pytest.mark.parametrize("corrupt", [b'{"d": 0.5, "r"', b"\xff\xfe", b'{"r": 5}', b"[1, 2]"])
+    @pytest.mark.parametrize("corrupt", [
+        b'{"d": 0.5, "r"', b"\xff\xfe", b'{"r": 5}', b"[1, 2]", *NOT_ROWS, OLD_FORMAT_ROW,
+    ])
     def test_corrupt_checkpoint_line_raises_parse_error(self, tmp_path, corrupt):
         corpus = small_corpus()
         spec = small_spec(budget=4)
@@ -414,8 +438,8 @@ def test_resume_after_torn_checkpoint_line(uninterrupted, data):
         ckpt.with_name("rows.jsonl.fingerprint").write_bytes(sidecar)
         ckpt.write_bytes(blob[:cut])
         resumed = run_sweep(corpus, spec, checkpoint_path=ckpt)
-        assert strip_runtime(resumed) == strip_runtime(rows)
-        assert strip_runtime(read_rows(ckpt)) == strip_runtime(rows)
+        assert [r.to_json() for r in resumed] == [r.to_json() for r in rows]
+        assert ckpt.read_bytes() == blob
 
 
 @pytest.fixture(scope="module")
@@ -520,7 +544,9 @@ class TestCheckpointFingerprint:
         fingerprint.write_text("left by an earlier run\n", encoding="utf-8")
         rows = run_sweep(corpus, spec, checkpoint_path=ckpt)
         assert fingerprint.read_bytes() == sidecar
-        assert strip_runtime(run_sweep(corpus, spec, checkpoint_path=ckpt)) == strip_runtime(rows)
+        assert [r.to_json() for r in run_sweep(corpus, spec, checkpoint_path=ckpt)] == [
+            r.to_json() for r in rows
+        ]
 
 
 class TestReport:
@@ -612,11 +638,11 @@ def test_v_curve_leaves_out_skipped_k_and_checks_bounds():
 
 def test_rows_roundtrip(tmp_path):
     rows = [
-        SweepRow(d=0.5, r=5, n=3, k=2, completeness=0.5, homogeneity=0.25, v_measure=1 / 3, runtime_ms=7),
+        SweepRow(d=0.5, r=5, n=3, k=2, completeness=0.5, homogeneity=0.25, v_measure=1 / 3),
         SweepRow(d=0.6, r=6, n=4, k=3, skip_reason="k_too_large"),
     ]
     path = tmp_path / "rows.jsonl"
-    write_rows(rows, path)
+    path.write_text("".join(row.to_json() + "\n" for row in rows), encoding="utf-8")
     assert read_rows(path) == rows
 
 
