@@ -87,7 +87,11 @@ class PipelineConfig:
     sweep: dict = field(default_factory=dict)
 
     def config_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
+        """sha256 of every field but ``out``: where a run writes its
+        files does not change what they hold."""
+        settings = asdict(self)
+        del settings["out"]
+        blob = json.dumps(settings, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
     def validate(self) -> "PipelineConfig":

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import logging
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,6 +70,10 @@ class WeightedMatrix:
 def count_matrix(corpus: Corpus) -> TermDocMatrix:
     """Tokenize every document and tally term occurrences.
 
+    Each document is tallied on its own, so besides the result counting
+    holds one code and one count per nonzero and the longest document's
+    tokens: its memory follows the nonzeros, not the tokens.
+
     Vocabulary is sorted lexicographically; the document axis follows
     corpus order (already sorted by id), so the result is independent of
     input record order.  ``Corpus.term_counts`` holds this matrix for a
@@ -77,16 +81,18 @@ def count_matrix(corpus: Corpus) -> TermDocMatrix:
     """
     if len(corpus) == 0:
         raise EmptyCorpus("cannot build a count matrix from an empty corpus")
-    # One pass: each token is interned to a code in order of first
-    # appearance (a missing key takes the next count), and only the codes
-    # are kept, so no document's tokens outlive its turn.
+    # One pass: each document's distinct terms are interned to codes in
+    # order of first appearance (a missing key takes the next count) and
+    # stored with their tallies as that document's column.
     index: defaultdict[str, int] = defaultdict(itertools.count().__next__)
     codes = array("q")
-    lengths = array("q")
+    tallies = array("q")
+    indptr = array("q", [0])
     for doc in corpus:
-        tokens = tokenize(doc).tokens
-        codes.extend(map(index.__getitem__, tokens))
-        lengths.append(len(tokens))
+        tally = Counter(tokenize(doc).tokens)
+        codes.extend(map(index.__getitem__, tally))
+        tallies.extend(tally.values())
+        indptr.append(len(codes))
     by_code = list(index)
     order = sorted(range(len(by_code)), key=by_code.__getitem__)
     vocab = tuple(by_code[c] for c in order)
@@ -95,13 +101,16 @@ def count_matrix(corpus: Corpus) -> TermDocMatrix:
     rank = np.empty(len(vocab), dtype=np.int64)
     rank[order] = np.arange(len(vocab))
 
-    # One entry per token; the CSR constructor sums the duplicates.
-    rows = rank[np.frombuffer(codes, dtype=np.int64)]
-    cols = np.repeat(np.arange(len(corpus)), np.frombuffer(lengths, dtype=np.int64))
-    counts = sparse.csr_array(
-        (np.ones(len(rows), dtype=np.int64), (rows, cols)),
+    # Each document's tallies are its column; converting to CSR lists
+    # each term's documents in order, with no duplicates to sum.
+    counts = sparse.csc_array(
+        (
+            np.frombuffer(tallies, dtype=np.int64),
+            rank[np.frombuffer(codes, dtype=np.int64)],
+            np.frombuffer(indptr, dtype=np.int64),
+        ),
         shape=(len(vocab), len(corpus)),
-    )
+    ).tocsr()
     return TermDocMatrix(terms=vocab, docs=corpus.doc_ids(), counts=counts)
 
 

@@ -163,6 +163,17 @@ class TestStages:
         run_cli("evaluate", "--config", "config.json")
         assert (workspace / "out" / "manifest.json").read_bytes() == first
 
+    def test_chain_into_another_out_writes_identical_files(self, workspace):
+        for out in ("first", "second"):
+            for command in ("vectorize", "embed", "cluster", "evaluate", "probe", "export"):
+                assert run_cli(command, "--config", "config.json", "--out", out) == 0, (out, command)
+        first, second = workspace / "first", workspace / "second"
+        names = sorted(p.name for p in first.iterdir())
+        assert "manifest.json" in names
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
 
 class TestProbeExport:
     def test_probe_writes_report_and_network(self, workspace, capsys):
@@ -994,13 +1005,14 @@ def test_config_hash_and_fields_are_unchanged():
     from litclust.cli import PipelineConfig
 
     # Any change to the field set, a default or the hashed form changes
-    # every manifest's config_hash.
+    # every manifest's config_hash.  ``out`` is not hashed.
     assert PipelineConfig().config_hash() == (
-        "6e346e0fc0b5fa2082e8f62ed87470f180505fb673fe8ed5056c44890549f4d0"
+        "2299426babc81a7603cc228536e2ff2647737ca73b9c1f0080624ef13175b870"
     )
+    assert PipelineConfig(out="elsewhere").config_hash() == PipelineConfig().config_hash()
     cfg = PipelineConfig(corpus="c.jsonl", class_labels=["A"], d=1, allow_out_of_bounds=True,
                          sweep={"budget": 5, "d_values": [0.5]})
-    assert cfg.config_hash() == "4077ef0c52b3dd7611a460d40cb728f942d2d737a77e89ffd5c9040d9aa2f8ce"
+    assert cfg.config_hash() == "988c3035e53da84f6069cee3e674dd62ff868570df40ce5e8ff605582a534a8f"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
+import itertools
 import math
-from collections import Counter
+import tracemalloc
+from array import array
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -41,24 +44,28 @@ def corpus_of(*texts, labels=None):
 
 
 def reference_count_matrix(corpus):
-    """The per-document tally loop that the interned single pass replaced."""
-    streams = [tokenize(doc) for doc in corpus]
-    vocab = sorted({t for s in streams for t in s.tokens})
-    index = {t: i for i, t in enumerate(vocab)}
-    rows, cols, data = [], [], []
-    for j, stream in enumerate(streams):
-        seen = {}
-        for tok in stream.tokens:
-            i = index[tok]
-            seen[i] = seen.get(i, 0) + 1
-        rows.extend(seen.keys())
-        cols.extend([j] * len(seen))
-        data.extend(seen.values())
+    """The per-token pass that per-document tallies replaced: one code
+    per token, one (row, col, 1) entry per token, and the CSR
+    constructor sums the duplicates."""
+    index = defaultdict(itertools.count().__next__)
+    codes = array("q")
+    lengths = array("q")
+    for doc in corpus:
+        tokens = tokenize(doc).tokens
+        codes.extend(map(index.__getitem__, tokens))
+        lengths.append(len(tokens))
+    by_code = list(index)
+    order = sorted(range(len(by_code)), key=by_code.__getitem__)
+    vocab = tuple(by_code[c] for c in order)
+    rank = np.empty(len(vocab), dtype=np.int64)
+    rank[order] = np.arange(len(vocab))
+    rows = rank[np.frombuffer(codes, dtype=np.int64)]
+    cols = np.repeat(np.arange(len(corpus)), np.frombuffer(lengths, dtype=np.int64))
     counts = sparse.csr_array(
-        (np.asarray(data, dtype=np.int64), (rows, cols)),
+        (np.ones(len(rows), dtype=np.int64), (rows, cols)),
         shape=(len(vocab), len(corpus)),
     )
-    return tuple(vocab), counts
+    return TermDocMatrix(terms=vocab, docs=corpus.doc_ids(), counts=counts)
 
 
 def counter_count_matrix(corpus):
@@ -76,19 +83,37 @@ def counter_count_matrix(corpus):
     return tuple(vocab), indptr, indices, data
 
 
-def assert_same_counts(m, terms, counts):
-    assert m.terms == terms
-    assert m.counts.shape == counts.shape
+def assert_same_counts(got, want):
+    """Equal terms, docs and shape, and CSR arrays equal byte for byte in
+    the same dtypes, both in canonical format."""
+    assert got.terms == want.terms
+    assert got.docs == want.docs
+    assert got.counts.shape == want.counts.shape
     for name in ("indptr", "indices", "data"):
-        got, want = getattr(m.counts, name), getattr(counts, name)
-        assert got.dtype == want.dtype, name
-        assert np.array_equal(got, want), name
+        a, b = getattr(got.counts, name), getattr(want.counts, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.counts.has_canonical_format and want.counts.has_canonical_format
 
 
 WORDS = (
     "aa", "bb", "Aa", "AA", "a", "b", "x1", "1x", "42", "gene-1", "Gene-1", "-", "--",
     "-ab", "p53", "tp53", "her2", "HER2", "x_y", "ab_cd", "_", "naïve", "ÉCOLE", "ß", "ǅx",
 )
+# Lowering İ gives i and a combining dot, a separator; ß stays one
+# character and ẞ lowers to it.
+EDGE_WORDS = (*WORDS, "İ", "İİ", "İstanbul", "STRASSE", "straße", "ẞẞ", "x-", "a-b", "__init__", "q")
+SHORT_WORDS = ("a", "Q", "7", "ß", "ẞ", "İ", "İİ", "é", "-", "_", ".", "")
+
+
+def documents(words, separators):
+    """Texts of words, each repeated 1-60 times in a row, joined by one
+    of ``separators``; a text may have no token."""
+    runs = st.lists(st.tuples(st.sampled_from(words), st.integers(1, 60)), max_size=6)
+    return st.builds(
+        lambda runs, sep: sep.join(word for word, times in runs for _ in range(times)),
+        runs, st.sampled_from(separators),
+    )
 
 
 def weighted_from_dense(dense, terms=None, docs=None):
@@ -145,11 +170,11 @@ class TestCountMatrix:
             # Unique words give singleton tokens.
             words = [*words, *(f"solo{case}x{i}" for i in range(int(rng.integers(0, 3))))]
             corpus = random_word_corpus(rng, words, n_docs=int(rng.integers(1, 9)))
-            assert_same_counts(count_matrix(corpus), *reference_count_matrix(corpus))
+            assert_same_counts(count_matrix(corpus), reference_count_matrix(corpus))
 
     def test_equals_reference_on_larger_corpora(self):
         for corpus in (make_zipf_corpus(n_docs=300, seed=2), make_planted_corpus(docs_per_topic=30)):
-            assert_same_counts(count_matrix(corpus), *reference_count_matrix(corpus))
+            assert_same_counts(count_matrix(corpus), reference_count_matrix(corpus))
 
     @settings(max_examples=200, deadline=None)
     @given(texts=st.lists(
@@ -167,19 +192,44 @@ class TestCountMatrix:
         assert m.counts.indices.tolist() == indices
         assert m.counts.data.tolist() == data
 
-    def test_empty_vocabulary_equals_reference(self):
-        corpus = corpus_of("a b c", "...", "x _ -")
+    def test_empty_vocabulary_equals_reference(self, caplog):
+        corpus = corpus_of("a b c", "...", "x _ -", "", "ß ẞ İ İİ ﬁ 7")
+        with caplog.at_level("WARNING", logger="litclust.vectorize"):
+            m = count_matrix(corpus)
+        assert m.shape == (0, 5)
+        assert_same_counts(m, reference_count_matrix(corpus))
+        assert [r.getMessage() for r in caplog.records] == [
+            "corpus produced an empty vocabulary (no tokens of length >= 2)"
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts=st.lists(documents(EDGE_WORDS, " _-\n,"), min_size=1, max_size=8)
+           | st.lists(documents(SHORT_WORDS, " _\n,"), min_size=1, max_size=4))
+    def test_equals_per_token_reference_byte_for_byte(self, texts):
+        corpus = corpus_of(*texts)
         m = count_matrix(corpus)
-        assert m.shape == (0, 3)
-        assert_same_counts(m, *reference_count_matrix(corpus))
+        assert_same_counts(m, reference_count_matrix(corpus))
+        assert m.counts.data.sum() == sum(len(tokenize(doc).tokens) for doc in corpus)
+
+    def test_peak_memory_follows_nonzeros_not_tokens(self):
+        # 999,900 tokens but 300 nonzeros: one int64 per token alone
+        # would take 8 MB.
+        corpus = corpus_of(*[" ".join(["alpha beta gamma"] * 3333)] * 100)
+        tracemalloc.start()
+        try:
+            m = count_matrix(corpus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.counts.nnz == 300 and m.counts.data.sum() == 999_900
+        assert peak < 8_000_000, peak
 
 
 class TestHeldCounts:
     def test_equal_to_count_matrix(self):
         corpus = make_zipf_corpus(n_docs=200, seed=3)
         fresh = count_matrix(corpus)
-        assert_same_counts(corpus.term_counts, fresh.terms, fresh.counts)
-        assert corpus.term_counts.docs == fresh.docs
+        assert_same_counts(corpus.term_counts, fresh)
 
     def test_built_once_per_corpus(self, monkeypatch):
         from litclust.probe import DictionaryEntry, GeneDictionary, count_occurrences
