@@ -87,10 +87,13 @@ class PipelineConfig:
     sweep: dict = field(default_factory=dict)
 
     def config_hash(self) -> str:
-        """sha256 of every field but ``out``: where a run writes its
-        files does not change what they hold."""
+        """sha256 of every field but ``out``, with the sha256 of the
+        corpus and dictionary files in place of their paths (None when
+        no file is named): where a run reads and writes its files does
+        not change what they hold."""
         settings = asdict(self)
         del settings["out"]
+        settings["corpus"], settings["dictionary"] = self.corpus_sha256, self.dictionary_sha256
         blob = json.dumps(settings, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 

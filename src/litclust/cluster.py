@@ -183,22 +183,19 @@ def _kmeanspp(x: np.ndarray, k: int, rng) -> np.ndarray:
     center ("best" = smallest resulting potential).  One candidate is
     the plain k-means++ rule.
 
-    The seeding owns its draw and its summation order, because its centers
-    must stay what ``rng.choice(p=)`` and ``np.sum(..., axis=-1)`` over
-    the points give, draw for draw and bit for bit: a rounding change in
-    one distance can move a later draw, and with it the clustering.
-    ``_draw_candidates`` takes from the rng exactly what ``choice`` takes,
-    without its validation of ``p``.  The distances are summed over a
-    feature-major copy of the points, one long vector per feature, by
-    ``_sum_terms``, which adds each point's features in numpy's order;
-    numpy's own reduction over a 4- to 20-wide axis is the slow step.
+    ``_draw_candidates`` takes from the rng exactly what ``rng.choice(p=)``
+    takes, draw for draw.  The squared distances are summed over a
+    feature-major copy of the points, one long vector per feature, added
+    in feature order: reducing a 4- to 20-wide axis per point is numpy's
+    slow path.  The sums only steer the draws and the best-of-candidates
+    choice, so their rounding matters only at a near-tie.
     """
     n = x.shape[0]
     features = np.ascontiguousarray(x.T)
 
     def sq_dists_to(rows):
         diffs = features[:, None, :] - features[:, rows, None]
-        return _sum_terms(np.square(diffs, out=diffs))
+        return np.add.reduce(np.square(diffs, out=diffs), axis=0)
 
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
@@ -232,37 +229,6 @@ def _draw_candidates(d2: np.ndarray, total: float, rng) -> np.ndarray:
     cdf = np.cumsum(d2 / total)
     cdf /= cdf[-1]
     return cdf.searchsorted(rng.random(INIT_CANDIDATES), side="right")
-
-
-def _sum_terms(terms: np.ndarray) -> np.ndarray:
-    """Sum over the first axis in numpy's pairwise order, elementwise.
-
-    Equals ``np.sum(np.moveaxis(terms, 0, -1), axis=-1)`` bit for bit
-    (the sign of a zero sum aside): numpy adds fewer than 8 terms in
-    sequence, up to 128 in 8 interleaved accumulators that it combines
-    as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` before adding the
-    remainder, and splits more at ``n//2 - (n//2) % 8``.  Reducing a
-    short axis per point is slow in numpy; this adds long vectors.
-    """
-    m = len(terms)
-    if m > 128:
-        half = m // 2 - (m // 2) % 8
-        return _sum_terms(terms[:half]) + _sum_terms(terms[half:])
-    if m < 8:
-        total = terms[0].copy()
-        rest = terms[1:]
-    else:
-        acc = terms[:8].copy()
-        blocks = m - m % 8
-        for i in range(8, blocks, 8):
-            acc += terms[i : i + 8]
-        pairs = acc[0::2] + acc[1::2]
-        quads = pairs[0::2] + pairs[1::2]
-        total = quads[0] + quads[1]
-        rest = terms[blocks:]
-    for term in rest:
-        total += term
-    return total
 
 
 def _sq_dists(x: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndarray:

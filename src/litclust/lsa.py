@@ -72,13 +72,6 @@ def reduce(w: WeightedMatrix, n_dims: int, seed: int = 0) -> EmbeddingMatrix:
     Deterministic for a fixed seed; the sign of each singular vector is
     fixed by making its largest-magnitude coordinate positive.
     """
-    check_positive_int(n_dims, "n_dims")
-    n_terms, n_docs = w.shape
-    bound = min(n_terms, n_docs)
-    if n_dims > bound:
-        raise DimsTooLarge(
-            f"n_dims={n_dims} exceeds min(terms, docs)={bound} for this matrix"
-        )
     _, s, vt = truncated_svd(w.weights, n_dims, seed=seed)
     vectors = vt.T * s  # row j = document j scaled by the singular values
     return EmbeddingMatrix(
@@ -96,11 +89,15 @@ def truncated_svd(
 
     Small problems go through an exact dense SVD; larger ones through
     seeded block Krylov iteration on the smaller side's Gram operator
-    (see the module docstring).
+    (see the module docstring).  ``k`` must be an integer from 1 to
+    ``min(a.shape)``.
     """
+    check_positive_int(k, "k")
     m, n = a.shape
     if k > min(m, n):
-        raise DimsTooLarge(f"k={k} exceeds min(shape)={min(m, n)}")
+        raise DimsTooLarge(
+            f"k={k} dimensions exceed min(shape)={min(m, n)} of this {m} x {n} matrix"
+        )
     if min(m, n) <= DENSE_CUTOFF:
         logger.debug("truncated_svd: dense SVD of a %d x %d matrix", m, n)
         dense = a.toarray() if sparse.issparse(a) else np.asarray(a, dtype=np.float64)

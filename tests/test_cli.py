@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -164,9 +165,18 @@ class TestStages:
         assert (workspace / "out" / "manifest.json").read_bytes() == first
 
     def test_chain_into_another_out_writes_identical_files(self, workspace):
-        for out in ("first", "second"):
+        # The second chain reads copies of the corpus and the dictionary
+        # at other paths.
+        moved = workspace / "moved"
+        moved.mkdir()
+        config = json.loads((workspace / "config.json").read_text())
+        for key, name in (("corpus", "copied.jsonl"), ("dictionary", "copied_dictionary.json")):
+            shutil.copyfile(config[key], moved / name)
+            config[key] = str(moved / name)
+        (moved / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        for out, config_path in (("first", "config.json"), ("second", "moved/config.json")):
             for command in ("vectorize", "embed", "cluster", "evaluate", "probe", "export"):
-                assert run_cli(command, "--config", "config.json", "--out", out) == 0, (out, command)
+                assert run_cli(command, "--config", config_path, "--out", out) == 0, (out, command)
         first, second = workspace / "first", workspace / "second"
         names = sorted(p.name for p in first.iterdir())
         assert "manifest.json" in names
@@ -259,9 +269,9 @@ class TestStaleArtifacts:
             hashed.clear()
             assert run_cli(command, "--config", "config.json") == 0
             assert hashed.count("corpus.jsonl") == 1, command
-            # Only a probe report is made from the dictionary.
-            expected = 1 if command in ("probe", "export") else 0
-            assert hashed.count("dictionary_10.json") == expected, command
+            # The config hash covers the dictionary's contents, so every
+            # command hashes it too, once.
+            assert hashed.count("dictionary_10.json") == 1, command
 
     def test_provenance_records_exactly_the_made_from_keys(self, workspace):
         for command in ("vectorize", "cluster", "probe"):
@@ -1005,14 +1015,15 @@ def test_config_hash_and_fields_are_unchanged():
     from litclust.cli import PipelineConfig
 
     # Any change to the field set, a default or the hashed form changes
-    # every manifest's config_hash.  ``out`` is not hashed.
+    # every manifest's config_hash.  ``out`` is not hashed, and the corpus
+    # and dictionary are hashed by their contents (None here: no such file).
     assert PipelineConfig().config_hash() == (
         "2299426babc81a7603cc228536e2ff2647737ca73b9c1f0080624ef13175b870"
     )
     assert PipelineConfig(out="elsewhere").config_hash() == PipelineConfig().config_hash()
     cfg = PipelineConfig(corpus="c.jsonl", class_labels=["A"], d=1, allow_out_of_bounds=True,
                          sweep={"budget": 5, "d_values": [0.5]})
-    assert cfg.config_hash() == "988c3035e53da84f6069cee3e674dd62ff868570df40ce5e8ff605582a534a8f"
+    assert cfg.config_hash() == "ab335d34d1239fc6af3f6234092485eb13f476e809d89ac57eb95f5baf9b813d"
 
 
 @pytest.mark.parametrize(

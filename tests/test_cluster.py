@@ -218,12 +218,21 @@ def reference_means(x, labels, sizes, fallback):
     return centers
 
 
+def reference_sq_dists_to(x, center):
+    """Squared distances of the rows of ``x`` to ``center``, summed feature
+    by feature in index order."""
+    d2 = (x[:, 0] - center[0]) ** 2
+    for j in range(1, x.shape[1]):
+        d2 = d2 + (x[:, j] - center[j]) ** 2
+    return d2
+
+
 def reference_kmeanspp(x, k, rng):
     """The k-means++ seeding with the per-candidate loop that ``_kmeanspp`` replaced."""
     n = x.shape[0]
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    d2 = np.sum((x - x[chosen[0]]) ** 2, axis=1)
+    d2 = reference_sq_dists_to(x, x[chosen[0]])
     for i in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -231,14 +240,14 @@ def reference_kmeanspp(x, k, rng):
             idx = -1
             best_d2 = None
             for cand in candidates:
-                cand_d2 = np.minimum(d2, np.sum((x - x[cand]) ** 2, axis=1))
+                cand_d2 = np.minimum(d2, reference_sq_dists_to(x, x[cand]))
                 if best_d2 is None or cand_d2.sum() < best_d2.sum():
                     idx, best_d2 = int(cand), cand_d2
             d2 = best_d2
         else:
             used = set(chosen[:i].tolist())
             idx = next(j for j in range(n) if j not in used)
-            d2 = np.minimum(d2, np.sum((x - x[idx]) ** 2, axis=1))
+            d2 = np.minimum(d2, reference_sq_dists_to(x, x[idx]))
         chosen[i] = idx
     return x[chosen].copy()
 
@@ -325,6 +334,10 @@ def same_bits(a, b):
 def points(kind, n, n_dims, rng):
     if kind == "normal":
         return rng.normal(size=(n, n_dims))
+    if kind == "scaled":
+        # Features whose scales span 12 orders of magnitude, so summing
+        # them in any other order rounds differently somewhere.
+        return rng.normal(size=(n, n_dims)) * 10.0 ** rng.uniform(-6, 6, size=n_dims)
     # Duplicates: a few distinct rows repeated, so seeding runs out of
     # mass (the ``total == 0`` branch) and clusters tie.
     distinct = rng.normal(size=(-(-n // 6), n_dims))
@@ -351,10 +364,8 @@ class TestArrayFormsMatchLoops:
             assert np.array_equal(got, expected)
             assert same_bits(got, expected)
 
-    # 7, 8 and 9 straddle the width where numpy's pairwise sum switches
-    # to 8 accumulators, and 130 the width where it splits in two.
     @pytest.mark.parametrize("n_dims", [1, 3, 7, 8, 9, 16, 20, 130])
-    @pytest.mark.parametrize("kind", ["normal", "duplicates"])
+    @pytest.mark.parametrize("kind", ["normal", "duplicates", "scaled"])
     def test_kmeanspp_with_candidate_loop(self, n_dims, kind):
         rng = np.random.default_rng(100 + n_dims)
         for n, k in [(1, 1), (12, 12), (60, 9), (400, 20)]:
@@ -368,16 +379,6 @@ class TestArrayFormsMatchLoops:
                 assert same_bits(got, expected)
                 # The same draws were taken from the stream.
                 assert ours.bit_generator.state == theirs.bit_generator.state
-
-    def test_sum_terms_equals_np_sum_at_every_width(self):
-        rng = np.random.default_rng(17)
-        for width in range(1, 261):
-            # Signed values over many magnitudes, so any other grouping of
-            # the additions rounds differently somewhere.
-            rows = rng.normal(size=(5, 3, width)) * 10.0 ** rng.integers(-6, 7, size=(5, 3, width))
-            for values in (rows, np.square(rows)):
-                got = cluster_mod._sum_terms(np.ascontiguousarray(np.moveaxis(values, -1, 0)))
-                assert same_bits(got, np.sum(values, axis=-1)), width
 
     def test_candidate_draw_equals_choice(self):
         rng = np.random.default_rng(18)
@@ -580,6 +581,15 @@ def test_malformed_assignment_line_names_file_and_line(tmp_path, bad):
     path = tmp_path / "assignments.tsv"
     path.write_bytes(b"doc00\t0\n" + bad + b"\n")
     with pytest.raises(ParseError, match=r"assignments\.tsv:2:"):
+        load_assignments(path)
+
+
+def test_blank_assignment_lines_are_skipped(tmp_path):
+    path = tmp_path / "assignments.tsv"
+    path.write_bytes(b"doc00\t0\n\n\ndoc01\t1\n\n")
+    assert load_assignments(path) == {"doc00": 0, "doc01": 1}
+    path.write_bytes(b"doc00\t0\n\ndoc01\n")
+    with pytest.raises(ParseError, match=r"assignments\.tsv:3:"):
         load_assignments(path)
 
 

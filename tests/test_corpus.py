@@ -104,6 +104,17 @@ class TestLoadJsonl:
         with pytest.raises(ParseError, match=f"c\\.jsonl:2: {message}"):
             load_corpus(p)
 
+    def test_blank_lines_between_records_are_no_records(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text('\n{"id": "a", "text": "alpha"}\n\n  \t\n{"id": "b", "text": "beta"}\n\n', encoding="utf-8")
+        corpus = load_corpus(p)
+        assert [d.id for d in corpus] == ["a", "b"]
+        assert corpus.skipped == 0
+        # Positions still count the blank lines.
+        p.write_text('{"id": "a", "text": "alpha"}\n\n\n{oops\n', encoding="utf-8")
+        with pytest.raises(ParseError, match=r"c\.jsonl:4:"):
+            load_corpus(p)
+
     def test_integer_id_and_null_text_and_label(self, tmp_path):
         p = tmp_path / "c.jsonl"
         write_jsonl(p, [{"id": 7, "text": "seven", "label": None}, {"id": "b", "text": None}])

@@ -9,7 +9,7 @@ from scipy import sparse
 
 import litclust.lsa as lsa_mod
 from litclust.corpus import save_jsonl
-from litclust.errors import ConvergenceFailure, DimsTooLarge
+from litclust.errors import ConfigError, ConvergenceFailure, DimsTooLarge
 from litclust.lsa import (
     EmbeddingMatrix,
     TruncatedLsa,
@@ -134,6 +134,19 @@ def test_seed_determinism_bit_stable():
 def test_dims_too_large():
     with pytest.raises(DimsTooLarge):
         reduce(as_weighted(np.ones((3, 5))), 4)
+
+
+@pytest.mark.parametrize("shape", [(300, 200), (30, 20)], ids=["krylov", "dense"])
+@pytest.mark.parametrize("k", [0, -1, 2.5, True])
+def test_truncated_svd_refuses_k_that_is_no_positive_integer(shape, k):
+    a = sparse.csr_array(random_sparse(*shape, seed=19))
+    with pytest.raises(ConfigError, match="k must be"):
+        truncated_svd(a, k)
+
+
+def test_truncated_svd_refuses_k_above_the_smaller_side():
+    with pytest.raises(DimsTooLarge, match=r"k=21 dimensions exceed min\(shape\)=20 of this 30 x 20 matrix"):
+        truncated_svd(random_sparse(30, 20, seed=19), 21)
 
 
 def test_basis_column_cap_raises_convergence_failure(monkeypatch):

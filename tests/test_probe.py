@@ -95,6 +95,20 @@ class TestDictionary:
         assert len(d) == 1
         assert d.entries[0].description == "first"
 
+    def test_empty_symbol_dropped_with_warning(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="litclust.probe"):
+            d = dictionary_of(("  ", ("orphan",), ""), ("TP53", (), ""))
+        assert [e.symbol for e in d.entries] == ["tp53"]
+        assert "orphan" not in d.token_keys()
+        assert [rec.message for rec in caplog.records] == ["dropping dictionary entry with empty symbol"]
+
+    def test_empty_alias_and_alias_equal_to_symbol_dropped_silently(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="litclust.probe"):
+            d = dictionary_of(("BRCA1", ("", "  ", "BRCA1", " brca1 ", "brca-1"), ""))
+        assert d.entries[0].aliases == ("brca-1",)
+        assert d.token_keys() == {"brca1": "brca1", "brca-1": "brca1"}
+        assert caplog.records == []
+
     def test_short_aliases_excluded_from_matching(self):
         d = dictionary_of(("ESR1", ("ER", "ESRA"), ""))
         keys = d.token_keys()
@@ -176,6 +190,29 @@ class TestDictionary:
         d = GeneDictionary(entries)
         assert "her2" in d.token_keys()
         assert d.description_phrases()["tp53"] == "tumor protein p53"
+
+    @pytest.mark.parametrize("payload", [
+        b"{not json",
+        b'{"header": {}}',
+        b'{"result": {}}',
+        b'{"result": 5}',
+        b'{"result": []}',
+    ])
+    def test_unparseable_gene_summary_payload_raises_parse_error(self, payload):
+        with pytest.raises(ParseError, match="unparseable gene summary payload"):
+            parse_gene_summaries(payload)
+
+    def test_gene_summary_uid_without_a_name_is_skipped(self):
+        payload = {
+            "result": {
+                "uids": ["1", "2", "3", "4"],
+                "1": {"name": "TP53", "otheraliases": "p53, , LFS1", "description": "tumor protein p53"},
+                "2": {"name": "  ", "otheraliases": "blank"},
+                "3": {"description": "no name"},
+            }
+        }
+        (entry,) = parse_gene_summaries(json.dumps(payload).encode())
+        assert entry == DictionaryEntry("TP53", ("p53", "LFS1"), "tumor protein p53")
 
 
 def reference_gene_counts(corpus, assignments, dictionary):

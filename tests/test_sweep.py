@@ -646,6 +646,19 @@ def test_rows_roundtrip(tmp_path):
     assert read_rows(path) == rows
 
 
+def test_blank_checkpoint_lines_are_skipped(tmp_path):
+    rows = [
+        SweepRow(d=0.5, r=5, n=3, k=2, completeness=0.5, homogeneity=0.25, v_measure=1 / 3),
+        SweepRow(d=0.6, r=6, n=4, k=3, skip_reason="k_too_large"),
+    ]
+    path = tmp_path / "rows.jsonl"
+    path.write_text("\n" + rows[0].to_json() + "\n\n \t\n" + rows[1].to_json() + "\n\n", encoding="utf-8")
+    assert read_rows(path) == rows
+    path.write_text(rows[0].to_json() + "\n\n{}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"rows\.jsonl:3: not a sweep row"):
+        read_rows(path)
+
+
 def test_derive_seed_stable_and_distinct():
     assert derive_seed(0, "lsa", 0.5, 5, 15) == derive_seed(0, "lsa", 0.5, 5, 15)
     assert derive_seed(0, "lsa", 0.5, 5, 15) != derive_seed(1, "lsa", 0.5, 5, 15)
