@@ -45,7 +45,7 @@ CHOICES = {
     "probe_mode": ("gene", "molecular"),
     "network_format": _probe.EXPORT_FORMATS,
 }
-MINIMUM = {"restarts": 1, "probe_top": 1}
+MINIMUM = {"r": 1, "n_dims": 1, "k": 1, "restarts": 1, "probe_top": 1}
 
 # What each staged artifact is made from: the keys of the record that
 # the command writing it puts in the manifest's ``provenance``, and that
@@ -112,6 +112,8 @@ class PipelineConfig:
                 )
             if f.name in MINIMUM and value < MINIMUM[f.name]:
                 raise ConfigError(f"config key {f.name!r} must be >= {MINIMUM[f.name]}, got {value}")
+        # 1 and 1.0 are one d: stored as a float, they hash and record alike.
+        self.d = float(self.d)
         if not self.allow_out_of_bounds:
             for name, param in (("d", "d"), ("r", "r"), ("n_dims", "n"), ("k", "k")):
                 value = getattr(self, name)
@@ -138,14 +140,10 @@ class PipelineConfig:
         spec.validate()
         return spec
 
-    def made_from(self, key: str):
-        """This config's value of a ``MADE_FROM`` key, d as a float.  The
-        corpus and dictionary digests are taken on first use, so a command
-        hashes each file at most once, and only when it records or reads an
-        artifact made from it; they are None when the config names no
-        such file."""
-        return float(self.d) if key == "d" else getattr(self, key)
-
+    # The corpus and dictionary digests are taken on first use, so a
+    # command hashes each file at most once, and only when it records or
+    # reads an artifact made from it; they are None when the config names
+    # no such file.
     corpus_sha256 = functools.cached_property(lambda self: _file_sha256(self.corpus))
     dictionary_sha256 = functools.cached_property(lambda self: _file_sha256(self.dictionary))
 
@@ -250,7 +248,7 @@ def _update_manifest(cfg: PipelineConfig, out_dir: Path, artifacts: list[Path]) 
     for path in artifacts:
         digests[path.name] = _sha256(path)
         if path.name in MADE_FROM:
-            provenance[path.name] = {key: cfg.made_from(key) for key in MADE_FROM[path.name]}
+            provenance[path.name] = {key: getattr(cfg, key) for key in MADE_FROM[path.name]}
     manifest["artifacts"] = dict(sorted(digests.items()))
     if provenance:
         manifest["provenance"] = provenance
@@ -297,7 +295,7 @@ def _vouched(path: Path, cfg: PipelineConfig) -> bool:
     recorded = manifest.get("provenance", {}).get(path.name)
     if recorded is None:
         return False
-    values = {key: cfg.made_from(key) for key in sorted(MADE_FROM[path.name])}
+    values = {key: getattr(cfg, key) for key in sorted(MADE_FROM[path.name])}
     differ = [key for key, value in values.items() if value is not None and recorded.get(key) != value]
     if differ:
         made = ", ".join(f"{key}={recorded.get(key)!r}" for key in differ)
@@ -440,7 +438,7 @@ def cmd_sweep(cfg: PipelineConfig, args) -> dict:
     # K values, from the grid's rows where it holds them (a row depends
     # only on its key, the seed and the restarts); K that did not run are
     # left out.
-    point = (float(cfg.d), cfg.r, cfg.n_dims)
+    point = (cfg.d, cfg.r, cfg.n_dims)
     at_point = {row.k: row for row in rows if row.key[:3] == point}
     missing = tuple(k for k in spec.k_values if k not in at_point)
     if missing:

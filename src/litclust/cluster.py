@@ -153,9 +153,9 @@ def _lloyd(
     if np.any(np.diff(trace) > 1e-9 * (1.0 + trace[0])):
         raise ComputeError("objective increased during Lloyd iterations")
 
-    # ``sq`` holds each point's squared offsets from its centroid, which
-    # ``_means`` made its members' mean bit for bit, so a cluster's rows
-    # of it sum to the bits ``variability`` gives for its members.
+    # ``sq`` holds each point's squared offsets from its centroid, the
+    # mean ``_means`` took of its members, so a cluster's rows of it sum
+    # to the cluster's variability.
     variabilities = np.zeros(k)
     for c in range(k):
         variabilities[c] = np.sum(sq[labels == c])
@@ -281,20 +281,12 @@ def _means(x: np.ndarray, labels: np.ndarray, sizes: np.ndarray, codes: np.ndarr
     are all positive.  ``codes`` is the (k, n_dims) table of bincount
     bins, ``codes[c, j] = c * n_dims + j``.
 
-    The sums are added in the order numpy's ``x[labels == c].mean(axis=0)``
-    adds them, so the means are bit-identical to it.  numpy adds the rows
-    of a block with several columns one after another, as ``bincount``
-    does, but sums a single column pairwise, so one column is reduced per
-    cluster over the label-sorted points.  Each mean is one division of
-    its sum by its size.
+    One ``bincount`` adds each cluster's coordinates over its members in
+    point order, at every width, and each mean is one division of its
+    sum by its size.
     """
-    k, n_dims = codes.shape
-    if n_dims == 1:
-        runs = np.split(x[np.argsort(labels, kind="stable"), 0], np.cumsum(sizes)[:-1])
-        sums = np.array([np.add.reduce(run) for run in runs])[:, None]
-    else:
-        bins = codes.take(labels, axis=0).ravel()
-        sums = np.bincount(bins, weights=x.ravel(), minlength=k * n_dims).reshape(k, n_dims)
+    bins = codes.take(labels, axis=0).ravel()
+    sums = np.bincount(bins, weights=x.ravel(), minlength=codes.size).reshape(codes.shape)
     return sums / sizes[:, None]
 
 

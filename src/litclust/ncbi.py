@@ -86,10 +86,12 @@ class NcbiClient:
             {"db": db, "term": query, "retmax": str(max_records), "retmode": "json"},
         )
         try:
-            result = json.loads(raw)["esearchresult"]
-            return list(result.get("idlist", []))
-        except (json.JSONDecodeError, KeyError) as exc:
+            ids = json.loads(raw)["esearchresult"].get("idlist", [])
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise NetworkError(f"unparseable esearch response: {exc}") from exc
+        if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+            raise NetworkError(f"unparseable esearch response: 'idlist' is {ids!r}, not a list of strings")
+        return ids
 
     def efetch(self, db: str, ids: list[str], rettype: str, retmode: str) -> bytes:
         return self._get(

@@ -150,7 +150,9 @@ def parse_gene_summaries(payload: bytes) -> list[DictionaryEntry]:
     """Dictionary entries from an NCBI gene esummary JSON payload.
 
     Uses the summary fields name (symbol), otheraliases (comma list),
-    and description.
+    and description, each a string when present.  A uid whose record is
+    missing or has no name is skipped; a record of another shape raises
+    ParseError naming the uid and the field.
     """
     try:
         doc = json.loads(payload)
@@ -158,22 +160,22 @@ def parse_gene_summaries(payload: bytes) -> list[DictionaryEntry]:
         uids = result["uids"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ParseError(f"unparseable gene summary payload: {exc}") from exc
+    if not isinstance(uids, list):
+        raise ParseError("unparseable gene summary payload: 'uids' must be a list")
     entries = []
     for uid in uids:
         rec = result.get(str(uid), {})
-        symbol = rec.get("name", "").strip()
+        if not isinstance(rec, dict):
+            raise ParseError(f"gene summary uid {uid!r}: the record must be an object")
+        fields = {field: rec.get(field, "") for field in ("name", "otheraliases", "description")}
+        for field, value in fields.items():
+            if not isinstance(value, str):
+                raise ParseError(f"gene summary uid {uid!r}: {field!r} must be a string")
+        symbol = fields["name"].strip()
         if not symbol:
             continue
-        aliases = tuple(
-            a.strip() for a in rec.get("otheraliases", "").split(",") if a.strip()
-        )
-        entries.append(
-            DictionaryEntry(
-                symbol=symbol,
-                aliases=aliases,
-                description=rec.get("description", ""),
-            )
-        )
+        aliases = tuple(a.strip() for a in fields["otheraliases"].split(",") if a.strip())
+        entries.append(DictionaryEntry(symbol=symbol, aliases=aliases, description=fields["description"]))
     return entries
 
 

@@ -19,6 +19,7 @@ import json
 import logging
 import math
 import time
+from collections import Counter
 from collections.abc import Collection
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -43,7 +44,9 @@ from litclust.evaluate import score_clustering
 
 logger = logging.getLogger(__name__)
 
-# Named baseline preset used as the default configuration everywhere.
+# The paper's baseline configuration: the point ``v_curve`` draws its
+# V-vs-K curve at by default.  ``cli.PipelineConfig`` repeats it as its
+# defaults.
 BASELINE_PRESET = {"d": 0.5, "r": 5, "n_dims": 15, "k": 4}
 # Documented range of each tuned parameter.  SweepSpec and the CLI
 # check it unless told not to; library functions accept any value.
@@ -74,8 +77,10 @@ class SweepSpec:
 
     def validate(self) -> None:
         """Check every value's type (a bool is no number, a string no
-        sequence), that the grid and the budget select a combination, and
-        the documented ranges unless ``enforce_bounds`` is off."""
+        sequence), that r, n and k are at least 1 and no axis repeats a
+        value (d compared as a float), that the grid and the budget select
+        a combination, and the documented ranges unless ``enforce_bounds``
+        is off."""
         grid = {"d": self.d_values, "r": self.r_values, "n": self.n_values, "k": self.k_values}
         for param, values in grid.items():
             integer = param != "d"
@@ -86,6 +91,12 @@ class SweepSpec:
                 raise ConfigError(f"{param}_values must be a sequence of {kinds}, got {values!r}")
             if len(values) == 0:
                 raise EmptySpec(f"{param}_values is empty")
+            if integer and min(values) < 1:
+                raise ConfigError(f"{param}_values must be integers >= 1, got {min(values)}")
+            # 1 == 1.0 and they hash alike, so d is compared as a float.
+            repeated = [value for value, count in Counter(values).items() if count > 1]
+            if repeated:
+                raise ConfigError(f"{param}_values repeats {repeated}")
         if self.budget is not None and not is_number(self.budget, integer=True):
             raise ConfigError(f"budget must be an integer or None, got {self.budget!r}")
         if self.budget is not None and self.budget < 1:

@@ -553,6 +553,26 @@ class TestSweepCommand:
         assert "--top" in capsys.readouterr().err
         assert not (workspace / "fresh").exists()
 
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ({"n_values": [0, 2]}, "n_values must be integers >= 1, got 0"),
+            ({"r_values": [0]}, "r_values must be integers >= 1, got 0"),
+            ({"k_values": [-1, 2]}, "k_values must be integers >= 1, got -1"),
+            ({"d_values": [1, 1.0], "k_values": [2, 3]}, "d_values repeats [1]"),
+            ({"k_values": [2, 3, 3]}, "k_values repeats [3]"),
+        ],
+        ids=["n0", "r0", "k-1", "d1-d1.0", "k3-k3"],
+    )
+    def test_values_that_cannot_run_or_repeat_exit_2_before_writing(self, workspace, capsys, grid, message):
+        self.sweep_config(workspace, **grid)
+        assert run_cli("sweep", "--config", "config.json", "--allow-out-of-bounds") == 2
+        assert message in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+        # Nothing was checkpointed, so the corrected sweep runs into the same directory.
+        self.sweep_config(workspace)
+        assert run_cli("sweep", "--config", "config.json", "--allow-out-of-bounds") == 0
+
     def test_budget_extension_reuses_checkpoint(self, workspace):
         self.sweep_config(workspace, budget=2)
         assert run_cli("sweep", "--config", "config.json") == 0
@@ -925,6 +945,18 @@ class TestExitCodes:
         )
         assert code == allowed_code
 
+    @pytest.mark.parametrize("flag", ["--r", "--n-dims", "--k"])
+    def test_value_below_one_exits_2_before_reading_input(self, workspace, capsys, monkeypatch, flag):
+        import litclust.cli
+
+        calls = {}
+        count_calls(monkeypatch, litclust.cli, "load_corpus", calls)
+        argv = ("cluster", "--config", "config.json", flag, "0", "--out", "fresh", "--allow-out-of-bounds")
+        assert run_cli(*argv) == 2
+        assert "must be >= 1, got 0" in capsys.readouterr().err
+        assert calls == {}
+        assert not (workspace / "fresh").exists()
+
     @pytest.mark.parametrize(
         "argv,code",
         [
@@ -1001,7 +1033,7 @@ def test_integer_d_is_the_float_d_and_the_sweep_row(workspace):
         (workspace / f"{name}.json").write_text(json.dumps({**config, "d": d, "out": name}))
         for command in ("embed", "cluster", "evaluate"):
             assert run_cli(command, "--config", f"{name}.json") == 0
-    for artifact in ("embedding.tsv", "assignments.tsv", "cluster_run.json", "metrics.json"):
+    for artifact in ("embedding.tsv", "assignments.tsv", "cluster_run.json", "metrics.json", "manifest.json"):
         assert (workspace / "int" / artifact).read_bytes() == (workspace / "float" / artifact).read_bytes()
     spec = SweepSpec(d_values=(1.0,), r_values=(5,), n_values=(15,), k_values=(4,), seed=3, restarts=3)
     row, = run_sweep(load_corpus(workspace / "corpus.jsonl"), spec)

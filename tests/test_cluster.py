@@ -208,13 +208,22 @@ class TestKmeans:
         assert proc.stdout.strip() == "False cluster 3 is empty: 3 points cannot fill k=5 clusters"
 
 
+def reference_mean(members):
+    """The mean of the rows of ``members``: the rows added one by one in
+    point order, divided by their count."""
+    total = np.zeros(members.shape[1])
+    for i in range(len(members)):
+        total = total + members[i]
+    return total / len(members)
+
+
 def reference_means(x, labels, sizes, fallback):
-    """The per-cluster masked-mean loop that ``_means`` replaced."""
+    """The per-cluster loop that ``_means`` replaced, on ``reference_mean``."""
     centers = fallback.copy()
     for c in range(len(sizes)):
         members = x[labels == c]
         if len(members):
-            centers[c] = members.mean(axis=0)
+            centers[c] = reference_mean(members)
     return centers
 
 
@@ -349,9 +358,9 @@ class TestArrayFormsMatchLoops:
 
     @pytest.mark.parametrize("n_dims", [1, 2, 5, 16])
     @pytest.mark.parametrize("kind", ["normal", "duplicates"])
-    def test_means_with_empty_clusters(self, n_dims, kind):
+    def test_means_of_filled_clusters(self, n_dims, kind):
         # The repair leaves no cluster empty, so ``_means`` is only given
-        # filled ones; the test keeps its earlier name.
+        # filled ones.
         rng = np.random.default_rng(n_dims)
         for n, k in [(1, 1), (7, 3), (40, 40), (300, 9), (900, 25)]:
             x = points(kind, n, n_dims, rng)
@@ -510,7 +519,7 @@ def assert_kmeans_equals_the_reference(x, k, seed, restarts):
     for c in range(k):
         members = x[got.assignments == c]
         if len(members):
-            variabilities[c] = np.sum((members - members.mean(axis=0)) ** 2)
+            variabilities[c] = np.sum((members - reference_mean(members)) ** 2)
     assert same_bits(got.variabilities, variabilities)
     return expected
 

@@ -1,6 +1,8 @@
+import io
 import json
 import os
 import threading
+import urllib.error
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
@@ -204,3 +206,122 @@ def test_env_endpoint_override(monkeypatch):
     monkeypatch.setenv("NCBI_EUTILS_ENDPOINT", "http://replay.example/eutils/")
     client = NcbiClient()
     assert client.endpoint == "http://replay.example/eutils"
+
+
+class _Replay:
+    """Stands in for ``urlopen`` and the clock: each request takes
+    ``request_s`` on the fake clock and gets the next of ``replies``, a
+    body or an exception to raise; ``sleep`` advances the clock."""
+
+    def __init__(self, monkeypatch, replies, request_s=0.0):
+        import litclust.ncbi as ncbi_mod
+
+        self.now = 100.0
+        self.request_s = request_s
+        self.replies = list(replies)
+        self.urls, self.started, self.slept = [], [], []
+        monkeypatch.setattr(ncbi_mod.time, "monotonic", lambda: self.now)
+        monkeypatch.setattr(ncbi_mod.time, "sleep", self.sleep)
+        monkeypatch.setattr(ncbi_mod.urllib.request, "urlopen", self.urlopen)
+
+    def sleep(self, seconds):
+        self.slept.append(seconds)
+        self.now += seconds
+
+    def urlopen(self, url, timeout):
+        self.urls.append(url)
+        self.started.append(self.now)
+        self.now += self.request_s
+        reply = self.replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return io.BytesIO(reply)
+
+
+def _esearch_body(ids):
+    return json.dumps({"esearchresult": {"idlist": ids}}).encode()
+
+
+def test_throttle_spaces_requests_by_the_rate(monkeypatch):
+    replay = _Replay(monkeypatch, [_esearch_body(["1"])] * 4, request_s=0.1)
+    client = NcbiClient(endpoint="http://replay.invalid", requests_per_second=2)
+    for _ in range(3):
+        assert client.esearch("pubmed", "q", 1) == ["1"]
+    # The first request waits for nothing; each later one starts 0.5 s
+    # after the one before.
+    assert replay.started == pytest.approx([100.0, 100.5, 101.0])
+    assert replay.slept == pytest.approx([0.4, 0.4])
+    # A request made after a longer pause than the interval does not wait.
+    replay.now += 2.0
+    client.esearch("pubmed", "q", 1)
+    assert replay.slept == pytest.approx([0.4, 0.4])
+
+
+def test_url_error_is_retried_with_backoff_then_raises_network_error(monkeypatch):
+    refused = urllib.error.URLError("connection refused")
+    replay = _Replay(monkeypatch, [refused] * 3)
+    client = NcbiClient(endpoint="http://replay.invalid", requests_per_second=0, max_attempts=3)
+    with pytest.raises(NetworkError, match="esearch.fcgi: connection refused"):
+        client.esearch("pubmed", "q", 1)
+    assert len(replay.urls) == 3
+    assert replay.slept == [1.0, 2.0]
+
+
+def test_url_error_then_success(monkeypatch):
+    replay = _Replay(monkeypatch, [urllib.error.URLError("reset"), _esearch_body(["7"])])
+    client = NcbiClient(endpoint="http://replay.invalid", requests_per_second=0, max_attempts=3)
+    assert client.esearch("pubmed", "q", 1) == ["7"]
+    assert replay.slept == [1.0]
+
+
+@pytest.mark.parametrize("status", [400, 404, 500, 503])
+def test_http_status_other_than_429_fails_after_one_attempt(monkeypatch, status):
+    error = urllib.error.HTTPError("http://replay.invalid", status, "failed", None, None)
+    replay = _Replay(monkeypatch, [error] * 4)
+    client = NcbiClient(endpoint="http://replay.invalid", requests_per_second=0, max_attempts=4)
+    with pytest.raises(NetworkError, match=f"esearch.fcgi: HTTP {status}") as raised:
+        client.esearch("pubmed", "q", 1)
+    assert not isinstance(raised.value, RateLimited)
+    assert len(replay.urls) == 1
+    assert replay.slept == []
+
+
+@pytest.mark.parametrize("from_env", [False, True], ids=["argument", "environment"])
+def test_api_key_is_sent_on_every_request(monkeypatch, from_env):
+    replay = _Replay(monkeypatch, [_esearch_body(["672", "675"]), GENE_PAYLOAD])
+    if from_env:
+        monkeypatch.setenv("NCBI_API_KEY", "s3cret")
+        client = NcbiClient(endpoint="http://replay.invalid", requests_per_second=0)
+    else:
+        monkeypatch.delenv("NCBI_API_KEY", raising=False)
+        client = NcbiClient(endpoint="http://replay.invalid", api_key="s3cret", requests_per_second=0)
+    assert client.fetch("brca", db="gene", max_records=2) == GENE_PAYLOAD
+    assert [urlparse(url).path for url in replay.urls] == ["/esearch.fcgi", "/esummary.fcgi"]
+    assert all(parse_qs(urlparse(url).query)["api_key"] == ["s3cret"] for url in replay.urls)
+
+
+def test_no_api_key_is_sent_without_one(monkeypatch):
+    monkeypatch.delenv("NCBI_API_KEY", raising=False)
+    replay = _Replay(monkeypatch, [_esearch_body(["1"])])
+    NcbiClient(endpoint="http://replay.invalid", requests_per_second=0).esearch("pubmed", "q", 1)
+    assert "api_key" not in parse_qs(urlparse(replay.urls[0]).query)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"{not json",
+        b"\xff\xfe\xfa",
+        b'{"header": {}}',
+        b"[1, 2]",
+        b'{"esearchresult": 5}',
+        b'{"esearchresult": {"idlist": "672"}}',
+        b'{"esearchresult": {"idlist": [672]}}',
+    ],
+    ids=["not-json", "not-utf8", "no-result", "list", "result-number", "idlist-string", "idlist-numbers"],
+)
+def test_unparseable_esearch_body_is_network_error(monkeypatch, body):
+    _Replay(monkeypatch, [body])
+    client = NcbiClient(endpoint="http://replay.invalid", requests_per_second=0)
+    with pytest.raises(NetworkError, match="unparseable esearch response"):
+        client.fetch("q", db="pubmed", max_records=1)

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -201,6 +202,19 @@ class TestDictionary:
     def test_unparseable_gene_summary_payload_raises_parse_error(self, payload):
         with pytest.raises(ParseError, match="unparseable gene summary payload"):
             parse_gene_summaries(payload)
+
+    @pytest.mark.parametrize("result,message", [
+        ({"uids": 7}, "'uids' must be a list"),
+        ({"uids": ["1"], "1": 5}, "uid '1': the record must be an object"),
+        ({"uids": ["1"], "1": {"name": 5}}, "uid '1': 'name' must be a string"),
+        ({"uids": ["1"], "1": {"name": None}}, "uid '1': 'name' must be a string"),
+        ({"uids": ["1"], "1": {"name": "TP53", "otheraliases": 3}},
+         "uid '1': 'otheraliases' must be a string"),
+        ({"uids": ["1"], "1": {"name": "TP53", "description": 3}}, "uid '1': 'description' must be a string"),
+    ], ids=["uids", "record", "name", "null-name", "otheraliases", "description"])
+    def test_gene_summary_of_another_shape_raises_parse_error(self, result, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_gene_summaries(json.dumps({"result": result}).encode())
 
     def test_gene_summary_uid_without_a_name_is_skipped(self):
         payload = {

@@ -197,6 +197,27 @@ class TestEnumerate:
         with pytest.raises(ConfigError):
             run_sweep(small_corpus(), spec)
 
+    @pytest.mark.parametrize("enforce_bounds", [True, False])
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"r_values": (0, 5)}, "r_values must be integers >= 1, got 0"),
+            ({"n_values": (0, 2)}, "n_values must be integers >= 1, got 0"),
+            ({"k_values": (2, -3)}, "k_values must be integers >= 1, got -3"),
+            ({"d_values": (1, 1.0)}, "d_values repeats [1]"),
+            ({"d_values": (0.5, np.float64(0.5))}, "d_values repeats [0.5]"),
+            ({"r_values": (5, 6, 5)}, "r_values repeats [5]"),
+            ({"k_values": (2, 3, 3, 2)}, "k_values repeats [2, 3]"),
+        ],
+        ids=["r0", "n0", "k-3", "d1-d1.0", "d-numpy", "r5-r5", "k2-k3"],
+    )
+    def test_values_below_one_or_repeated_rejected_whatever_the_bounds(self, change, message, enforce_bounds):
+        spec = small_spec(enforce_bounds=enforce_bounds, **change)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            spec.validate()
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_sweep(small_corpus(), spec)
+
     def test_numpy_numbers_and_ranges_accepted(self):
         spec = small_spec(
             d_values=np.array([0.5]), r_values=range(5, 7), n_values=[np.int64(5)],
