@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import logging
 import os
 import sys
 import types
@@ -27,9 +28,11 @@ from litclust import probe as _probe
 from litclust import sweep as _sweep
 from litclust import vectorize as _vec
 from litclust.base import check_positive_int, is_number
-from litclust.corpus import load_corpus, save_jsonl
+from litclust.corpus import load_corpus, load_document_table, save_document_table, save_jsonl
 from litclust.errors import ComputeError, ConfigError, DataError, LitclustError, ParseError
 from litclust.evaluate import metrics_json, score_clustering
+
+log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,6 +58,8 @@ _CLUSTERING = (*_WEIGHTS, "n_dims", "k", "seed", "restarts")
 MADE_FROM = {
     "weights.mtx": _WEIGHTS,
     "vocabulary.tsv": _WEIGHTS,
+    # The ids; for PubMed XML, the labels depend on the format and priority too.
+    "documents.json": ("corpus_sha256", "corpus_format", "class_labels"),
     "assignments.tsv": _CLUSTERING,
     "probe_report.json": (*_CLUSTERING, "probe_mode", "dictionary_sha256"),
 }
@@ -146,6 +151,11 @@ class PipelineConfig:
     # no such file.
     corpus_sha256 = functools.cached_property(lambda self: _file_sha256(self.corpus))
     dictionary_sha256 = functools.cached_property(lambda self: _file_sha256(self.dictionary))
+    # So is the parsed corpus (see ``_corpus``): a command parses it at
+    # most once, and not at all when staged files give all it needs.
+    parsed_corpus = functools.cached_property(
+        lambda self: load_corpus(self.corpus, format=self.corpus_format, class_labels=self.class_labels)
+    )
 
 
 _HINTS = typing.get_type_hints(PipelineConfig)
@@ -263,12 +273,20 @@ def _update_manifest(cfg: PipelineConfig, out_dir: Path, artifacts: list[Path]) 
     return [str(path) for path in artifacts]
 
 
-def _require_corpus(cfg: PipelineConfig):
+def _require_corpus(cfg: PipelineConfig) -> None:
+    """Every command that works on a corpus first checks that the config
+    names a corpus file that is there, also when it will not parse it."""
     if not cfg.corpus:
         raise ConfigError("no corpus path given (flag --corpus or config key 'corpus')")
     if not Path(cfg.corpus).is_file():
         raise ConfigError(f"corpus file not found: {cfg.corpus}")
-    return load_corpus(cfg.corpus, format=cfg.corpus_format, class_labels=cfg.class_labels)
+
+
+def _corpus(cfg: PipelineConfig):
+    """The parsed corpus; ``embed``, ``cluster`` and ``evaluate`` read no
+    text, so they ask for it only when a staged file cannot stand in."""
+    _require_corpus(cfg)
+    return cfg.parsed_corpus
 
 
 def _out_dir(cfg: PipelineConfig) -> Path:
@@ -284,19 +302,24 @@ def _out_dir(cfg: PipelineConfig) -> Path:
     return out
 
 
-def _vouched(path: Path, cfg: PipelineConfig) -> bool:
-    """Whether the staged ``path`` may be read as made under ``cfg``: the
-    manifest records it with the config's value of each key of its
-    ``MADE_FROM`` row, and it still has its recorded digest.  A digest
-    the config has no value for (it names no such file) is not compared.
-    False for a missing file, one with no record, or one changed since
-    it was recorded; ConfigError if the record gives other values."""
-    manifest = _read_manifest(path.parent) if path.is_file() else {}
+def _unvouched(path: Path, cfg: PipelineConfig) -> str | None:
+    """Why the staged ``path`` may not be read as made under ``cfg``, or
+    None when it may: the manifest records it with the config's value of
+    each key of its ``MADE_FROM`` row, and it still has its recorded
+    digest.  A digest the config has no value for (it names no such file)
+    is not compared.  The reasons are "missing", "no record" and "digest
+    changed"; a record that gives other values raises ConfigError."""
+    if not path.is_file():
+        return "missing"
+    manifest = _read_manifest(path.parent)
     recorded = manifest.get("provenance", {}).get(path.name)
     if recorded is None:
-        return False
+        return "no record"
     values = {key: getattr(cfg, key) for key in sorted(MADE_FROM[path.name])}
-    differ = [key for key, value in values.items() if value is not None and recorded.get(key) != value]
+    differ = [
+        key for key, value in values.items()
+        if recorded.get(key) != value and not (value is None and key.endswith("_sha256"))
+    ]
     if differ:
         made = ", ".join(f"{key}={recorded.get(key)!r}" for key in differ)
         wanted = ", ".join(f"{key}={values[key]!r}" for key in differ)
@@ -304,57 +327,90 @@ def _vouched(path: Path, cfg: PipelineConfig) -> bool:
             f"{path} was made with {made} but the config gives {wanted}; "
             f"rerun the stage that writes it or use another --out"
         )
-    return manifest.get("artifacts", {}).get(path.name) == _sha256(path)
+    if manifest.get("artifacts", {}).get(path.name) != _sha256(path):
+        return "digest changed"
+    return None
 
 
-def _build_embedding(cfg: PipelineConfig, corpus):
+def _staged(cfg: PipelineConfig, *paths: Path, refuse: bool = False) -> bool:
+    """Whether the staged ``paths`` may all be read as made under ``cfg``,
+    logged as one DEBUG record that says why they are recomputed when
+    they are not read.  A record of other values is refused (ConfigError)
+    when ``refuse`` is set, and is recomputed like any other mismatch
+    when it is not."""
+    try:
+        why = next(filter(None, (_unvouched(path, cfg) for path in paths)), None)
+    except ConfigError:
+        if refuse:
+            raise
+        why = "other values"
+    names = ", ".join(map(str, paths))
+    if why is None:
+        log.debug("%s: read", names)
+    else:
+        log.debug("%s: recomputed (%s)", names, why)
+    return why is None
+
+
+def _document_table(cfg: PipelineConfig) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
+    """The corpus's ids and labels in corpus order: read from the staged
+    ``documents.json`` when it is vouched for, else taken from the parsed
+    corpus.  It is an intermediate, so it is recomputed, never refused."""
+    path = Path(cfg.out) / "documents.json"
+    if _staged(cfg, path):
+        return load_document_table(path)
+    corpus = _corpus(cfg)
+    return corpus.doc_ids(), corpus.labels()
+
+
+def _build_embedding(cfg: PipelineConfig):
     """The corpus's embedding at (d, r, n_dims), from the staged
     ``weights.mtx`` and ``vocabulary.tsv`` when both are vouched for,
     else weighed afresh.  They are intermediates, so a stale or missing
     pair is recomputed, never refused."""
     out = Path(cfg.out)
     weights_path, vocab_path = out / "weights.mtx", out / "vocabulary.tsv"
-    try:
-        staged = _vouched(weights_path, cfg) and _vouched(vocab_path, cfg)
-    except ConfigError:
-        staged = False
-    if staged:
-        weighted = _vec.load_weighted_matrix(weights_path, vocab_path, corpus.doc_ids())
+    if _staged(cfg, weights_path, vocab_path):
+        ids, _ = _document_table(cfg)
+        weighted = _vec.load_weighted_matrix(weights_path, vocab_path, ids)
     else:
-        weighted = _vec.build_weighted_matrix(corpus, d_percent=cfg.d, rank_cutoff=cfg.r)
+        weighted = _vec.build_weighted_matrix(_corpus(cfg), d_percent=cfg.d, rank_cutoff=cfg.r)
     return _sweep.embed_at(weighted, cfg.seed, cfg.d, cfg.r, cfg.n_dims)
 
 
-def _build_clustering(cfg: PipelineConfig, corpus):
-    vectors = _build_embedding(cfg, corpus).vectors
-    return _sweep.cluster_at(vectors, cfg.seed, cfg.d, cfg.r, cfg.n_dims, cfg.k, cfg.restarts)
+def _build_clustering(cfg: PipelineConfig):
+    """The clustering at the config's point, and the ids of the documents
+    it assigns, in order."""
+    emb = _build_embedding(cfg)
+    clus = _sweep.cluster_at(emb.vectors, cfg.seed, cfg.d, cfg.r, cfg.n_dims, cfg.k, cfg.restarts)
+    return emb.docs, clus
 
 
-def _load_or_compute_assignments(cfg: PipelineConfig, corpus, explicit: str | None):
-    """Assignments for the corpus: an explicit TSV (taken as given), the
-    staged artifact if it is vouched for, or a fresh in-memory clustering
-    at the configured parameters.  A staged file recorded under other
-    values is refused; one with no record, or changed since it was
-    recorded, is recomputed."""
+def _load_or_compute_assignments(cfg: PipelineConfig, ids, explicit: str | None):
+    """Assignments for the documents ``ids``, in their order: an explicit
+    TSV (taken as given), the staged artifact if it is vouched for, or a
+    fresh in-memory clustering at the configured parameters.  A staged
+    file recorded under other values is refused; one with no record, or
+    changed since it was recorded, is recomputed."""
     if explicit and not Path(explicit).is_file():
         raise DataError(f"assignments file not found: {explicit}")
     path = explicit or str(Path(cfg.out) / "assignments.tsv")
-    if explicit or _vouched(Path(path), cfg):
+    if explicit or _staged(cfg, Path(path), refuse=True):
         mapping = _cluster.load_assignments(path)
-        missing = [d.id for d in corpus if d.id not in mapping]
+        missing = [doc_id for doc_id in ids if doc_id not in mapping]
         if missing:
             raise DataError(
                 f"assignments file {path} does not cover document(s) {missing[:3]}"
             )
-        return [mapping[d.id] for d in corpus]
-    return list(_build_clustering(cfg, corpus).assignments)
+        return [mapping[doc_id] for doc_id in ids]
+    return list(_build_clustering(cfg)[1].assignments)
 
 
 # -- subcommands ---------------------------------------------------------
 
 
 def cmd_ingest(cfg: PipelineConfig, args) -> dict:
-    corpus = _require_corpus(cfg)
+    corpus = _corpus(cfg)
     out = _out_dir(cfg)
     dest = out / "corpus.jsonl"
     save_jsonl(corpus, dest)
@@ -367,27 +423,31 @@ def cmd_ingest(cfg: PipelineConfig, args) -> dict:
 
 
 def cmd_vectorize(cfg: PipelineConfig, args) -> dict:
-    corpus = _require_corpus(cfg)
+    corpus = _corpus(cfg)
     out = _out_dir(cfg)
     counts = corpus.term_counts
     weighted = _vec.weigh(_vec.ablate_singletons(counts), cfg.d, cfg.r)
     counts_path = out / "counts.mtx"
     weights_path = out / "weights.mtx"
     vocab_path = out / "vocabulary.tsv"
+    documents_path = out / "documents.json"
     _vec.dump_matrix_market(counts, counts_path)
     _vec.dump_matrix_market(weighted, weights_path)
     _vec.dump_vocabulary(weighted, vocab_path)
+    # The columns of weights.mtx are the corpus's documents, in order.
+    save_document_table(corpus, documents_path)
+    artifacts = [counts_path, weights_path, vocab_path, documents_path]
     return {
         "terms": len(weighted.terms),
         "documents": len(weighted.docs),
-        "artifacts": _update_manifest(cfg, out, [counts_path, weights_path, vocab_path]),
+        "artifacts": _update_manifest(cfg, out, artifacts),
     }
 
 
 def cmd_embed(cfg: PipelineConfig, args) -> dict:
-    corpus = _require_corpus(cfg)
+    _require_corpus(cfg)
     out = _out_dir(cfg)
-    emb = _build_embedding(cfg, corpus)
+    emb = _build_embedding(cfg)
     path = out / "embedding.tsv"
     _lsa.dump_embedding(emb, path)
     artifacts = _update_manifest(cfg, out, [path])
@@ -395,12 +455,12 @@ def cmd_embed(cfg: PipelineConfig, args) -> dict:
 
 
 def cmd_cluster(cfg: PipelineConfig, args) -> dict:
-    corpus = _require_corpus(cfg)
+    _require_corpus(cfg)
     out = _out_dir(cfg)
-    clus = _build_clustering(cfg, corpus)
+    ids, clus = _build_clustering(cfg)
     assignments_path = out / "assignments.tsv"
     meta_path = out / "cluster_run.json"
-    _cluster.dump_assignments(clus, corpus.doc_ids(), assignments_path)
+    _cluster.dump_assignments(clus, ids, assignments_path)
     meta_path.write_text(_cluster.run_metadata(clus, cfg.seed) + "\n", encoding="utf-8")
     return {
         "k": clus.k,
@@ -411,10 +471,11 @@ def cmd_cluster(cfg: PipelineConfig, args) -> dict:
 
 
 def cmd_evaluate(cfg: PipelineConfig, args) -> dict:
-    corpus = _require_corpus(cfg)
+    _require_corpus(cfg)
     out = _out_dir(cfg)
-    assignments = _load_or_compute_assignments(cfg, corpus, getattr(args, "assignments", None))
-    report = score_clustering(assignments, corpus.labels())
+    ids, labels = _document_table(cfg)
+    assignments = _load_or_compute_assignments(cfg, ids, getattr(args, "assignments", None))
+    report = score_clustering(assignments, labels)
     path = out / "metrics.json"
     path.write_text(metrics_json(report) + "\n", encoding="utf-8")
     return {
@@ -427,7 +488,7 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> dict:
 
 def cmd_sweep(cfg: PipelineConfig, args) -> dict:
     top = 5 if args.top is None else check_positive_int(args.top, "--top")
-    corpus = _require_corpus(cfg)
+    corpus = _corpus(cfg)
     out = _out_dir(cfg)
     spec = cfg.sweep_spec()
     rows_path = out / "rows.jsonl"
@@ -460,14 +521,14 @@ def cmd_sweep(cfg: PipelineConfig, args) -> dict:
 
 
 def cmd_probe(cfg: PipelineConfig, args) -> dict:
-    corpus = _require_corpus(cfg)
+    corpus = _corpus(cfg)
     out = _out_dir(cfg)
     if not cfg.dictionary:
         raise ConfigError("no dictionary path given (flag --dict or config key 'dictionary')")
     if not Path(cfg.dictionary).is_file():
         raise ConfigError(f"dictionary file not found: {cfg.dictionary}")
     dictionary = _probe.load_dictionary(cfg.dictionary)
-    assignments = _load_or_compute_assignments(cfg, corpus, getattr(args, "assignments", None))
+    assignments = _load_or_compute_assignments(cfg, corpus.doc_ids(), getattr(args, "assignments", None))
     counts = _probe.count_occurrences(corpus, assignments, dictionary, mode=cfg.probe_mode)
     report = _probe.relative_weights(counts)
     report_path = out / "probe_report.json"
@@ -497,7 +558,7 @@ def cmd_export(cfg: PipelineConfig, args) -> dict:
         raise ParseError(f"{source}: {exc}") from exc
     # export has no corpus step to recompute the report from, so a staged
     # one it cannot vouch for is refused.
-    if not explicit and not _vouched(Path(source), cfg):
+    if not explicit and _unvouched(Path(source), cfg):
         raise ConfigError(
             f"{source} has no record in manifest.json of the probe that wrote it, "
             f"or was changed since; rerun `litclust probe` or pass the file with --report"

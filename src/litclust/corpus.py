@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from litclust.errors import DuplicateId, EmptyCorpus, ParseError
+from litclust.errors import DuplicateId, EmptyCorpus, InvalidId, ParseError
 
 if TYPE_CHECKING:
     from litclust.vectorize import TermDocMatrix
@@ -50,6 +50,11 @@ class _Separators(dict):
 
 _SEPARATORS = _Separators()
 
+# A tab, or any line boundary ``str.splitlines`` knows: line-per-document
+# artifacts (``assignments.tsv``, ``embedding.tsv``) separate a document's
+# fields with tabs and documents with line breaks, so no id may hold one.
+_ID_BREAKS = re.compile("[\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
 # Every code point other than U+0020 on which ``str.split()`` splits (the
 # ``str.isspace`` characters of the interpreter's Unicode database; a
 # test checks the list against it).
@@ -79,6 +84,7 @@ class Corpus:
 
     ``label_set`` is the sorted set of distinct non-null labels and
     ``skipped`` counts input records dropped for having no usable text.
+    Duplicate ids, and ids holding a tab or a line break, are refused.
     """
 
     def __init__(self, documents: Iterable[Document], skipped: int = 0):
@@ -87,6 +93,11 @@ class Corpus:
         for doc in docs:
             if doc.id in seen:
                 raise DuplicateId(f"duplicate document id {doc.id!r}")
+            if _ID_BREAKS.search(doc.id):
+                raise InvalidId(
+                    f"document id {doc.id!r} holds a tab or a line break, "
+                    f"which no line-per-document artifact can store"
+                )
             seen.add(doc.id)
         self.documents: tuple[Document, ...] = tuple(docs)
         self.label_set: tuple[str, ...] = tuple(
@@ -187,6 +198,32 @@ def save_jsonl(corpus: Corpus, path: str | Path) -> None:
         for doc in corpus.documents:
             rec = {"id": doc.id, "text": doc.text, "label": doc.label}
             fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def save_document_table(corpus: Corpus, path: str | Path) -> None:
+    """Write the corpus's ids and labels, in corpus order, as one JSON
+    object: all that a stage which reads no text needs of a corpus."""
+    table = {"ids": list(corpus.doc_ids()), "labels": list(corpus.labels())}
+    Path(path).write_text(json.dumps(table, ensure_ascii=False) + "\n", encoding="utf-8")
+
+
+def load_document_table(path: str | Path) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
+    """The ids and labels ``save_document_table`` wrote; a file of another
+    shape raises ``ParseError``."""
+    try:
+        table = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: not a document table ({exc})") from exc
+    ids, labels = (table.get("ids"), table.get("labels")) if isinstance(table, dict) else (None, None)
+    if not (
+        isinstance(ids, list)
+        and isinstance(labels, list)
+        and len(ids) == len(labels)
+        and all(isinstance(doc_id, str) for doc_id in ids)
+        and all(isinstance(label, (str, type(None))) for label in labels)
+    ):
+        raise ParseError(f"{path}: not a document table (lists 'ids' and 'labels' of one length)")
+    return tuple(ids), tuple(labels)
 
 
 def _read_jsonl(path: Path) -> tuple[list[Document], int]:

@@ -32,6 +32,10 @@ class DuplicateId(DataError):
     """Two documents share the same identifier."""
 
 
+class InvalidId(DataError):
+    """A document identifier holds a tab or a line break."""
+
+
 class EmptyCorpus(DataError):
     """No usable documents remain."""
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import shutil
 import subprocess
 import sys
@@ -445,19 +446,25 @@ class TestStagedWeights:
         manifest = json.loads((workspace / "out" / "manifest.json").read_text())
         corpus_sha256 = hashlib.sha256((workspace / "corpus.jsonl").read_bytes()).hexdigest()
         record = {"corpus_sha256": corpus_sha256, "d": 0.5, "r": 5}
-        assert manifest["provenance"] == {"weights.mtx": record, "vocabulary.tsv": record}
+        documents = {"corpus_sha256": corpus_sha256, "corpus_format": "jsonl", "class_labels": None}
+        assert manifest["provenance"] == {
+            "weights.mtx": record, "vocabulary.tsv": record, "documents.json": documents,
+        }
 
     def test_chain_counts_once_and_matches_standalone_runs(self, workspace, monkeypatch):
+        import litclust.cli
         import litclust.vectorize
 
         # A gene-mode probe reads the corpus's counts for its own matching,
-        # so the chain probes in molecular mode.
+        # so the chain probes in molecular mode.  Only vectorize and probe,
+        # which read texts, parse the corpus.
         chain = {"probe": ("--mode", "molecular")}
         calls = {}
         count_calls(monkeypatch, litclust.vectorize, "count_matrix", calls)
+        count_calls(monkeypatch, litclust.cli, "load_corpus", calls)
         for command in ("vectorize", "embed", "cluster", "evaluate", "probe"):
             assert run_cli(command, "--config", "config.json", *chain.get(command, ())) == 0
-        assert calls == {"count_matrix": 1}
+        assert calls == {"count_matrix": 1, "load_corpus": 2}
         staged = {name: (workspace / "out" / name).read_bytes() for name in self.ARTIFACTS.values()}
         for command, name in self.ARTIFACTS.items():
             assert self.standalone(command, *chain.get(command, ())) == staged[name], name
@@ -519,6 +526,171 @@ class TestStagedWeights:
         assert run_cli(command, "--config", "config.json") == 3
         assert message in capsys.readouterr().err
         assert not (out / self.ARTIFACTS[command]).exists()
+
+
+def write_xml_corpus(path, corpus, majors):
+    """``corpus`` as PubMed XML; each article's major MeSH headings are
+    ``majors(doc)``, in document order."""
+    articles = "".join(
+        f"<PubmedArticle><MedlineCitation><PMID>{doc.id}</PMID><Article><Abstract>"
+        f"<AbstractText>{doc.text}</AbstractText></Abstract></Article><MeshHeadingList>"
+        + "".join(
+            f'<MeshHeading><DescriptorName MajorTopicYN="Y">{heading}</DescriptorName></MeshHeading>'
+            for heading in majors(doc)
+        )
+        + "</MeshHeadingList></MedlineCitation></PubmedArticle>"
+        for doc in corpus
+    )
+    path.write_text(f"<PubmedArticleSet>{articles}</PubmedArticleSet>", encoding="utf-8")
+
+
+class TestStagedDocuments:
+    """``embed``, ``cluster`` and ``evaluate`` take the corpus's ids and
+    labels from the ``documents.json`` that ``vectorize`` staged for the
+    same corpus, format and class labels, and parse the corpus in every
+    other case; each still requires the corpus file."""
+
+    ARTIFACTS = {"embed": "embedding.tsv", "cluster": "assignments.tsv", "evaluate": "metrics.json"}
+
+    def test_a_vouched_chain_parses_no_corpus(self, workspace, monkeypatch):
+        import litclust.cli
+
+        for command in self.ARTIFACTS:
+            assert run_cli(command, "--config", "config.json", "--out", f"solo_{command}") == 0
+        assert run_cli("vectorize", "--config", "config.json") == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the corpus was parsed")
+
+        monkeypatch.setattr(litclust.cli, "load_corpus", refuse)
+        for command, name in self.ARTIFACTS.items():
+            assert run_cli(command, "--config", "config.json") == 0, command
+            solo = workspace / f"solo_{command}" / name
+            assert (workspace / "out" / name).read_bytes() == solo.read_bytes(), name
+
+    @pytest.mark.parametrize("command", ["embed", "cluster", "evaluate"])
+    @pytest.mark.parametrize("case", ["deleted", "edited", "no_record", "corpus"])
+    def test_anything_else_parses_the_corpus(self, workspace, monkeypatch, command, case):
+        import litclust.cli
+
+        assert run_cli("vectorize", "--config", "config.json") == 0
+        out = workspace / "out"
+        path = out / "documents.json"
+        if case == "deleted":
+            path.unlink()
+        elif case == "edited":
+            # One class for every document: scored against it, V would be 0.
+            table = json.loads(path.read_text())
+            path.write_text(json.dumps({**table, "labels": ["class0"] * len(table["ids"])}))
+        elif case == "no_record":
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["provenance"]["documents.json"]
+            (out / "manifest.json").write_text(json.dumps(manifest))
+        else:
+            save_jsonl(gene_corpus(seed=1), workspace / "corpus.jsonl")
+        calls = {}
+        count_calls(monkeypatch, litclust.cli, "load_corpus", calls)
+        assert run_cli(command, "--config", "config.json") == 0
+        assert calls == {"load_corpus": 1}
+        name = self.ARTIFACTS[command]
+        assert run_cli(command, "--config", "config.json", "--out", "solo") == 0
+        assert (out / name).read_bytes() == (workspace / "solo" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            (["class0", "class1", "class2", "class3"], ["half0", "half1"]),
+            (None, ["class0", "class1", "class2", "class3"]),
+            (["class0", "class1", "class2", "class3"], None),
+        ],
+    )
+    def test_evaluate_scores_against_its_own_class_labels(self, workspace, monkeypatch, first, second):
+        """A PubMed XML corpus vectorized under one label priority and
+        evaluated under another is scored against the second's labels."""
+        import litclust.cli
+
+        # Two major headings per article: the half of the topics first,
+        # then the topic, so no priority list picks the half.
+        write_xml_corpus(
+            workspace / "corpus.xml", gene_corpus(),
+            lambda doc: [f"half{int(doc.label[-1]) // 2}", doc.label],
+        )
+        config = json.loads((workspace / "config.json").read_text())
+        for name, labels in (("first.json", first), ("second.json", second)):
+            (workspace / name).write_text(json.dumps(
+                {**config, "corpus": "corpus.xml", "corpus_format": "pubmed_xml", "class_labels": labels}
+            ))
+        for command in ("vectorize", "cluster"):
+            assert run_cli(command, "--config", "first.json") == 0
+        assert run_cli("evaluate", "--config", "first.json", "--out", "solo_first") == 0
+        assert run_cli("evaluate", "--config", "second.json", "--out", "solo_second") == 0
+        calls = {}
+        count_calls(monkeypatch, litclust.cli, "load_corpus", calls)
+        assert run_cli("evaluate", "--config", "second.json") == 0
+        assert calls == {"load_corpus": 1}
+        metrics = (workspace / "out" / "metrics.json").read_bytes()
+        assert metrics == (workspace / "solo_second" / "metrics.json").read_bytes()
+        assert metrics != (workspace / "solo_first" / "metrics.json").read_bytes()
+
+    @pytest.mark.parametrize("command", ["embed", "cluster", "evaluate"])
+    def test_a_deleted_corpus_exits_2_with_everything_staged(self, workspace, capsys, command):
+        for staged in ("vectorize", "embed", "cluster", "evaluate"):
+            assert run_cli(staged, "--config", "config.json") == 0
+        (workspace / "corpus.jsonl").unlink()
+        capsys.readouterr()
+        assert run_cli(command, "--config", "config.json") == 2
+        assert "corpus file not found: corpus.jsonl" in capsys.readouterr().err
+
+
+class TestStagedReadsAreLogged:
+    """Each staged input that ``embed``, ``cluster``, ``evaluate`` or
+    ``probe`` consults gets one DEBUG record of ``litclust.cli``: read,
+    or recomputed and why."""
+
+    WEIGHTS = "out/weights.mtx, out/vocabulary.tsv"
+
+    def run_logged(self, caplog, command):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="litclust.cli"):
+            assert run_cli(command, "--config", "config.json") == 0
+        return [r.getMessage() for r in caplog.records if r.name == "litclust.cli"]
+
+    def test_a_vouched_chain_reads_every_staged_input(self, workspace, caplog):
+        assert run_cli("vectorize", "--config", "config.json") == 0
+        assert self.run_logged(caplog, "embed") == [f"{self.WEIGHTS}: read", "out/documents.json: read"]
+        assert self.run_logged(caplog, "cluster") == [f"{self.WEIGHTS}: read", "out/documents.json: read"]
+        assert self.run_logged(caplog, "evaluate") == ["out/documents.json: read", "out/assignments.tsv: read"]
+        assert self.run_logged(caplog, "probe") == ["out/assignments.tsv: read"]
+
+    @pytest.mark.parametrize(
+        "command,name,case,why",
+        [
+            (command, name, case, why)
+            for command, name in (("embed", "weights.mtx"), ("evaluate", "documents.json"),
+                                  ("probe", "assignments.tsv"))
+            for case, why in (("deleted", "missing"), ("no_record", "no record"),
+                              ("edited", "digest changed"), ("other_values", "other values"))
+            # A staged assignments.tsv made with other values is refused.
+            if (name, case) != ("assignments.tsv", "other_values")
+        ],
+    )
+    def test_a_recomputed_input_says_why(self, workspace, caplog, command, name, case, why):
+        for staged in ("vectorize", "cluster"):
+            assert run_cli(staged, "--config", "config.json") == 0
+        out = workspace / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        if case == "deleted":
+            (out / name).unlink()
+        elif case == "edited":
+            with (out / name).open("a") as fh:
+                fh.write("\n")
+        elif case == "no_record":
+            del manifest["provenance"][name]
+        else:
+            manifest["provenance"][name]["corpus_sha256"] = "0" * 64
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        label = self.WEIGHTS if name == "weights.mtx" else f"out/{name}"
+        assert f"{label}: recomputed ({why})" in self.run_logged(caplog, command)
 
 
 class TestSweepCommand:
@@ -992,6 +1164,15 @@ class TestExitCodes:
         assert run_cli("cluster", "--config", "config.json") == 3
         assert "malformed manifest" in capsys.readouterr().err
         assert (workspace / "out" / "manifest.json").is_dir()
+
+    @pytest.mark.parametrize("doc_id", ["d\t5", "d\n5"])
+    @pytest.mark.parametrize("command", ["ingest", "vectorize", "embed", "cluster", "evaluate"])
+    def test_an_id_with_a_tab_or_a_line_break_exits_3(self, workspace, capsys, command, doc_id):
+        records = [{"id": doc.id, "text": doc.text, "label": doc.label} for doc in gene_corpus()]
+        records[5]["id"] = doc_id
+        (workspace / "corpus.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run_cli(command, "--config", "config.json") == 3
+        assert repr(doc_id) in capsys.readouterr().err
 
     def test_compute_error_exit_4(self, workspace):
         code = run_cli(

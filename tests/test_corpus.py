@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -7,16 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from litclust.corpus import (
+    _ID_BREAKS,
     _OTHER_WHITESPACE,
     Corpus,
     Document,
     load_corpus,
+    load_document_table,
     normalize_text,
+    save_document_table,
     save_jsonl,
     tokenize,
     tokenize_text,
 )
-from litclust.errors import DuplicateId, EmptyCorpus, ParseError
+from litclust.errors import DuplicateId, EmptyCorpus, InvalidId, ParseError
 
 from helpers import oracle_tokens
 
@@ -317,3 +321,57 @@ def test_load_corpus_normalizes_pubmed_xml_text(tmp_path):
 def test_corpus_rejects_duplicate_ids_directly():
     with pytest.raises(DuplicateId):
         Corpus([Document(id="a", text="x"), Document(id="a", text="y")])
+
+
+# A tab and every line boundary of str.splitlines, in an id's middle
+# (the JSONL reader strips an id's ends).
+_BREAKS = [c for c in map(chr, range(sys.maxunicode + 1)) if len(f"a{c}b".splitlines()) == 2]
+
+
+def test_id_breaks_are_the_tab_and_every_line_boundary():
+    assert sorted(c for c in map(chr, range(sys.maxunicode + 1)) if _ID_BREAKS.match(c)) == sorted(
+        ["\t", *_BREAKS]
+    )
+
+
+@pytest.mark.parametrize("char", ["\t", *_BREAKS])
+def test_corpus_refuses_an_id_with_a_tab_or_a_line_break(char):
+    doc_id = f"d{char}5"
+    with pytest.raises(InvalidId, match=re.escape(repr(doc_id))):
+        Corpus([Document(id="a", text="x"), Document(id=doc_id, text="y")])
+
+
+@pytest.mark.parametrize("doc_id", ["d\t5", "d\n5"])
+def test_both_readers_refuse_an_id_with_a_tab_or_a_line_break(tmp_path, doc_id):
+    jsonl = tmp_path / "c.jsonl"
+    write_jsonl(jsonl, [{"id": "a", "text": "one"}, {"id": doc_id, "text": "two"}])
+    xml = tmp_path / "c.xml"
+    xml.write_text(
+        "<PubmedArticleSet><PubmedArticle><MedlineCitation><PMID>"
+        + doc_id.replace("\t", "&#9;").replace("\n", "&#10;")
+        + "</PMID><Article><Abstract><AbstractText>two</AbstractText></Abstract>"
+        "</Article></MedlineCitation></PubmedArticle></PubmedArticleSet>",
+        encoding="utf-8",
+    )
+    for path, format in ((jsonl, "jsonl"), (xml, "pubmed_xml")):
+        with pytest.raises(InvalidId, match=re.escape(repr(doc_id))):
+            load_corpus(path, format=format)
+
+
+def test_document_table_round_trips(tmp_path):
+    corpus = Corpus([Document(id="b", text="x", label="L"), Document(id="a", text="y"),
+                     Document(id="\u00e9", text="z", label="\u4e2d")])
+    path = tmp_path / "documents.json"
+    save_document_table(corpus, path)
+    assert load_document_table(path) == (corpus.doc_ids(), corpus.labels())
+
+
+@pytest.mark.parametrize("content", [
+    b"", b"\xff", b"[]", b'{"ids": ["a"]}', b'{"ids": ["a"], "labels": []}',
+    b'{"ids": [1], "labels": [null]}', b'{"ids": ["a"], "labels": [2]}', b'{"ids": "a", "labels": "b"}',
+])
+def test_a_document_table_of_another_shape_is_a_parse_error(tmp_path, content):
+    path = tmp_path / "documents.json"
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match="documents.json"):
+        load_document_table(path)
