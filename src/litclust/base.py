@@ -12,10 +12,11 @@ from __future__ import annotations
 import inspect
 import math
 from numbers import Integral, Real
+from pathlib import Path
 
 import numpy as np
 
-from litclust.errors import ConfigError
+from litclust.errors import ConfigError, ParseError
 
 
 class BaseEstimator:
@@ -80,3 +81,16 @@ def check_positive_int(value, name: str, minimum: int = 1) -> int:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
+
+def tsv_rows(path: str | Path):
+    """Yield ``(line number, fields)`` for each non-blank line of the
+    tab-separated file at ``path``; a line that is not UTF-8 text raises
+    ParseError naming the file and line."""
+    with Path(path).open("rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").rstrip("\n")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc
+            if line:
+                yield lineno, line.split("\t")

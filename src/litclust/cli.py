@@ -60,6 +60,7 @@ MADE_FROM = {
     "vocabulary.tsv": _WEIGHTS,
     # The ids; for PubMed XML, the labels depend on the format and priority too.
     "documents.json": ("corpus_sha256", "corpus_format", "class_labels"),
+    "embedding.tsv": (*_WEIGHTS, "n_dims", "seed"),
     "assignments.tsv": _CLUSTERING,
     "probe_report.json": (*_CLUSTERING, "probe_mode", "dictionary_sha256"),
 }
@@ -380,10 +381,19 @@ def _build_embedding(cfg: PipelineConfig):
 
 def _build_clustering(cfg: PipelineConfig):
     """The clustering at the config's point, and the ids of the documents
-    it assigns, in order."""
-    emb = _build_embedding(cfg)
-    clus = _sweep.cluster_at(emb.vectors, cfg.seed, cfg.d, cfg.r, cfg.n_dims, cfg.k, cfg.restarts)
-    return emb.docs, clus
+    it assigns, in order.  The embedding is read from the staged
+    ``embedding.tsv`` when it is vouched for, else embedded afresh; it is
+    an intermediate, so it is recomputed, never refused."""
+    path = Path(cfg.out) / "embedding.tsv"
+    if _staged(cfg, path):
+        docs, vectors = _lsa.load_embedding(path)
+        if vectors.shape[1] != cfg.n_dims:
+            raise DataError(f"{path} has {vectors.shape[1]} dimensions, but n_dims is {cfg.n_dims}")
+    else:
+        emb = _build_embedding(cfg)
+        docs, vectors = emb.docs, emb.vectors
+    clus = _sweep.cluster_at(vectors, cfg.seed, cfg.d, cfg.r, cfg.n_dims, cfg.k, cfg.restarts)
+    return docs, clus
 
 
 def _load_or_compute_assignments(cfg: PipelineConfig, ids, explicit: str | None):
@@ -581,6 +591,9 @@ _COMMANDS = {
 }
 
 
+# Built once per process and shared, so no caller may change it; argparse
+# gives each parse a namespace of its own.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="litclust",

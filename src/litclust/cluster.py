@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from litclust.base import BaseEstimator, check_positive_int, check_vectors
+from litclust.base import BaseEstimator, check_positive_int, check_vectors, tsv_rows
 from litclust.errors import ComputeError, ConfigError, EmptyCluster, KTooLarge, ParseError
 
 logger = logging.getLogger(__name__)
@@ -327,18 +327,21 @@ def dump_assignments(clustering: Clustering, docs, path: str | Path) -> None:
 
 
 def load_assignments(path: str | Path) -> dict[str, int]:
-    """Read a TSV dump; a line that is not ``id<TAB>cluster`` raises ParseError."""
+    """Read a TSV dump.  A line that is not ``id<TAB>cluster index``, with
+    the index in plain ASCII digits, or a document id given twice raises
+    ParseError naming the file and line."""
     out: dict[str, int] = {}
-    with Path(path).open("rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode("utf-8").rstrip("\n")
-                if not line:
-                    continue
-                doc_id, label = line.split("\t")
-                out[doc_id] = int(label)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: expected '<doc id>\\t<cluster index>'") from exc
+    for lineno, fields in tsv_rows(path):
+        try:
+            doc_id, label = fields
+            if not (label.isascii() and label.isdigit()):
+                raise ValueError(f"not plain ASCII digits: {label!r}")
+            index = int(label)  # a ValueError too past int's digit limit
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: expected '<doc id>\\t<cluster index>'") from exc
+        if doc_id in out:
+            raise ParseError(f"{path}:{lineno}: document {doc_id!r} is assigned a second time")
+        out[doc_id] = index
     return out
 
 

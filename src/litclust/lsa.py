@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from litclust.base import BaseEstimator, check_positive_int
-from litclust.errors import ConvergenceFailure, DimsTooLarge
+from litclust.base import BaseEstimator, check_positive_int, tsv_rows
+from litclust.errors import ConvergenceFailure, DimsTooLarge, ParseError
 from litclust.vectorize import WeightedMatrix
 
 logger = logging.getLogger(__name__)
@@ -254,8 +254,34 @@ class TruncatedLsa(BaseEstimator):
 
 
 def dump_embedding(emb: EmbeddingMatrix, path: str | Path) -> None:
-    """TSV dump: doc id then the coordinates at 9 significant digits."""
+    """TSV dump: doc id then each coordinate as ``repr(float)``, the
+    shortest decimal that reads back as the same float64, so
+    ``load_embedding`` returns the vectors exactly."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for doc_id, row in zip(emb.docs, emb.vectors):
-            cols = "\t".join(f"{v:.9g}" for v in row)
+        for doc_id, row in zip(emb.docs, emb.vectors.tolist()):
+            cols = "\t".join(map(repr, row))
             fh.write(f"{doc_id}\t{cols}\n")
+
+
+def load_embedding(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
+    """The doc ids and float64 vectors ``dump_embedding`` wrote.  A line
+    that is not an id and finite numbers, a row of another width than the
+    first, or a file without rows raises ParseError naming the file (and
+    line)."""
+    docs, coords, width = [], [], None
+    for lineno, (doc_id, *fields) in tsv_rows(path):
+        try:
+            row = list(map(float, fields))
+        except ValueError:
+            row = []
+        if not row or not all(map(math.isfinite, row)):
+            raise ParseError(f"{path}:{lineno}: expected '<doc id>\\t<coordinate>...' of finite numbers")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(f"{path}:{lineno}: {len(row)} coordinates, but the first row has {width}")
+        docs.append(doc_id)
+        coords += row
+    if not docs:
+        raise ParseError(f"{path}: no embedding rows")
+    return tuple(docs), np.array(coords, dtype=np.float64).reshape(len(docs), width)

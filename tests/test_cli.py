@@ -275,7 +275,7 @@ class TestStaleArtifacts:
             assert hashed.count("dictionary_10.json") == 1, command
 
     def test_provenance_records_exactly_the_made_from_keys(self, workspace):
-        for command in ("vectorize", "cluster", "probe"):
+        for command in ("vectorize", "embed", "cluster", "probe"):
             assert run_cli(command, "--config", "config.json") == 0
         provenance = json.loads((workspace / "out" / "manifest.json").read_text())["provenance"]
         assert {name: sorted(record) for name, record in provenance.items()} == {
@@ -642,6 +642,98 @@ class TestStagedDocuments:
         assert "corpus file not found: corpus.jsonl" in capsys.readouterr().err
 
 
+class TestStagedEmbedding:
+    """``cluster``, and ``evaluate`` and ``probe`` when they cluster, read
+    the ``embedding.tsv`` that ``embed`` staged for the same corpus, d, r,
+    n_dims and seed, and embed afresh in every other case."""
+
+    ARTIFACTS = {"cluster": ("assignments.tsv", "cluster_run.json"),
+                 "evaluate": ("metrics.json",), "probe": ("probe_report.json", "network.graphml")}
+
+    def outputs(self, out, command):
+        return {name: (out / name).read_bytes() for name in self.ARTIFACTS[command]}
+
+    @pytest.mark.parametrize("command", ["cluster", "evaluate", "probe"])
+    def test_a_vouched_chain_solves_no_svd(self, workspace, monkeypatch, command):
+        import litclust.lsa
+        import litclust.vectorize
+
+        assert run_cli(command, "--config", "config.json", "--out", "solo") == 0
+        for staged in ("vectorize", "embed"):
+            assert run_cli(staged, "--config", "config.json") == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the embedding was solved again")
+
+        monkeypatch.setattr(litclust.lsa, "reduce", refuse)
+        monkeypatch.setattr(litclust.vectorize, "load_weighted_matrix", refuse)
+        assert run_cli(command, "--config", "config.json") == 0
+        assert self.outputs(workspace / "out", command) == self.outputs(workspace / "solo", command)
+
+    @pytest.mark.parametrize(
+        "case,why",
+        [("deleted", "missing"), ("edited", "digest changed"), ("no_record", "no record"),
+         ("n_dims", "other values"), ("seed", "other values")],
+    )
+    def test_anything_else_embeds_afresh(self, workspace, monkeypatch, caplog, case, why):
+        import litclust.lsa
+
+        assert run_cli("cluster", "--config", "config.json", "--out", "solo") == 0
+        assert run_cli("vectorize", "--config", "config.json") == 0
+        flags = {"n_dims": ("--n-dims", "10"), "seed": ("--seed", "4")}.get(case, ())
+        assert run_cli("embed", "--config", "config.json", *flags) == 0
+        out = workspace / "out"
+        path = out / "embedding.tsv"
+        if case == "deleted":
+            path.unlink()
+        elif case == "edited":
+            first, *rest = path.read_text().splitlines(keepends=True)
+            doc_id, *coords = first.rstrip("\n").split("\t")
+            path.write_text("\t".join([doc_id, *["0.0"] * len(coords)]) + "\n" + "".join(rest))
+        elif case == "no_record":
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["provenance"]["embedding.tsv"]
+            (out / "manifest.json").write_text(json.dumps(manifest))
+        calls = {}
+        count_calls(monkeypatch, litclust.lsa, "reduce", calls)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="litclust.cli"):
+            assert run_cli("cluster", "--config", "config.json") == 0
+        assert calls == {"reduce": 1}
+        records = [r.getMessage() for r in caplog.records if r.name == "litclust.cli"]
+        assert records[0] == f"out/embedding.tsv: recomputed ({why})"
+        assert self.outputs(out, "cluster") == self.outputs(workspace / "solo", "cluster")
+
+    @pytest.mark.parametrize(
+        "damage,message",
+        [("narrow", "has 14 dimensions, but n_dims is 15"), ("nan", "embedding.tsv:1:"),
+         ("ragged", "embedding.tsv:2:"), ("empty", "no embedding rows")],
+    )
+    def test_a_recorded_embedding_that_does_not_fit_exits_3(self, workspace, capsys, damage, message):
+        for staged in ("vectorize", "embed"):
+            assert run_cli(staged, "--config", "config.json") == 0
+        out = workspace / "out"
+        path = out / "embedding.tsv"
+        rows = [line.split("\t") for line in path.read_text().splitlines()]
+        if damage == "narrow":
+            rows = [row[:-1] for row in rows]
+        elif damage == "nan":
+            rows[0][1] = "nan"
+        elif damage == "ragged":
+            rows[1] = rows[1][:-1]
+        else:
+            rows = []
+        path.write_text("".join("\t".join(row) + "\n" for row in rows))
+        # Recorded as if embed had written it.
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["artifacts"]["embedding.tsv"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("cluster", "--config", "config.json") == 3
+        assert message in capsys.readouterr().err
+        assert not (out / "assignments.tsv").exists()
+
+
 class TestStagedReadsAreLogged:
     """Each staged input that ``embed``, ``cluster``, ``evaluate`` or
     ``probe`` consults gets one DEBUG record of ``litclust.cli``: read,
@@ -658,7 +750,7 @@ class TestStagedReadsAreLogged:
     def test_a_vouched_chain_reads_every_staged_input(self, workspace, caplog):
         assert run_cli("vectorize", "--config", "config.json") == 0
         assert self.run_logged(caplog, "embed") == [f"{self.WEIGHTS}: read", "out/documents.json: read"]
-        assert self.run_logged(caplog, "cluster") == [f"{self.WEIGHTS}: read", "out/documents.json: read"]
+        assert self.run_logged(caplog, "cluster") == ["out/embedding.tsv: read"]
         assert self.run_logged(caplog, "evaluate") == ["out/documents.json: read", "out/assignments.tsv: read"]
         assert self.run_logged(caplog, "probe") == ["out/assignments.tsv: read"]
 
@@ -1071,6 +1163,24 @@ class TestExitCodes:
         assert code == 3
         assert "bad.tsv:2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,message", [
+        ("a\t2", "cover.tsv:101: document 'a' is assigned a second time"),
+        ("b\t1_0", "cover.tsv:101: expected"),
+        ("b\t\u0661", "cover.tsv:101: expected"),
+        ("b\t 1", "cover.tsv:101: expected"),
+    ])
+    def test_a_repeated_id_or_loose_index_exits_3(self, workspace, capsys, line, message):
+        """Each document gets one plain index, so an explicit file cannot
+        score or probe a clustering it does not hold."""
+        ids = [doc.id for doc in load_corpus(workspace / "corpus.jsonl")]
+        rows = "".join(f"{doc_id}\t{i % 4}\n" for i, doc_id in enumerate(ids))
+        (workspace / "cover.tsv").write_text(rows.replace(ids[0], "a") + line + "\n", encoding="utf-8")
+        for command in ("evaluate", "probe"):
+            capsys.readouterr()
+            assert run_cli(command, "--config", "config.json", "--assignments", "cover.tsv") == 3
+            assert message in capsys.readouterr().err
+        assert not (workspace / "out" / "metrics.json").exists()
+
     def test_malformed_probe_report_exit_3(self, workspace, capsys):
         (workspace / "out").mkdir()
         (workspace / "out" / "probe_report.json").write_text('{"mode": "gene"}', encoding="utf-8")
@@ -1260,6 +1370,33 @@ def test_flags_set_the_config_keys_of_their_names(argv, expected):
 
     cfg = resolve_config(build_parser().parse_args(argv))
     assert asdict(cfg) == {**asdict(PipelineConfig()), **expected}
+
+
+def test_the_parser_is_built_once_and_no_parse_leaks_into_the_next(workspace, monkeypatch, capsys):
+    import litclust.cli
+
+    parsed = []
+    real = litclust.cli.resolve_config
+
+    def recording(args):
+        parsed.append(dict(vars(args)))
+        return real(args)
+
+    monkeypatch.setattr(litclust.cli, "resolve_config", recording)
+    litclust.cli.build_parser.cache_clear()
+    assert run_cli("cluster", "--config", "config.json", "--k", "3", "--json") == 0
+    assert json.loads(capsys.readouterr().out)["k"] == 3
+    assert run_cli("embed", "--config", "config.json") == 0
+    assert not capsys.readouterr().out.startswith("{")
+    assert run_cli("cluster", "--config", "config.json") == 0
+    assert "k: 4" in capsys.readouterr().out.splitlines()
+    first, second, third = parsed
+    assert (first["command"], first["k"], first["json"]) == ("cluster", 3, True)
+    assert (second["command"], second["k"], second["json"]) == ("embed", None, False)
+    assert (third["command"], third["k"], third["json"]) == ("cluster", None, False)
+    assert "assignments" not in second
+    info = litclust.cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_flags_override_the_file_and_budget_joins_its_sweep(workspace):

@@ -602,6 +602,26 @@ def test_blank_assignment_lines_are_skipped(tmp_path):
         load_assignments(path)
 
 
+def test_a_repeated_id_names_the_file_line_and_id(tmp_path):
+    path = tmp_path / "assignments.tsv"
+    path.write_bytes(b"a\t1\nb\t0\na\t2\n")
+    with pytest.raises(ParseError, match=r"assignments\.tsv:3: document 'a' is assigned a second time"):
+        load_assignments(path)
+
+
+@pytest.mark.parametrize(
+    "index", ["1_0", " 1", "1 ", "+1", "-1", "1.0", "\u0661", "\uff11", "1\r", "",
+              pytest.param("1" * 5000, id="past-int-digit-limit")]
+)
+def test_a_cluster_index_is_plain_ascii_digits(tmp_path, index):
+    path = tmp_path / "assignments.tsv"
+    path.write_bytes(f"a\t1\nc\t{index}\n".encode("utf-8"))
+    with pytest.raises(ParseError, match=r"assignments\.tsv:2:"):
+        load_assignments(path)
+    path.write_bytes(b"a\t1\nc\t007\n")
+    assert load_assignments(path) == {"a": 1, "c": 7}
+
+
 def test_run_metadata_fields():
     import json
 

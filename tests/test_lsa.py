@@ -5,16 +5,19 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 import litclust.lsa as lsa_mod
 from litclust.corpus import save_jsonl
-from litclust.errors import ConfigError, ConvergenceFailure, DimsTooLarge
+from litclust.errors import ConfigError, ConvergenceFailure, DimsTooLarge, ParseError
 from litclust.lsa import (
     EmbeddingMatrix,
     TruncatedLsa,
     _fix_signs,
     dump_embedding,
+    load_embedding,
     reduce,
     truncated_svd,
 )
@@ -335,5 +338,66 @@ def test_dump_embedding_format(tmp_path):
     path = tmp_path / "emb.tsv"
     dump_embedding(emb, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "a\t1.23456789\t-2"
+    assert lines[0] == "a\t1.23456789012\t-2.0"
     assert lines[1] == "b\t1.2345e-05\t3.5"
+
+
+def embedding_of(vectors):
+    return EmbeddingMatrix(
+        docs=tuple(f"d{i}" for i in range(len(vectors))),
+        dims=vectors.shape[1],
+        vectors=vectors,
+        singular_values=np.ones(vectors.shape[1]),
+    )
+
+
+def test_embedding_reads_back_exactly(tmp_path):
+    rng = np.random.default_rng(5)
+    # Random bit patterns reach every exponent, subnormals included.
+    bits = rng.integers(0, 2**64, size=600, dtype=np.uint64).view(np.float64)
+    vectors = np.concatenate([
+        rng.standard_normal((40, 6)),
+        bits[np.isfinite(bits)][:240].reshape(40, 6),
+        np.array([[-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.0]]),
+        rng.integers(-5, 5, size=(3, 6)).astype(np.float64),
+    ])
+    emb = embedding_of(vectors)
+    path = tmp_path / "emb.tsv"
+    dump_embedding(emb, path)
+    docs, back = load_embedding(path)
+    assert docs == emb.docs
+    assert back.dtype == np.float64 and back.shape == vectors.shape
+    assert back.tobytes() == vectors.tobytes()  # -0.0 keeps its sign bit
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+def test_any_finite_row_reads_back_exactly(tmp_path_factory, row):
+    vectors = np.array([row, row[::-1]], dtype=np.float64)
+    path = tmp_path_factory.mktemp("emb") / "emb.tsv"
+    dump_embedding(embedding_of(vectors), path)
+    assert load_embedding(path)[1].tobytes() == vectors.tobytes()
+
+
+@pytest.mark.parametrize(
+    "content,where",
+    [
+        (b"a\t1.0\t2.0\nb\t3.0\n", ":2:"),  # ragged
+        (b"a\t1.0\nb\t2.0\t3.0\n", ":2:"),
+        (b"a\t1.0\nb\n", ":2:"),  # no coordinates
+        (b"a\t1.0\nb\tnan\n", ":2:"),
+        (b"a\t-inf\n", ":1:"),
+        (b"a\t1e400\n", ":1:"),
+        (b"a\t1.0\t\n", ":1:"),
+        (b"a\t0x1p3\n", ":1:"),
+        (b"a\t1,5\n", ":1:"),
+        (b"a\t1.0\nb\t\xff\n", ":2:"),
+        (b"", ": no embedding rows"),
+        (b"\n\n", ": no embedding rows"),
+    ],
+)
+def test_malformed_embedding_raises_parse_error(tmp_path, content, where):
+    path = tmp_path / "emb.tsv"
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match=re.escape("emb.tsv" + where)):
+        load_embedding(path)
