@@ -435,18 +435,15 @@ def cmd_ingest(cfg: PipelineConfig, args) -> dict:
 def cmd_vectorize(cfg: PipelineConfig, args) -> dict:
     corpus = _corpus(cfg)
     out = _out_dir(cfg)
-    counts = corpus.term_counts
-    weighted = _vec.weigh(_vec.ablate_singletons(counts), cfg.d, cfg.r)
-    counts_path = out / "counts.mtx"
+    weighted = _vec.build_weighted_matrix(corpus, d_percent=cfg.d, rank_cutoff=cfg.r)
     weights_path = out / "weights.mtx"
     vocab_path = out / "vocabulary.tsv"
     documents_path = out / "documents.json"
-    _vec.dump_matrix_market(counts, counts_path)
     _vec.dump_matrix_market(weighted, weights_path)
     _vec.dump_vocabulary(weighted, vocab_path)
     # The columns of weights.mtx are the corpus's documents, in order.
     save_document_table(corpus, documents_path)
-    artifacts = [counts_path, weights_path, vocab_path, documents_path]
+    artifacts = [weights_path, vocab_path, documents_path]
     return {
         "terms": len(weighted.terms),
         "documents": len(weighted.docs),
@@ -603,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {
         "ingest": "normalize a corpus into canonical JSONL",
-        "vectorize": "dump count/weight matrices and vocabulary",
+        "vectorize": "dump the weighted matrix, its vocabulary and the document table",
         "embed": "dump the document embedding",
         "cluster": "k-means assignments and run metadata",
         "evaluate": "homogeneity/completeness/v-measure vs labels",

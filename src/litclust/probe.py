@@ -309,17 +309,17 @@ def relative_weights(counts: ProbeCounts) -> ProbeReport:
         raise ValueError("total document count must be positive")
     totals = counts.globals
     present = totals > 0
+    # The present entities' rows in name order, so that one stable sort
+    # of the negated weights breaks each tie toward the smaller name.
+    rows = np.array(sorted(np.flatnonzero(present), key=counts.entities.__getitem__), dtype=np.intp)
     share = counts.cluster_sizes / counts.total_docs
+    observed = counts.per_cluster[rows]
+    weights = observed - totals[rows, None] * share[None, :]
     rankings = []
-    for j, cluster in enumerate(counts.cluster_ids):
-        scored = []
-        for i in np.flatnonzero(present):
-            entity = counts.entities[i]
-            observed = int(counts.per_cluster[i, j])
-            weight = observed - float(totals[i]) * float(share[j])
-            scored.append((entity, observed, weight))
-        scored.sort(key=lambda t: (-t[2], t[0]))
-        rankings.append(ClusterRanking(cluster=int(cluster), entries=tuple(scored)))
+    for j, ranked in enumerate(np.argsort(-weights, axis=0, kind="stable").T):
+        names = [counts.entities[i] for i in rows[ranked]]
+        entries = zip(names, observed[ranked, j].tolist(), weights[ranked, j].tolist())
+        rankings.append(ClusterRanking(cluster=int(counts.cluster_ids[j]), entries=tuple(entries)))
     return ProbeReport(
         mode=counts.mode,
         clusters=tuple(rankings),

@@ -309,16 +309,15 @@ def _keep_terms(m: TermDocMatrix, keep: np.ndarray) -> TermDocMatrix:
     return TermDocMatrix(terms=terms, docs=m.docs, counts=counts)
 
 
-def dump_matrix_market(m: TermDocMatrix | WeightedMatrix, path: str | Path) -> None:
-    """MatrixMarket coordinate dump of counts or weights."""
-    mat = m.counts if isinstance(m, TermDocMatrix) else m.weights
-    spio.mmwrite(str(path), sparse.coo_array(mat))
+def dump_matrix_market(w: WeightedMatrix, path: str | Path) -> None:
+    """MatrixMarket coordinate dump of the weights, for ``load_weighted_matrix``."""
+    spio.mmwrite(str(path), sparse.coo_array(w.weights))
 
 
-def dump_vocabulary(m: TermDocMatrix | WeightedMatrix, path: str | Path) -> None:
+def dump_vocabulary(w: WeightedMatrix, path: str | Path) -> None:
     """Two-column TSV: term, row index."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for i, term in enumerate(m.terms):
+        for i, term in enumerate(w.terms):
             fh.write(f"{term}\t{i}\n")
 
 

@@ -112,10 +112,12 @@ class TestIngest:
 
 class TestStages:
     def test_vectorize_artifacts(self, workspace):
+        """vectorize stages only files that a later command reads, each
+        under a provenance check, and the manifest."""
         assert run_cli("vectorize", "--config", "config.json") == 0
-        out = workspace / "out"
-        for name in ("counts.mtx", "weights.mtx", "vocabulary.tsv"):
-            assert (out / name).exists()
+        staged = {path.name for path in (workspace / "out").iterdir()}
+        assert staged == {"weights.mtx", "vocabulary.tsv", "documents.json", "manifest.json"}
+        assert staged - {"manifest.json"} <= set(MADE_FROM)
 
     def test_vectorize_counts_the_corpus_once(self, workspace, monkeypatch):
         import litclust.vectorize
@@ -294,6 +296,25 @@ class TestStaleArtifacts:
             artifact, _, made_from = (cell.strip() for cell in line.strip("|").split("|")[:3])
             table[artifact.strip("`")] = tuple(key.strip(" `") for key in made_from.split(","))
         assert table == MADE_FROM
+
+    def test_readme_cli_block_lists_what_each_command_writes(self, workspace, capsys):
+        """The comment on each command of the README's CLI block names the
+        artifacts the command reports writing."""
+        lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+        listed = {}
+        start = next(i for i, line in enumerate(lines) if line.startswith("litclust ingest"))
+        for line in lines[start:lines.index("```", start)]:
+            command, _, comment = line.partition("#")
+            if comment:
+                listed[command.split()[1]] = sorted(name.strip() for name in comment.split(","))
+        config = json.loads((workspace / "config.json").read_text())
+        config["sweep"] = {"d_values": [0.5], "r_values": [5], "n_values": [5], "k_values": [2], "budget": 1}
+        (workspace / "config.json").write_text(json.dumps(config))
+        capsys.readouterr()
+        for command in ("vectorize", "embed", "cluster", "evaluate", "sweep"):
+            assert run_cli(command, "--config", "config.json", "--json") == 0
+            written = json.loads(capsys.readouterr().out)["artifacts"]
+            assert listed[command] == sorted(Path(path).name for path in written), command
 
     @pytest.mark.parametrize("damage", [
         b"", b'{"artifacts": {', b"[]", b"\xff\xfe",

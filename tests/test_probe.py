@@ -443,6 +443,40 @@ class TestRelativeWeights:
             for total in sums.values():
                 assert abs(total) <= 1e-9
 
+    def test_entries_equal_a_per_entity_reference(self):
+        """Each cluster's entries are (entity, int count, float weight),
+        weight descending with a tie to the smaller name, exactly as one
+        entity at a time computes them, also when the entities are not
+        listed in name order."""
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            n_e, n_k = int(rng.integers(0, 9)), int(rng.integers(1, 5))
+            names = [f"g{i}" for i in range(n_e)]
+            rng.shuffle(names)
+            # Few distinct counts and equal sizes make many ties.
+            per_cluster = rng.integers(0, 3, size=(n_e, n_k)) * rng.integers(0, 2, size=(n_e, 1))
+            sizes = np.full(n_k, 5) if rng.integers(2) else rng.integers(1, 9, size=n_k)
+            counts = ProbeCounts(
+                mode="gene",
+                entities=tuple(names),
+                per_cluster=per_cluster,
+                cluster_ids=tuple(range(10, 10 + n_k)),
+                cluster_sizes=sizes,
+                total_docs=int(sizes.sum()),
+            )
+            report = relative_weights(counts)
+            for j, ranking in enumerate(report.clusters):
+                want = []
+                for i, entity in enumerate(names):
+                    total = int(per_cluster[i].sum())
+                    if total:
+                        observed = int(per_cluster[i, j])
+                        want.append((entity, observed, observed - total * float(sizes[j] / sizes.sum())))
+                want.sort(key=lambda t: (-t[2], t[0]))
+                assert ranking.cluster == 10 + j
+                assert ranking.entries == tuple(want)
+                assert all(type(n) is int and type(w) is float for _, n, w in ranking.entries)
+
     def test_unseen_entities_omitted(self):
         corpus, assignments = probe_corpus()
         d = dictionary_of(("BRCA1", (), ""), ("GHOST", (), ""))
