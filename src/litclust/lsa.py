@@ -5,22 +5,21 @@ the singular values, so Euclidean distances between embedding rows
 approximate distances between the weighted matrix's document columns,
 which is what the downstream clustering objective measures.
 
-Matrices whose smaller side is at most ``DENSE_CUTOFF`` go through a
-dense SVD.  Larger ones go through block Krylov (block Lanczos)
-iteration on the Gram operator of the smaller side, ``x -> A^T (A x)``
-or ``x -> A (A^T x)``, which is applied and never formed.  The basis
-starts from a seeded Gaussian block and keeps every block it grows, each
-orthogonalized twice against all earlier ones.  Rayleigh-Ritz steps
-stop the iteration once every wanted Ritz pair's residual is at most
-``RESIDUAL_TOL`` of the largest Ritz value, or once the basis spans the
-whole side, where the result is exact.  The first two steps are
-``RITZ_INTERVAL`` columns apart; each later one goes halfway to where
-the residual would reach the tolerance if it kept decaying at the rate
-measured between the last two, between one block and ``MAX_RITZ_GAP``
-columns ahead.  Singular values and the other side then come from an SVD
-of A times the Ritz vectors.  Both paths use numpy's linear algebra
-only: importing scipy's dense or sparse linear algebra would add 8-10 MB
-to every process.
+Every matrix goes through block Krylov (block Lanczos) iteration on the
+Gram operator of its smaller side, ``x -> A^T (A x)`` or
+``x -> A (A^T x)``, which is applied and never formed.  The basis starts
+from a seeded Gaussian block, at most as wide as that side, and keeps
+every block it grows, each orthogonalized twice against all earlier
+ones.  Rayleigh-Ritz steps stop the iteration once every wanted Ritz pair's
+residual is at most ``RESIDUAL_TOL`` of the largest Ritz value, or once
+the basis spans the whole side, where the result is exact.  The first
+two steps are ``RITZ_INTERVAL`` columns apart; each later one goes
+halfway to where the residual would reach the tolerance if it kept
+decaying at the rate measured between the last two, between one block
+and ``MAX_RITZ_GAP`` columns ahead.  Singular values and the other side
+then come from an SVD of A times the Ritz vectors.  Only numpy's linear
+algebra is used: importing scipy's dense or sparse linear algebra would
+add 8-10 MB to every process.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from litclust.base import BaseEstimator, check_positive_int, tsv_rows
 from litclust.errors import ConvergenceFailure, DimsTooLarge, ParseError
@@ -39,8 +37,6 @@ from litclust.vectorize import WeightedMatrix
 
 logger = logging.getLogger(__name__)
 
-# Below this size an exact dense SVD is cheaper and unconditionally stable.
-DENSE_CUTOFF = 64
 # Width of each Krylov block.  A singular value repeated up to this many
 # times is resolved in full, which single-vector Lanczos can miss.
 BLOCK = 4
@@ -87,10 +83,9 @@ def truncated_svd(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-``k`` singular triplets of a sparse or dense matrix.
 
-    Small problems go through an exact dense SVD; larger ones through
-    seeded block Krylov iteration on the smaller side's Gram operator
-    (see the module docstring).  ``k`` must be an integer from 1 to
-    ``min(a.shape)``.
+    Seeded block Krylov iteration on the smaller side's Gram operator
+    (see the module docstring), exact once its basis spans that side.
+    ``k`` must be an integer from 1 to ``min(a.shape)``.
     """
     check_positive_int(k, "k")
     m, n = a.shape
@@ -98,11 +93,6 @@ def truncated_svd(
         raise DimsTooLarge(
             f"k={k} dimensions exceed min(shape)={min(m, n)} of this {m} x {n} matrix"
         )
-    if min(m, n) <= DENSE_CUTOFF:
-        logger.debug("truncated_svd: dense SVD of a %d x %d matrix", m, n)
-        dense = a.toarray() if sparse.issparse(a) else np.asarray(a, dtype=np.float64)
-        u, s, vt = np.linalg.svd(dense, full_matrices=False)
-        return _fix_signs(u[:, :k], s[:k].copy(), vt[:k].copy())
     if m < n:
         v, s, ut = _block_krylov_svd(a.T, k, seed)
         return _fix_signs(ut.T, s, v.T)
@@ -122,8 +112,8 @@ def _block_krylov_svd(a, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.
     # Assembled at each Rayleigh-Ritz step; a limit x limit buffer held
     # throughout raised the peak RSS of repeated solves by 2-3 MB.
     projections = []
-    q[:, :BLOCK], _ = np.linalg.qr(rng.standard_normal((side, BLOCK)))
-    start, end = 0, BLOCK
+    start, end = 0, min(BLOCK, side)
+    q[:, :end], _ = np.linalg.qr(rng.standard_normal((side, end)))
     scale = 0.0  # largest column norm of A^T A q so far, at most theta_1
     due = max(k, RITZ_INTERVAL)  # basis columns at the next Rayleigh-Ritz step
     last = None  # (basis columns, residual) at the previous step

@@ -24,6 +24,7 @@ from xml.sax.saxutils import escape, quoteattr
 import numpy as np
 from scipy import sparse
 
+from litclust.base import is_number
 from litclust.corpus import Corpus, normalize_text, tokenize_text
 from litclust.errors import EmptyDictionary, ParseError
 
@@ -468,25 +469,32 @@ def report_to_json(report: ProbeReport) -> str:
 
 
 def report_from_json(text: str) -> ProbeReport:
-    """Parse :func:`report_to_json` output; malformed text raises ParseError."""
+    """Parse :func:`report_to_json` output; malformed or mistyped text raises ParseError."""
     try:
         doc = json.loads(text)
         clusters = tuple(
-            ClusterRanking(
-                cluster=int(cid),
-                entries=tuple(
-                    (rec["entity"], int(rec["count"]), float(rec["relative_weight"]))
-                    for rec in entries
-                ),
-            )
+            ClusterRanking(cluster=int(cid), entries=tuple(map(_entry, entries)))
             for cid, entries in sorted(doc["clusters"].items(), key=lambda kv: int(kv[0]))
         )
         return ProbeReport(
             mode=doc["mode"],
             clusters=clusters,
-            entity_globals={k: int(v) for k, v in doc["entity_globals"].items()},
-            cluster_sizes={int(k): int(v) for k, v in doc["cluster_sizes"].items()},
-            total_docs=int(doc["total_docs"]),
+            entity_globals={k: _count(v) for k, v in doc["entity_globals"].items()},
+            cluster_sizes={int(k): _count(v) for k, v in doc["cluster_sizes"].items()},
+            total_docs=_count(doc["total_docs"]),
         )
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"malformed probe report ({exc!r})") from exc
+
+
+def _count(value) -> int:
+    if is_number(value, integer=True):
+        return value
+    raise ValueError(f"{value!r} is no integer count")
+
+
+def _entry(rec) -> tuple[str, int, float]:
+    entity, weight = rec["entity"], rec["relative_weight"]
+    if isinstance(entity, str) and is_number(weight):
+        return entity, _count(rec["count"]), float(weight)
+    raise ValueError(f"entity {entity!r} is no string or relative_weight {weight!r} no finite number")

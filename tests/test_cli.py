@@ -1208,6 +1208,39 @@ class TestExitCodes:
         assert run_cli("export", "--config", "config.json") == 3
         assert "probe_report.json" in capsys.readouterr().err
 
+    REPORT = {
+        "mode": "gene", "total_docs": 4, "cluster_sizes": {"0": 2, "1": 2},
+        "entity_globals": {"brca1": 3, "tp53": 1},
+        "clusters": {
+            "0": [{"entity": "brca1", "count": 2, "relative_weight": 0.5}],
+            "1": [{"entity": "tp53", "count": 1, "relative_weight": 0.5}],
+        },
+    }
+
+    @pytest.mark.parametrize("fmt", ["graphml", "dot", "json"])
+    @pytest.mark.parametrize("field,value", [
+        ("entity", 5), ("entity", None), ("count", 1.5), ("count", "3"), ("count", True),
+        ("relative_weight", "nan"), ("relative_weight", float("nan")),
+        ("relative_weight", float("inf")), ("relative_weight", None),
+    ])
+    def test_report_entry_of_another_type_exits_3(self, workspace, capsys, fmt, field, value):
+        """An explicit report holds only what report_to_json writes: a
+        string entity, an integer count and a finite weight."""
+        path = workspace / "report.json"
+        path.write_text(json.dumps(self.REPORT), encoding="utf-8")
+        argv = ("export", "--config", "config.json", "--format", fmt, "--report", "report.json")
+        assert run_cli(*argv) == 0
+        report = json.loads(json.dumps(self.REPORT))
+        report["clusters"]["1"][0][field] = value
+        path.write_text(json.dumps(report), encoding="utf-8")
+        network = (workspace / "out" / f"network.{fmt}").read_bytes()
+        capsys.readouterr()
+        assert run_cli(*argv) == 3
+        err = capsys.readouterr().err
+        assert "report.json: malformed probe report" in err and field in err
+        assert "Traceback" not in err
+        assert (workspace / "out" / f"network.{fmt}").read_bytes() == network
+
     @pytest.mark.parametrize(
         "name,argv,code",
         [

@@ -66,7 +66,7 @@ def test_small_sparse_matches_gram_eigensolve():
 
 
 def test_randomized_path_matches_dense_svd():
-    # Big enough for the block Krylov path (min(shape) > DENSE_CUTOFF).
+    # A side of 120 takes several Krylov blocks and Rayleigh-Ritz steps.
     dense = random_sparse(150, 120, density=0.2, seed=2)
     u, s, vt = truncated_svd(sparse.csr_array(dense), 12, seed=3)
     reference = np.linalg.svd(dense, compute_uv=False)[:12]
@@ -139,7 +139,7 @@ def test_dims_too_large():
         reduce(as_weighted(np.ones((3, 5))), 4)
 
 
-@pytest.mark.parametrize("shape", [(300, 200), (30, 20)], ids=["krylov", "dense"])
+@pytest.mark.parametrize("shape", [(300, 200), (30, 20)], ids=["krylov", "small"])
 @pytest.mark.parametrize("k", [0, -1, 2.5, True])
 def test_truncated_svd_refuses_k_that_is_no_positive_integer(shape, k):
     a = sparse.csr_array(random_sparse(*shape, seed=19))
@@ -205,6 +205,53 @@ def test_rank_below_n_dims(rank):
     assert np.allclose(vt @ vt.T, np.eye(15), atol=1e-12)
 
 
+SMALL_SHAPES = [(1, 1), (3, 2), (2, 5), (4, 4), (5, 7), (64, 64), (65, 64)]
+
+
+@pytest.mark.parametrize("shape", SMALL_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("kind", ["k=1", "k=min"])
+def test_small_sides_match_dense_svd(shape, kind):
+    # A side below BLOCK starts from a narrower block; every side here is
+    # spanned by the basis, where the solve is exact.
+    dense = np.random.default_rng(20).random(shape) + 0.1
+    k = 1 if kind == "k=1" else min(shape)
+    got = truncated_svd(sparse.csr_array(dense), k, seed=5)
+    u_ref, s_ref, vt_ref = sign_fixed_reference(dense, k)
+    u, s, vt = got
+    assert (u.shape, s.shape, vt.shape) == ((shape[0], k), (k,), (k, shape[1]))
+    assert np.max(np.abs(s - s_ref) / s_ref) <= 1e-12
+    assert np.max(np.abs(vt - vt_ref)) <= 1e-9
+    assert np.max(np.abs(u - u_ref)) <= 1e-9
+    again = truncated_svd(sparse.csr_array(dense), k, seed=5)
+    for x, y in zip(got, again):
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(6, 5), (5, 9), (3, 3)])
+def test_small_rank_deficient_matrix(shape):
+    # Rank 2: the Krylov space is exhausted early and the basis is filled
+    # with null-space directions up to the whole side.
+    rng = np.random.default_rng(21)
+    low = rng.random((shape[0], 2)) @ rng.random((2, shape[1]))
+    k = min(shape)
+    u, s, vt = truncated_svd(low, k, seed=0)
+    s_ref = np.linalg.svd(low, compute_uv=False)
+    assert np.all(np.abs(s[:2] - s_ref[:2]) <= 1e-12 * s_ref[:2])
+    assert np.all(s[2:] <= 1e-12 * s_ref[0])
+    assert np.linalg.norm(low - (u * s) @ vt) <= 1e-12 * s_ref[0]
+    assert np.allclose(vt @ vt.T, np.eye(k), atol=1e-12)
+
+
+def test_integer_ndarray_input():
+    ints = np.array([[3, 0, 1, 2], [0, 4, 0, 1], [2, 1, 5, 0]], dtype=np.int64)
+    u, s, vt = truncated_svd(ints, 3, seed=0)
+    assert u.dtype == s.dtype == vt.dtype == np.float64
+    u_ref, s_ref, vt_ref = sign_fixed_reference(ints.astype(np.float64), 3)
+    assert np.max(np.abs(s - s_ref) / s_ref) <= 1e-12
+    assert np.max(np.abs(vt - vt_ref)) <= 1e-9
+    assert np.max(np.abs(u - u_ref)) <= 1e-9
+
+
 @pytest.mark.parametrize("shape", [(100, 80), (80, 100)], ids=["doc-side", "term-side"])
 def test_rerun_is_bit_identical(shape):
     a = sparse.csr_array(random_sparse(*shape, density=0.25, seed=16))
@@ -237,10 +284,8 @@ def test_fix_signs_matches_per_vector_loop():
 
 def test_debug_log_names_the_path(caplog):
     with caplog.at_level(logging.DEBUG, logger="litclust.lsa"):
-        truncated_svd(random_sparse(30, 20, seed=18), 3)
         truncated_svd(sparse.csr_array(random_sparse(100, 80, seed=18)), 3)
-    dense_msg, krylov_msg = (r.getMessage() for r in caplog.records)
-    assert "dense SVD of a 30 x 20 matrix" in dense_msg
+    (krylov_msg,) = (r.getMessage() for r in caplog.records)
     assert "block Krylov on a side of 80" in krylov_msg
     for part in ("basis columns", "Rayleigh-Ritz rounds", "largest residual"):
         assert part in krylov_msg

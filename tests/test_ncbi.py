@@ -73,6 +73,7 @@ def fixture_server():
     finally:
         server.shutdown()
         thread.join()
+        server.server_close()
 
 
 def _client(server, **kwargs):

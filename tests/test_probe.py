@@ -637,6 +637,26 @@ def test_malformed_report_json_raises_parse_error():
         report_from_json('{"mode": "gene"}')
 
 
+@pytest.mark.parametrize("path,value", [
+    (("total_docs",), 4.0), (("total_docs",), "4"), (("cluster_sizes", "0"), 1.5),
+    (("entity_globals", "brca1"), False), (("entity_globals", "brca1"), "3"),
+])
+def test_report_json_counts_are_integers(path, value):
+    doc = {
+        "mode": "gene", "total_docs": 4, "cluster_sizes": {"0": 4},
+        "entity_globals": {"brca1": 3},
+        "clusters": {"0": [{"entity": "brca1", "count": 3, "relative_weight": 0.25}]},
+    }
+    assert report_from_json(json.dumps(doc)).total_docs == 4
+    *parents, key = path
+    target = doc
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    with pytest.raises(ParseError, match="is no integer count"):
+        report_from_json(json.dumps(doc))
+
+
 RECORD_TEXT = st.lists(
     st.sampled_from(KEY_POOL + NOISE_POOL + ("tumor protein", "dna repair")), max_size=8
 ).map(" ".join)
