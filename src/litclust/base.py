@@ -1,22 +1,28 @@
-"""Estimator base class and input validation helpers.
+"""Estimator base class, input validation and file helpers.
 
 The estimators in this package follow the scikit-learn parameter
 conventions (``get_params`` / ``set_params``, constructor args stored
 verbatim as attributes) without depending on scikit-learn itself, so
 they drop into sklearn pipelines and grid-search tooling when that
 library is around.
+
+``read_json`` is the package's one JSON-file reader, ``replace_file`` its
+one atomic writer.
 """
 
 from __future__ import annotations
 
 import inspect
+import json
 import math
+import os
+import tempfile
 from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from litclust.errors import ConfigError, ParseError
+from litclust.errors import ConfigError, LitclustError, ParseError
 
 
 class BaseEstimator:
@@ -94,3 +100,32 @@ def tsv_rows(path: str | Path):
                 raise ParseError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc
             if line:
                 yield lineno, line.split("\t")
+
+
+def read_json(path: str | Path, error: type[LitclustError] = ParseError):
+    """The JSON value in the file at ``path``; a directory, a file that is
+    not UTF-8 text or one that is not JSON raises ``error`` naming it."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except IsADirectoryError as exc:
+        raise error(f"{path}: is a directory") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON ({exc.msg})") from exc
+
+
+def replace_file(path: str | Path, data: bytes) -> None:
+    """Replace the file at ``path`` with ``data`` whole: written beside it,
+    flushed to disk and renamed over it, so neither a write cut short nor a
+    crash after the rename leaves a truncated file, nor a failure a stray one."""
+    path = Path(path)
+    fd, name = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+    tmp = Path(name)
+    try:
+        tmp.write_bytes(data)
+        os.fsync(fd)
+        os.replace(tmp, path)
+    finally:
+        os.close(fd)
+        tmp.unlink(missing_ok=True)

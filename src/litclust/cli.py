@@ -14,7 +14,6 @@ import functools
 import hashlib
 import json
 import logging
-import os
 import sys
 import types
 import typing
@@ -27,7 +26,7 @@ from litclust import lsa as _lsa
 from litclust import probe as _probe
 from litclust import sweep as _sweep
 from litclust import vectorize as _vec
-from litclust.base import check_positive_int, is_number
+from litclust.base import check_positive_int, is_number, read_json, replace_file
 from litclust.corpus import load_corpus, load_document_table, save_document_table, save_jsonl
 from litclust.errors import ComputeError, ConfigError, DataError, LitclustError, ParseError
 from litclust.evaluate import metrics_json, score_clustering
@@ -178,15 +177,9 @@ def _fits(value, hint) -> bool:
 
 
 def load_config_file(path: str) -> dict:
-    p = Path(path)
-    if not p.is_file():
+    if not Path(path).is_file():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from exc
+    data = read_json(path, ConfigError)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return data
@@ -230,10 +223,7 @@ def _read_manifest(out_dir: Path) -> dict:
     manifest_path = out_dir / "manifest.json"
     if not manifest_path.exists():
         return {"artifacts": {}}
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (IsADirectoryError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{manifest_path}: malformed manifest ({exc})") from exc
+    manifest = read_json(manifest_path, DataError)
     if not isinstance(manifest, dict):
         raise DataError(f"{manifest_path}: malformed manifest (not a JSON object)")
     provenance = manifest.get("provenance", {})
@@ -263,14 +253,8 @@ def _update_manifest(cfg: PipelineConfig, out_dir: Path, artifacts: list[Path]) 
     manifest["artifacts"] = dict(sorted(digests.items()))
     if provenance:
         manifest["provenance"] = provenance
-    # Written beside the manifest, flushed to disk and renamed over it,
-    # so a write cut short never leaves a truncated manifest.
-    tmp = manifest_path.with_name(manifest_path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, manifest_path)
+    # Replaced whole, so a write cut short never leaves a truncated manifest.
+    replace_file(manifest_path, (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode())
     return [str(path) for path in artifacts]
 
 
@@ -291,9 +275,9 @@ def _corpus(cfg: PipelineConfig):
 
 
 def _out_dir(cfg: PipelineConfig) -> Path:
-    """The output directory, made if missing.  Its manifest is read here,
-    before any command writes an artifact, so a malformed one (DataError)
-    leaves the directory as it was."""
+    """The output directory, made if missing, once the command has checked
+    the inputs it is given by name.  Its manifest is read before any artifact
+    is written, so a malformed one (DataError) leaves the directory as it was."""
     out = Path(cfg.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -479,9 +463,9 @@ def cmd_cluster(cfg: PipelineConfig, args) -> dict:
 
 def cmd_evaluate(cfg: PipelineConfig, args) -> dict:
     _require_corpus(cfg)
-    out = _out_dir(cfg)
     ids, labels = _document_table(cfg)
     assignments = _load_or_compute_assignments(cfg, ids, getattr(args, "assignments", None))
+    out = _out_dir(cfg)
     report = score_clustering(assignments, labels)
     path = out / "metrics.json"
     path.write_text(metrics_json(report) + "\n", encoding="utf-8")
@@ -529,13 +513,13 @@ def cmd_sweep(cfg: PipelineConfig, args) -> dict:
 
 def cmd_probe(cfg: PipelineConfig, args) -> dict:
     corpus = _corpus(cfg)
-    out = _out_dir(cfg)
     if not cfg.dictionary:
         raise ConfigError("no dictionary path given (flag --dict or config key 'dictionary')")
     if not Path(cfg.dictionary).is_file():
         raise ConfigError(f"dictionary file not found: {cfg.dictionary}")
     dictionary = _probe.load_dictionary(cfg.dictionary)
     assignments = _load_or_compute_assignments(cfg, corpus.doc_ids(), getattr(args, "assignments", None))
+    out = _out_dir(cfg)
     counts = _probe.count_occurrences(corpus, assignments, dictionary, mode=cfg.probe_mode)
     report = _probe.relative_weights(counts)
     report_path = out / "probe_report.json"
@@ -552,9 +536,8 @@ def cmd_probe(cfg: PipelineConfig, args) -> dict:
 
 
 def cmd_export(cfg: PipelineConfig, args) -> dict:
-    out = _out_dir(cfg)
     explicit = getattr(args, "report", None)
-    source = explicit or str(out / "probe_report.json")
+    source = explicit or str(Path(cfg.out) / "probe_report.json")
     if not Path(source).is_file():
         raise DataError(f"probe report not found: {source}")
     try:
@@ -570,6 +553,7 @@ def cmd_export(cfg: PipelineConfig, args) -> dict:
             f"{source} has no record in manifest.json of the probe that wrote it, "
             f"or was changed since; rerun `litclust probe` or pass the file with --report"
         )
+    out = _out_dir(cfg)
     net = _probe.build_network(report, top_n=cfg.probe_top)
     net_path = out / f"network.{cfg.network_format}"
     net_path.write_bytes(_probe.export_network(net, format=cfg.network_format))

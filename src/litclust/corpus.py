@@ -17,6 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from litclust.base import read_json
 from litclust.errors import DuplicateId, EmptyCorpus, InvalidId, ParseError
 
 if TYPE_CHECKING:
@@ -210,10 +211,7 @@ def save_document_table(corpus: Corpus, path: str | Path) -> None:
 def load_document_table(path: str | Path) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
     """The ids and labels ``save_document_table`` wrote; a file of another
     shape raises ``ParseError``."""
-    try:
-        table = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: not a document table ({exc})") from exc
+    table = read_json(path)
     ids, labels = (table.get("ids"), table.get("labels")) if isinstance(table, dict) else (None, None)
     if not (
         isinstance(ids, list)

@@ -12,13 +12,13 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
 from pathlib import Path
 
+from litclust.base import replace_file
 from litclust.errors import ConfigError, EmptyResult, NetworkError, RateLimited
 
 log = logging.getLogger(__name__)
@@ -160,17 +160,5 @@ class NcbiClient:
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        # Written beside the entry, flushed to disk and renamed over it,
-        # so neither a write cut short nor a machine crash after the
-        # rename leaves a truncated entry for _cache_read to replay.
-        fd, name = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
-        tmp = Path(name)
-        try:
-            try:
-                tmp.write_bytes(payload)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        # Replaced whole, so _cache_read never replays a truncated entry.
+        replace_file(path, payload)

@@ -24,7 +24,7 @@ from xml.sax.saxutils import escape, quoteattr
 import numpy as np
 from scipy import sparse
 
-from litclust.base import is_number
+from litclust.base import is_number, read_json
 from litclust.corpus import Corpus, normalize_text, tokenize_text
 from litclust.errors import EmptyDictionary, ParseError
 
@@ -123,13 +123,7 @@ def load_dictionary(path: str | Path) -> GeneDictionary:
     """Read the dictionary JSON: a list of {symbol, aliases, description}
     objects, where ``symbol`` is a string, ``aliases`` a list of strings
     (absent: none) and ``description`` a string (absent: empty)."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc.msg})") from exc
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise ParseError(f"{path}: expected a JSON list of entries")
     entries = []

@@ -111,8 +111,8 @@ class SweepSpec:
                 if bad:
                     lo, hi = BOUNDS[param]
                     raise EmptySpec(
-                        f"{param}_values contains values outside [{lo}, {hi}]: {bad}; "
-                        f"set enforce_bounds=False to allow them"
+                        f"{param}_values has values outside [{lo}, {hi}]: {bad}; set enforce_bounds=False "
+                        f"(CLI: --allow-out-of-bounds, config key allow_out_of_bounds) to allow them"
                     )
 
 

@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import logging
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from litclust.cli import MADE_FROM, main
 from litclust.corpus import Corpus, Document, load_corpus, save_jsonl
@@ -337,25 +342,24 @@ class TestStaleArtifacts:
         (out / "manifest.json").write_bytes(b'{"artifacts": {')
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         assert run_cli(command, "--config", "config.json") == 3
-        assert "malformed manifest" in capsys.readouterr().err
+        assert "manifest.json: invalid JSON" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_manifest_is_replaced_whole(self, workspace, monkeypatch):
-        import os
-
-        import litclust.cli
+        import litclust.base
 
         replaced = []
-        real = os.replace
+        real = litclust.base.os.replace
 
         def recording(src, dst):
             replaced.append((Path(src).name, Path(dst).name, json.loads(Path(src).read_text())))
             return real(src, dst)
 
-        monkeypatch.setattr(litclust.cli.os, "replace", recording)
+        monkeypatch.setattr(litclust.base.os, "replace", recording)
         assert run_cli("cluster", "--config", "config.json") == 0
         (src, dst, written), = replaced
-        assert (src, dst) == ("manifest.json.tmp", "manifest.json")
+        assert src.startswith("manifest.json.") and src.endswith(".tmp")
+        assert dst == "manifest.json"
         out = workspace / "out"
         assert written == json.loads((out / "manifest.json").read_text())
         assert sorted(p.name for p in out.iterdir()) == [
@@ -831,6 +835,14 @@ class TestSweepCommand:
         assert curve[0] == "k\tv_measure"
         assert len(curve) == 3  # header + k in {2, 4}
 
+    def test_out_of_range_grid_value_names_the_cli_switch(self, workspace, capsys):
+        self.sweep_config(workspace, d_values=[3.0], n_values=[5], k_values=[2], budget=None)
+        assert run_cli("sweep", "--config", "config.json", "--out", "fresh") == 2
+        err = capsys.readouterr().err
+        assert "d_values" in err and "--allow-out-of-bounds" in err and "allow_out_of_bounds" in err
+        assert not (workspace / "fresh").exists()
+        assert run_cli("sweep", "--config", "config.json", "--allow-out-of-bounds") == 0
+
     @pytest.mark.parametrize("top", ["0", "-1"])
     def test_top_below_one_exits_2_before_writing(self, workspace, capsys, top):
         self.sweep_config(workspace)
@@ -1038,6 +1050,25 @@ class TestExitCodes:
         (workspace / "bad.json").write_text("[1, 2]", encoding="utf-8")
         assert run_cli("ingest", "--config", "bad.json", "--corpus", "corpus.jsonl") == 2
         assert "bad.json: config must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,code,name",
+        [
+            (("probe", "--dict", "nope.json"), 2, "nope.json"),
+            (("probe", "--dict", "bad.json"), 3, "bad.json"),
+            (("evaluate", "--assignments", "nope.tsv"), 3, "nope.tsv"),
+            (("probe", "--assignments", "nope.tsv"), 3, "nope.tsv"),
+            (("export", "--report", "nope.json"), 3, "nope.json"),
+            (("export",), 3, "fresh/probe_report.json"),
+        ],
+        ids=["dictionary", "bad_dictionary", "evaluate_assignments", "probe_assignments",
+             "report", "staged_report"],
+    )
+    def test_a_refused_named_input_leaves_no_out_directory(self, workspace, capsys, argv, code, name):
+        (workspace / "bad.json").write_text("{oops", encoding="utf-8")
+        assert run_cli(*argv, "--config", "config.json", "--out", "fresh") == code
+        assert name in capsys.readouterr().err
+        assert not (workspace / "fresh").exists()
 
     def test_no_corpus_path_exits_2(self, workspace, capsys):
         assert run_cli("evaluate", "--out", "fresh") == 2
@@ -1326,7 +1357,7 @@ class TestExitCodes:
     def test_a_manifest_directory_exits_3(self, workspace, capsys):
         (workspace / "out" / "manifest.json").mkdir(parents=True)
         assert run_cli("cluster", "--config", "config.json") == 3
-        assert "malformed manifest" in capsys.readouterr().err
+        assert "manifest.json: is a directory" in capsys.readouterr().err
         assert (workspace / "out" / "manifest.json").is_dir()
 
     @pytest.mark.parametrize("doc_id", ["d\t5", "d\n5"])
@@ -1506,3 +1537,108 @@ def test_module_entrypoint_smoke():
     assert proc.returncode == 0
     assert "ingest" in proc.stdout
     assert "sweep" in proc.stdout
+
+
+# The command that reads each damaged JSON input, and what it writes.
+JSON_READERS = {
+    "config.json": "evaluate",
+    "out/manifest.json": "evaluate",
+    "out/documents.json": "evaluate",
+    "dictionary.json": "probe",
+}
+WRITES = {"evaluate": "metrics.json", "probe": "probe_report.json"}
+
+
+def damage(path, edit, at, value, garbage):
+    """Apply one edit to the file at ``path``: the bytes left there, or
+    None when it was replaced by a directory."""
+    if edit == "directory":
+        path.unlink()
+        path.mkdir()
+        return None
+    data = path.read_bytes()
+    i = int(at * len(data))
+    data = {
+        "truncate": data[:i],
+        "flip": data[:i] + bytes([data[i] ^ value]) + data[i + 1:],
+        "insert": data[:i] + b"\xff" + data[i:],
+        "append": data + garbage,
+    }[edit]
+    path.write_bytes(data)
+    return data
+
+
+def is_json(data):
+    try:
+        json.loads(data.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError both are
+        return False
+    return True
+
+
+class TestDamagedJsonInputs:
+    """One edit to a JSON input ends in a documented exit code and no
+    traceback; a file that is no JSON is named; and a damaged staged file
+    is recomputed or refused, never read as other data."""
+
+    @staticmethod
+    def write_config(work):
+        # It names only files the commands read and --out gives the output
+        # directory, so no edit of the config can send an output elsewhere.
+        config = {
+            "corpus": str(work / "corpus.jsonl"),
+            "dictionary": str(work / "dictionary.json"),
+            "seed": 3,
+            "restarts": 3,
+        }
+        (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+
+    @staticmethod
+    def run_in(work, command):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(work / "config.json"), "--out", str(work / "out")])
+        return code, err.getvalue()
+
+    @pytest.fixture(scope="class")
+    def chain(self, tmp_path_factory):
+        """A staged chain, and the outputs of clean runs of each reader."""
+        staged = tmp_path_factory.mktemp("chain") / "staged"
+        staged.mkdir()
+        save_jsonl(gene_corpus(docs_per_topic=10), staged / "corpus.jsonl")
+        shutil.copy(DATA / "dictionary_10.json", staged / "dictionary.json")
+        self.write_config(staged)
+        for command in ("vectorize", "embed", "cluster"):
+            assert self.run_in(staged, command)[0] == 0
+        clean = staged.parent / "clean"
+        shutil.copytree(staged, clean)
+        self.write_config(clean)
+        for command in WRITES:
+            assert self.run_in(clean, command)[0] == 0
+        return staged, {command: (clean / "out" / name).read_bytes() for command, name in WRITES.items()}
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(JSON_READERS)),
+        edit=st.sampled_from(["truncate", "flip", "insert", "append", "directory"]),
+        at=st.floats(0, 1, exclude_max=True),
+        value=st.integers(1, 255),
+        garbage=st.binary(min_size=1, max_size=8),
+    )
+    def test_a_damaged_json_input_exits_cleanly(self, chain, name, edit, at, value, garbage):
+        staged, clean = chain
+        with tempfile.TemporaryDirectory(dir=staged.parent) as tmp:
+            work = Path(tmp) / "work"
+            shutil.copytree(staged, work)
+            self.write_config(work)
+            left = damage(work / name, edit, at, value, garbage)
+            command = JSON_READERS[name]
+            code, err = self.run_in(work, command)
+            assert code in (0, 2, 3, 4), err
+            assert "Traceback" not in err
+            # An edit that leaves JSON makes another input, whose refusal
+            # may be about another file (a corpus path changed in the config).
+            if code != 0 and (left is None or not is_json(left)):
+                assert str(work / name) in err
+            if code == 0 and name.startswith("out/"):
+                assert (work / "out" / WRITES[command]).read_bytes() == clean[command]
