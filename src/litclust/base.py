@@ -16,7 +16,6 @@ import inspect
 import json
 import math
 import os
-import tempfile
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -118,10 +117,13 @@ def read_json(path: str | Path, error: type[LitclustError] = ParseError):
 def replace_file(path: str | Path, data: bytes) -> None:
     """Replace the file at ``path`` with ``data`` whole: written beside it,
     flushed to disk and renamed over it, so neither a write cut short nor a
-    crash after the rename leaves a truncated file, nor a failure a stray one."""
+    crash after the rename leaves a truncated file, nor a failure a stray one.
+    The file gets the mode that ``open`` would give it under the umask."""
     path = Path(path)
-    fd, name = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
-    tmp = Path(name)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    # O_EXCL never opens another file; 0o666 less the umask is the mode
+    # open() gives, where mkstemp would give 0o600.
+    fd = os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         tmp.write_bytes(data)
         os.fsync(fd)

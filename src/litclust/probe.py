@@ -264,13 +264,14 @@ def _gene_counts(
     cluster_of: np.ndarray,
     n_clusters: int,
 ) -> np.ndarray:
-    """Symbol x cluster token counts as the integer product
-    S (symbol x term) @ counts (term x doc) @ C (doc x cluster).
+    """Symbol x cluster token counts as the int64 product
+    S (symbol x key) @ counts (key x doc) @ C (doc x cluster).
 
-    The counts are the corpus's held raw counts, before any ablation.  A
-    key matches only a whole token of the same tokenizer, so a key that
-    is not in the vocabulary (one with a space or an underscore, or of a
-    single character) matches nothing.
+    The counts are the rows of the matched keys in the corpus's held raw
+    counts, before any ablation, so only those rows are widened from
+    int32.  A key matches only a whole token of the same tokenizer, so a
+    key that is not in the vocabulary (one with a space or an
+    underscore, or of a single character) matches nothing.
     """
     if len(corpus) == 0:
         return np.zeros((len(symbols), n_clusters), dtype=np.int64)
@@ -283,14 +284,14 @@ def _gene_counts(
             hits.append((row[sym], t))
     hits = np.array(hits, dtype=np.int64).reshape(-1, 2)
     s = sparse.csr_array(
-        (np.ones(len(hits), dtype=np.int64), (hits[:, 0], hits[:, 1])),
-        shape=(len(symbols), len(m.terms)),
+        (np.ones(len(hits), dtype=np.int64), (hits[:, 0], np.arange(len(hits)))),
+        shape=(len(symbols), len(hits)),
     )
     c = sparse.csr_array(
         (np.ones(len(corpus), dtype=np.int64), (np.arange(len(corpus)), cluster_of)),
         shape=(len(corpus), n_clusters),
     )
-    return (s @ m.counts @ c).toarray()
+    return (s @ m.counts[hits[:, 1]] @ c).toarray()
 
 
 def relative_weights(counts: ProbeCounts) -> ProbeReport:

@@ -4,16 +4,18 @@ The full Cartesian product is enumerated, shuffled deterministically by
 seed and optionally truncated to a budget; that selects the
 combinations.  They then run, and come back, sorted by (d, r, n, k), so
 each shared prefix is built once and only the current one is held:
-counting, singleton ablation, tf-idf and one sort of the weights once
-per sweep (``vectorize.SharedWeighing``), the D floor, R cutoff and L2
-per (d, r), the embedding per (d, r, n).  Rows are checkpointed as they
-complete, beside a fingerprint of the corpus and the spec that a resume
-must match; a checkpoint line torn by a crash mid-write is dropped on
-resume.  The V-vs-K curve is a one-(d, r, n) sweep of the same kind.
+counting, singleton ablation, the lowest D floor, tf-idf and one sort
+of the weights once per sweep (``vectorize.SharedWeighing``), the D
+floor, R cutoff and L2 per (d, r), the embedding per (d, r, n).  Rows
+are checkpointed as they complete, beside a fingerprint of the corpus
+and the spec that a resume must match; a checkpoint line torn by a
+crash mid-write is dropped on resume.  The V-vs-K curve is a
+one-(d, r, n) sweep of the same kind.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -215,7 +217,8 @@ def run_sweep(
     The combinations run, and come back, sorted by (d, r, n, k), so each
     weighted matrix and embedding is built once and only the current one
     of each is held; the weighted matrices share one tf-idf and one sort
-    of the weights.  Combinations that cannot run (the filters removed
+    of the weights of the terms over the lowest D floor that runs.
+    Combinations that cannot run (the filters removed
     everything, the embedding dimensionality exceeds the matrix rank
     bound, more clusters than documents) become skip rows with a reason
     rather than errors.  Completed rows are appended to
@@ -249,13 +252,11 @@ def run_sweep(
             start = time.perf_counter()
             if weighing is None:
                 # Built on first use so a fully checkpointed rerun touches
-                # nothing.  A corpus where every term is a singleton raises
-                # here, aborting the sweep: that is a corpus-level failure,
-                # not a skippable combo.
-                weighing = _vec.SharedWeighing(_vec.ablate_singletons(corpus.term_counts))
+                # nothing; rows run in d order, so d is the lowest that runs.
+                weighing = _shared_weighing(corpus, d)
             if prefix[:2] != (d, r):
                 try:
-                    weighted = weighing.at(d, r)
+                    weighted = weighing(d, r)
                 except AllTermsRemoved:
                     weighted = None
             if prefix != (d, r, n):
@@ -281,6 +282,24 @@ def run_sweep(
         if out is not None:
             out.close()
     return rows
+
+
+def _shared_weighing(corpus: Corpus, d_min: float):
+    """``weigh`` of the corpus's ablated counts at any (d, r) with d >=
+    ``d_min``, from one ``SharedWeighing`` over the terms that d_min's
+    floor keeps: the floor only rises with d.
+
+    A corpus where every term is a singleton raises AllTermsRemoved
+    here, aborting the sweep: that is a corpus-level failure, not a
+    skippable combo.  When d_min's floor removes every term, every
+    higher floor does too, and ``weigh`` raises it for each (d, r)
+    before any tf-idf.
+    """
+    ablated = _vec.ablate_singletons(corpus.term_counts)
+    try:
+        return _vec.SharedWeighing(_vec.apply_df_threshold(ablated, d_min)).at
+    except AllTermsRemoved:
+        return functools.partial(_vec.weigh, ablated)
 
 
 def _embed(weighted, seed: int, d: float, r: int, n: int):

@@ -74,6 +74,11 @@ def count_matrix(corpus: Corpus) -> TermDocMatrix:
     holds one code and one count per nonzero and the longest document's
     tokens: its memory follows the nonzeros, not the tokens.
 
+    The result's ``indptr``, ``indices`` and ``data`` are int32.  A corpus
+    past that range (more than 2**31 - 1 nonzeros or terms, or a term
+    occurring that often in one document) raises ``OverflowError``
+    instead of wrapping.
+
     Vocabulary is sorted lexicographically; the document axis follows
     corpus order (already sorted by id), so the result is independent of
     input record order.  ``Corpus.term_counts`` holds this matrix for a
@@ -83,11 +88,12 @@ def count_matrix(corpus: Corpus) -> TermDocMatrix:
         raise EmptyCorpus("cannot build a count matrix from an empty corpus")
     # One pass: each document's distinct terms are interned to codes in
     # order of first appearance (a missing key takes the next count) and
-    # stored with their tallies as that document's column.
+    # stored with their tallies as that document's column.  array("i")
+    # holds C ints, 32 bits wide, and raises on a value past them.
     index: defaultdict[str, int] = defaultdict(itertools.count().__next__)
-    codes = array("q")
-    tallies = array("q")
-    indptr = array("q", [0])
+    codes = array("i")
+    tallies = array("i")
+    indptr = array("i", [0])
     for doc in corpus:
         tally = Counter(tokenize(doc).tokens)
         codes.extend(map(index.__getitem__, tally))
@@ -98,17 +104,16 @@ def count_matrix(corpus: Corpus) -> TermDocMatrix:
     vocab = tuple(by_code[c] for c in order)
     if not vocab:
         log.warning("corpus produced an empty vocabulary (no tokens of length >= 2)")
-    rank = np.empty(len(vocab), dtype=np.int64)
+    # The codes fit in int32, so the ranks of the terms they count do.
+    rank = np.empty(len(vocab), dtype=np.int32)
     rank[order] = np.arange(len(vocab))
+    rows = rank[np.frombuffer(codes, dtype=np.int32)]
+    del codes  # freed before the CSR conversion below
 
     # Each document's tallies are its column; converting to CSR lists
     # each term's documents in order, with no duplicates to sum.
     counts = sparse.csc_array(
-        (
-            np.frombuffer(tallies, dtype=np.int64),
-            rank[np.frombuffer(codes, dtype=np.int64)],
-            np.frombuffer(indptr, dtype=np.int64),
-        ),
+        (np.frombuffer(tallies, dtype=np.int32), rows, np.frombuffer(indptr, dtype=np.int32)),
         shape=(len(vocab), len(corpus)),
     ).tocsr()
     return TermDocMatrix(terms=vocab, docs=corpus.doc_ids(), counts=counts)
@@ -157,10 +162,14 @@ def tfidf(m: TermDocMatrix) -> WeightedMatrix:
         raise EmptyCorpus("cannot weight an empty matrix")
     n_docs = len(m.docs)
     idf = np.log(n_docs / m.doc_freq.astype(np.float64))
-    weights = m.counts.astype(np.float64).copy()
-    # Scale row t by idf[t]: expand per stored entry via indptr.
-    row_of_entry = np.repeat(np.arange(len(m.terms)), np.diff(weights.indptr))
-    weights.data *= idf[row_of_entry]
+    # Row t's idf once per stored entry, scaled in place by the counts.
+    data = np.repeat(idf, m.doc_freq)
+    data *= m.counts.data
+    # eliminate_zeros compacts the index arrays in place, and the
+    # counts' own may be read-only or held by the caller.
+    weights = sparse.csr_array(
+        (data, m.counts.indices.copy(), m.counts.indptr.copy()), shape=m.counts.shape
+    )
     weights.eliminate_zeros()
     return WeightedMatrix(terms=m.terms, docs=m.docs, weights=weights)
 
@@ -182,7 +191,8 @@ def l2_normalize(w: WeightedMatrix) -> WeightedMatrix:
     The columns with m entries are summed as the rows of one (docs, m)
     block, which numpy sums bit for bit as it would each column alone.
     """
-    csc = w.weights.tocsc().copy()
+    # The weights are CSR, so tocsc builds new arrays to scale in place.
+    csc = w.weights.tocsc()
     lengths = np.diff(csc.indptr)
     for m in np.unique(lengths[lengths > 0]):
         entries = csc.indptr[:-1][lengths == m][:, None] + np.arange(m)
@@ -192,28 +202,38 @@ def l2_normalize(w: WeightedMatrix) -> WeightedMatrix:
 
 
 def weigh(ablated: TermDocMatrix, d_percent: float, rank_cutoff: int) -> WeightedMatrix:
-    """Every step after the singleton ablation: D floor, tf-idf, R cutoff, L2."""
-    return l2_normalize(
-        apply_rank_cutoff(tfidf(apply_df_threshold(ablated, d_percent)), rank_cutoff)
-    )
+    """Every step after the singleton ablation: D floor, tf-idf, R cutoff, L2.
+
+    Each matrix is dropped once the next step has read it, so weigh
+    holds none of them longer than its caller does.
+    """
+    floored = apply_df_threshold(ablated, d_percent)
+    del ablated
+    weighted = tfidf(floored)
+    del floored
+    return l2_normalize(apply_rank_cutoff(weighted, rank_cutoff))
 
 
 class SharedWeighing:
-    """``weigh`` for many (d, r) over one ablated matrix, from one ranking.
+    """``weigh`` for many (d, r) over one matrix, from one ranking.
 
-    tf-idf runs once, over every ablated term: idf depends only on a
-    term's document frequency and the document count, and the D floor
+    tf-idf runs once, over every term of the matrix: idf depends only on
+    a term's document frequency and the document count, and the D floor
     changes neither for the terms it keeps.  The weighted entries are
     ranked once, in the order ``apply_rank_cutoff`` cuts by, and dropping
     the terms under a floor leaves the rest in that order, so
-    ``at(d, r)`` returns exactly what ``weigh(ablated, d, r)`` returns.
+    ``at(d, r)`` returns exactly what ``weigh(m, d, r)`` returns.
+
+    Built over ``apply_df_threshold(ablated, d_min)``, it ranks only the
+    terms over the lowest floor a caller needs: the floor only rises with
+    d, so for every d >= d_min ``at(d, r)`` is ``weigh(ablated, d, r)``.
     """
 
-    def __init__(self, ablated: TermDocMatrix):
+    def __init__(self, m: TermDocMatrix):
         # The ranking replaces the counts, which are not held.
-        self.terms, self.docs = ablated.terms, ablated.docs
-        self._doc_freq = ablated.doc_freq
-        self._ranking = _Ranking(tfidf(ablated))
+        self.terms, self.docs = m.terms, m.docs
+        self._doc_freq = m.doc_freq
+        self._ranking = _Ranking(tfidf(m))
 
     def at(self, d_percent: float, rank_cutoff: int) -> WeightedMatrix:
         """The D floor, the R cutoff and L2 over the shared tf-idf entries."""
@@ -251,42 +271,66 @@ class CorpusVectorizer(BaseEstimator):
         return self.fit(corpus).weighted_
 
 
+# The ranking sorts, and cuts, whole documents at a time, about this
+# many entries (more only by one document's length): its sort key,
+# argsort and running counts are bounded by that, not by the matrix.
+# On 30,000 documents, chunks of 2**12 to 2**16 entries weigh in the
+# same time and peak; from about 2**18 the chunk's arrays raise the peak.
+_CHUNK_ENTRIES = 1 << 14
+
+
 class _Ranking:
     """A weighted matrix's entries in the R cutoff's order: by document,
     then weight descending, then term ascending.  numpy sorts complex
     numbers by real part, then imaginary part, so one stable sort of
     (document - 1j * weight) gives that order: the CSC form lists each
-    document's entries in term order."""
+    document's entries in term order.  The order never crosses a
+    document, so each chunk of whole documents is sorted on its own."""
 
     def __init__(self, w: WeightedMatrix):
         self.terms, self.docs = w.terms, w.docs
+        # The weights are CSR, so tocsc builds new arrays to sort in place:
+        # each document keeps its csc span in the sorted order.
         csc = w.weights.tocsc()
-        key = np.repeat(np.arange(len(w.docs), dtype=np.complex128), np.diff(csc.indptr))
-        key.imag = -csc.data
-        order = np.argsort(key, kind="stable")
-        # Each document keeps its csc span in the sorted order.
-        self._indptr = csc.indptr
-        self._terms = csc.indices[order]
-        self._data = csc.data[order]
+        self._indptr, self._terms, self._data = csc.indptr, csc.indices, csc.data
+        starts = np.searchsorted(
+            self._indptr, np.arange(_CHUNK_ENTRIES, self._indptr[-1], _CHUNK_ENTRIES), side="right"
+        ) - 1
+        bounds = np.unique(np.concatenate(([0], starts, [len(self.docs)]))).tolist()
+        # The first and one past the last document of each chunk.
+        self._chunks = list(zip(bounds[:-1], bounds[1:]))
+        for first, last in self._chunks:
+            ptr = self._indptr[first : last + 1]
+            span = slice(ptr[0], ptr[-1])
+            key = np.repeat(np.arange(last - first, dtype=np.complex128), np.diff(ptr))
+            key.imag = -self._data[span]
+            order = np.argsort(key, kind="stable")
+            self._terms[span] = self._terms[span][order]
+            self._data[span] = self._data[span][order]
 
     def top(self, keep: np.ndarray, r: int) -> WeightedMatrix:
         """Each document's first ``r`` entries of the terms in ``keep``,
         over those terms only."""
         check_positive_int(r, "r")
         # Rank each kept entry within its document by counting the kept
-        # entries up to it in the sorted order.
-        alive = keep[self._terms]
-        seen = np.concatenate(([0], np.cumsum(alive)))
-        before = seen[self._indptr]
-        rank = seen[1:] - np.repeat(before[:-1], np.diff(self._indptr))
-        picked = np.flatnonzero(alive & (rank <= r))
+        # entries up to it in the sorted order.  The leading 0 of the
+        # output's indptr starts its list of column lengths.
+        picked, lengths = [np.empty(0, dtype=np.intp)], [np.zeros(1, dtype=np.intp)]
+        for first, last in self._chunks:
+            ptr = self._indptr[first : last + 1]
+            alive = keep[self._terms[ptr[0] : ptr[-1]]]
+            seen = np.concatenate(([0], np.cumsum(alive)))
+            before = seen[ptr - ptr[0]]
+            rank = seen[1:] - np.repeat(before[:-1], np.diff(ptr))
+            picked.append(ptr[0] + np.flatnonzero(alive & (rank <= r)))
+            lengths.append(np.minimum(np.diff(before), r))
+        picked = np.concatenate(picked)
         row = np.cumsum(keep) - 1
-        indptr = np.concatenate(([0], np.cumsum(np.minimum(np.diff(before), r))))
         terms = tuple(itertools.compress(self.terms, keep))
         # The CSR conversion puts each document's entries back in term
         # order, the order l2_normalize sums them in.
         weights = sparse.csc_array(
-            (self._data[picked], row[self._terms[picked]], indptr),
+            (self._data[picked], row[self._terms[picked]], np.cumsum(np.concatenate(lengths))),
             shape=(len(terms), len(self.docs)),
         )
         return WeightedMatrix(terms=terms, docs=self.docs, weights=sparse.csr_array(weights))

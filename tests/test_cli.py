@@ -3,7 +3,9 @@ import hashlib
 import io
 import json
 import logging
+import os
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -365,6 +367,16 @@ class TestStaleArtifacts:
         assert sorted(p.name for p in out.iterdir()) == [
             "assignments.tsv", "cluster_run.json", "manifest.json",
         ]
+
+    def test_manifest_gets_the_mode_of_the_other_artifacts(self, workspace):
+        old = os.umask(0o027)
+        try:
+            assert run_cli("cluster", "--config", "config.json") == 0
+        finally:
+            os.umask(old)
+        out = workspace / "out"
+        modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out.iterdir()}
+        assert modes == dict.fromkeys(["assignments.tsv", "cluster_run.json", "manifest.json"], 0o640)
 
     def test_explicit_assignments_are_taken_as_given(self, workspace):
         assert run_cli("cluster", "--config", "config.json", "--k", "4") == 0

@@ -298,6 +298,34 @@ class TestRunSweep:
         reasons = {r.skip_reason for r in rows}
         assert reasons == {None, "all_terms_removed", "n_dims_too_large", "k_too_large"}
 
+    def test_shared_tfidf_weighs_only_the_terms_over_the_lowest_floor_that_runs(self, tmp_path, monkeypatch):
+        corpus = tiny_corpus()
+        spec = small_spec(d_values=(0.5, 40.0, 60.0), n_values=(2,), k_values=(2,), enforce_bounds=False)
+        ckpt = tmp_path / "rows.jsonl"
+        # The d = 0.5 rows are done, so the lowest d that runs is 40.  A
+        # row depends only on its key, so the full spec's sidecar may
+        # vouch for them.
+        run_sweep(corpus, replace(spec, d_values=(0.5,)), checkpoint_path=ckpt)
+        ckpt.with_name(ckpt.name + ".fingerprint").write_text(sweep_mod._fingerprint(corpus, spec) + "\n")
+        weighed = []
+        real = sweep_mod._vec.tfidf
+        monkeypatch.setattr(sweep_mod._vec, "tfidf", lambda m: weighed.append(m.terms) or real(m))
+        rows = run_sweep(corpus, spec, checkpoint_path=ckpt)
+        ablated = sweep_mod._vec.ablate_singletons(corpus.term_counts)
+        over_40 = sweep_mod._vec.apply_df_threshold(ablated, 40.0).terms
+        assert weighed == [over_40] and len(over_40) < len(ablated.terms)
+        expected = [standalone_row(corpus, spec, *key) for key in sorted(enumerate_grid(spec))]
+        assert [r.to_json() for r in rows] == [r.to_json() for r in expected]
+
+    def test_a_lowest_floor_that_removes_every_term_skips_every_row(self, monkeypatch):
+        corpus = tiny_corpus()
+        spec = small_spec(d_values=(200.0, 300.0), enforce_bounds=False)
+        weighed = []
+        monkeypatch.setattr(sweep_mod._vec, "tfidf", weighed.append)
+        rows = run_sweep(corpus, spec)
+        assert len(rows) == len(enumerate_grid(spec)) and weighed == []
+        assert {r.skip_reason for r in rows} == {"all_terms_removed"}
+
     def test_each_prefix_is_built_once(self, tmp_path, monkeypatch):
         corpus = small_corpus()
         first = small_spec(
