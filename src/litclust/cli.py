@@ -28,7 +28,7 @@ from litclust import sweep as _sweep
 from litclust import vectorize as _vec
 from litclust.base import check_positive_int, is_number, read_json, replace_file
 from litclust.corpus import load_corpus, load_document_table, save_document_table, save_jsonl
-from litclust.errors import ComputeError, ConfigError, DataError, LitclustError, ParseError
+from litclust.errors import ComputeError, ConfigError, DataError, LitclustError
 from litclust.evaluate import metrics_json, score_clustering
 
 log = logging.getLogger(__name__)
@@ -151,8 +151,8 @@ class PipelineConfig:
     # no such file.
     corpus_sha256 = functools.cached_property(lambda self: _file_sha256(self.corpus))
     dictionary_sha256 = functools.cached_property(lambda self: _file_sha256(self.dictionary))
-    # So is the parsed corpus (see ``_corpus``): a command parses it at
-    # most once, and not at all when staged files give all it needs.
+    # So is the parsed corpus: a command parses it at most once, and not
+    # at all when staged files give all it needs.
     parsed_corpus = functools.cached_property(
         lambda self: load_corpus(self.corpus, format=self.corpus_format, class_labels=self.class_labels)
     )
@@ -258,25 +258,9 @@ def _update_manifest(cfg: PipelineConfig, out_dir: Path, artifacts: list[Path]) 
     return [str(path) for path in artifacts]
 
 
-def _require_corpus(cfg: PipelineConfig) -> None:
-    """Every command that works on a corpus first checks that the config
-    names a corpus file that is there, also when it will not parse it."""
-    if not cfg.corpus:
-        raise ConfigError("no corpus path given (flag --corpus or config key 'corpus')")
-    if not Path(cfg.corpus).is_file():
-        raise ConfigError(f"corpus file not found: {cfg.corpus}")
-
-
-def _corpus(cfg: PipelineConfig):
-    """The parsed corpus; ``embed``, ``cluster`` and ``evaluate`` read no
-    text, so they ask for it only when a staged file cannot stand in."""
-    _require_corpus(cfg)
-    return cfg.parsed_corpus
-
-
 def _out_dir(cfg: PipelineConfig) -> Path:
-    """The output directory, made if missing, once the command has checked
-    the inputs it is given by name.  Its manifest is read before any artifact
+    """The output directory, made if missing, once the command has loaded
+    its named inputs and computed.  Its manifest is read before any artifact
     is written, so a malformed one (DataError) leaves the directory as it was."""
     out = Path(cfg.out)
     try:
@@ -317,175 +301,264 @@ def _unvouched(path: Path, cfg: PipelineConfig) -> str | None:
     return None
 
 
-def _staged(cfg: PipelineConfig, *paths: Path, refuse: bool = False) -> bool:
-    """Whether the staged ``paths`` may all be read as made under ``cfg``,
-    logged as one DEBUG record that says why they are recomputed when
-    they are not read.  A record of other values is refused (ConfigError)
-    when ``refuse`` is set, and is recomputed like any other mismatch
-    when it is not."""
+# -- the command table ---------------------------------------------------
+
+# What a command does with a staged artifact the manifest does not vouch
+# for (``_unvouched``): compute it afresh; refuse it if its record gives
+# other values, else compute it afresh; or, with nothing to compute it
+# from, refuse it.
+RECOMPUTE, REFUSE_OTHER_VALUES, REFUSE = "recompute", "refuse other values", "refuse"
+_WEIGHING = dict.fromkeys(("weights.mtx", "vocabulary.tsv", "documents.json"), RECOMPUTE)
+_EMBEDDING = {"embedding.tsv": RECOMPUTE, **_WEIGHING}
+_ASSIGNMENTS = {"assignments.tsv": REFUSE_OTHER_VALUES, **_EMBEDDING}
+_NETWORK_FILE, _NETWORK_FLAGS = "network.{network_format}", ("probe_top", "network_format")
+
+
+@dataclass(frozen=True)
+class Command:
+    """A command's named inputs, loaded in this order before it computes;
+    the policy for each staged artifact it may read; the artifacts it
+    writes, formatted with the config's values; and the flags it takes
+    that ``build_parser`` does not derive from these."""
+
+    help: str
+    inputs: tuple[str, ...] = ("corpus",)
+    reads: dict = field(default_factory=dict)
+    writes: tuple[str, ...] = ()
+    extras: tuple[str, ...] = ()
+
+
+COMMANDS = {
+    "ingest": Command("normalize a corpus into canonical JSONL", writes=("corpus.jsonl",)),
+    "vectorize": Command("dump the weighted matrix, its vocabulary and the document table",
+                         writes=("weights.mtx", "vocabulary.tsv", "documents.json")),
+    "embed": Command("dump the document embedding", reads=_WEIGHING, writes=("embedding.tsv",)),
+    "cluster": Command("k-means assignments and run metadata", reads=_EMBEDDING,
+                       writes=("assignments.tsv", "cluster_run.json")),
+    "evaluate": Command("homogeneity/completeness/v-measure vs labels", ("corpus", "assignments"),
+                        _ASSIGNMENTS, ("metrics.json",)),
+    "sweep": Command("randomized (D, R, N, K) grid sweep",
+                     writes=("rows.jsonl", "report.md", "vk_curve.tsv"), extras=("budget", "top")),
+    "probe": Command("match an entity dictionary against clusters", ("corpus", "dictionary", "assignments"),
+                     _ASSIGNMENTS, ("probe_report.json", _NETWORK_FILE), _NETWORK_FLAGS),
+    "export": Command("re-export a probe report as a network file", ("report",),
+                      {"probe_report.json": REFUSE}, (_NETWORK_FILE,), _NETWORK_FLAGS),
+}
+
+# Every flag, by its dest.  A flag that sets a config key has the key's name
+# as its dest and None as its default; resolve_config reads it by that name.
+FLAGS = {
+    "config": ("--config", "JSON config file; flags override its values", {}),
+    "corpus": ("--corpus", "corpus file path", {}),
+    "corpus_format": ("--corpus-format", "corpus file format", {"choices": CHOICES["corpus_format"]}),
+    "out": ("--out", "output directory (default 'out')", {}),
+    "seed": ("--seed", "top-level random seed", {"type": int}),
+    "json": ("--json", "print a machine-readable result", {"action": "store_true"}),
+    "allow_out_of_bounds": ("--allow-out-of-bounds", "permit parameter values outside the documented ranges",
+                            {"action": "store_true", "default": None}),
+    "d": ("--d", "document frequency floor, percent", {"type": float}),
+    "r": ("--r", "per-document rank cutoff", {"type": int}),
+    "n_dims": ("--n-dims", "embedding dimensions", {"type": int}),
+    "k": ("--k", "number of clusters", {"type": int}),
+    "restarts": ("--restarts", "k-means restarts", {"type": int}),
+    "dictionary": ("--dict", "entity dictionary JSON", {"metavar": "DICT"}),
+    "probe_mode": ("--mode", "matching mode", {"choices": CHOICES["probe_mode"]}),
+    "assignments": ("--assignments", "assignments TSV (default: staged artifact)", {}),
+    "report": ("--report", "probe report JSON (default: staged artifact)", {}),
+    "budget": ("--budget", "max combinations to run", {"type": int}),
+    "top": ("--top", "rows in the rendered report (default 5)", {"type": int}),
+    "probe_top": ("--top", "entities per cluster in the network", {"type": int, "metavar": "TOP"}),
+    "network_format": ("--format", "network export format", {"choices": CHOICES["network_format"]}),
+}
+BASE_FLAGS = ("config", "corpus", "corpus_format", "out", "seed", "json", "allow_out_of_bounds")
+
+
+def _given_file(path: str, what: str, error: type[LitclustError] = DataError) -> str:
+    if not Path(path).is_file():
+        raise error(f"{what} not found: {path}")
+    return path
+
+
+def _named_file(cfg: PipelineConfig, key: str) -> str:
+    """The file the config names under ``key``, which must be there."""
+    if not getattr(cfg, key):
+        raise ConfigError(f"no {key} path given (flag {FLAGS[key][0]} or config key {key!r})")
+    return _given_file(getattr(cfg, key), f"{key} file", ConfigError)
+
+
+@dataclass
+class Run:
+    """What a command computes from: the config, the parsed flags, its row
+    of ``COMMANDS`` and its named inputs, each loaded on first use."""
+
+    cfg: PipelineConfig
+    args: argparse.Namespace
+    command: Command
+
+    # The corpus is only checked: ``embed``, ``cluster`` and ``evaluate`` read
+    # no text, so ``PipelineConfig.parsed_corpus`` parses it when first used.
+    corpus = functools.cached_property(lambda self: _named_file(self.cfg, "corpus"))
+    dictionary = functools.cached_property(
+        lambda self: _probe.load_dictionary(_named_file(self.cfg, "dictionary")))
+    # An explicit assignments file, taken as given; None when none is named.
+    assignments = functools.cached_property(
+        lambda self: self.args.assignments and _given_file(self.args.assignments, "assignments file"))
+
+    @functools.cached_property
+    def report(self) -> _probe.ProbeReport:
+        """The ``--report`` file, taken as given, or else the staged report,
+        which export has nothing to recompute from: unvouched, it is refused."""
+        explicit = self.args.report
+        source = _given_file(explicit or str(Path(self.cfg.out) / "probe_report.json"), "probe report")
+        report = _probe.load_report(source)
+        if not explicit and not _staged(self, Path(source)):
+            raise ConfigError(
+                f"{source} has no record in manifest.json of the probe that wrote it, "
+                f"or was changed since; rerun `litclust probe` or pass the file with --report"
+            )
+        return report
+
+
+def _staged(run: Run, *paths: Path) -> bool:
+    """Whether the staged ``paths`` may all be read as made under the config,
+    logged as one DEBUG record that says why they are recomputed (or refused)
+    when they are not.  A record of other values is refused (ConfigError)
+    unless the command's policy for each path is to recompute it."""
+    policies = {run.command.reads[path.name] for path in paths}
     try:
-        why = next(filter(None, (_unvouched(path, cfg) for path in paths)), None)
+        why = next(filter(None, (_unvouched(path, run.cfg) for path in paths)), None)
     except ConfigError:
-        if refuse:
+        if policies != {RECOMPUTE}:
             raise
         why = "other values"
-    names = ", ".join(map(str, paths))
-    if why is None:
-        log.debug("%s: read", names)
-    else:
-        log.debug("%s: recomputed (%s)", names, why)
+    outcome = "read" if why is None else f"{'refused' if REFUSE in policies else 'recomputed'} ({why})"
+    log.debug("%s: %s", ", ".join(map(str, paths)), outcome)
     return why is None
 
 
-def _document_table(cfg: PipelineConfig) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
+def _document_table(run: Run) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
     """The corpus's ids and labels in corpus order: read from the staged
     ``documents.json`` when it is vouched for, else taken from the parsed
-    corpus.  It is an intermediate, so it is recomputed, never refused."""
-    path = Path(cfg.out) / "documents.json"
-    if _staged(cfg, path):
+    corpus."""
+    path = Path(run.cfg.out) / "documents.json"
+    if _staged(run, path):
         return load_document_table(path)
-    corpus = _corpus(cfg)
+    corpus = run.cfg.parsed_corpus
     return corpus.doc_ids(), corpus.labels()
 
 
-def _build_embedding(cfg: PipelineConfig):
+def _build_embedding(run: Run):
     """The corpus's embedding at (d, r, n_dims), from the staged
     ``weights.mtx`` and ``vocabulary.tsv`` when both are vouched for,
-    else weighed afresh.  They are intermediates, so a stale or missing
-    pair is recomputed, never refused."""
-    out = Path(cfg.out)
+    else weighed afresh."""
+    cfg, out = run.cfg, Path(run.cfg.out)
     weights_path, vocab_path = out / "weights.mtx", out / "vocabulary.tsv"
-    if _staged(cfg, weights_path, vocab_path):
-        ids, _ = _document_table(cfg)
+    if _staged(run, weights_path, vocab_path):
+        ids, _ = _document_table(run)
         weighted = _vec.load_weighted_matrix(weights_path, vocab_path, ids)
     else:
-        weighted = _vec.build_weighted_matrix(_corpus(cfg), d_percent=cfg.d, rank_cutoff=cfg.r)
+        weighted = _vec.build_weighted_matrix(cfg.parsed_corpus, d_percent=cfg.d, rank_cutoff=cfg.r)
     return _sweep.embed_at(weighted, cfg.seed, cfg.d, cfg.r, cfg.n_dims)
 
 
-def _build_clustering(cfg: PipelineConfig):
+def _build_clustering(run: Run):
     """The clustering at the config's point, and the ids of the documents
     it assigns, in order.  The embedding is read from the staged
-    ``embedding.tsv`` when it is vouched for, else embedded afresh; it is
-    an intermediate, so it is recomputed, never refused."""
-    path = Path(cfg.out) / "embedding.tsv"
-    if _staged(cfg, path):
+    ``embedding.tsv`` when it is vouched for, else embedded afresh."""
+    cfg, path = run.cfg, Path(run.cfg.out) / "embedding.tsv"
+    if _staged(run, path):
         docs, vectors = _lsa.load_embedding(path)
         if vectors.shape[1] != cfg.n_dims:
             raise DataError(f"{path} has {vectors.shape[1]} dimensions, but n_dims is {cfg.n_dims}")
     else:
-        emb = _build_embedding(cfg)
+        emb = _build_embedding(run)
         docs, vectors = emb.docs, emb.vectors
-    clus = _sweep.cluster_at(vectors, cfg.seed, cfg.d, cfg.r, cfg.n_dims, cfg.k, cfg.restarts)
-    return docs, clus
+    return docs, _sweep.cluster_at(vectors, cfg.seed, cfg.d, cfg.r, cfg.n_dims, cfg.k, cfg.restarts)
 
 
-def _load_or_compute_assignments(cfg: PipelineConfig, ids, explicit: str | None):
-    """Assignments for the documents ``ids``, in their order: an explicit
-    TSV (taken as given), the staged artifact if it is vouched for, or a
-    fresh in-memory clustering at the configured parameters.  A staged
-    file recorded under other values is refused; one with no record, or
-    changed since it was recorded, is recomputed."""
-    if explicit and not Path(explicit).is_file():
-        raise DataError(f"assignments file not found: {explicit}")
-    path = explicit or str(Path(cfg.out) / "assignments.tsv")
-    if explicit or _staged(cfg, Path(path), refuse=True):
-        mapping = _cluster.load_assignments(path)
-        missing = [doc_id for doc_id in ids if doc_id not in mapping]
-        if missing:
-            raise DataError(
-                f"assignments file {path} does not cover document(s) {missing[:3]}"
-            )
-        return [mapping[doc_id] for doc_id in ids]
-    return list(_build_clustering(cfg)[1].assignments)
+def _assignments(run: Run, ids) -> list[int]:
+    """Assignments for the documents ``ids``, in their order: the explicit
+    file's, the staged artifact's if it is vouched for, or a fresh
+    in-memory clustering at the configured parameters."""
+    path = run.assignments or Path(run.cfg.out) / "assignments.tsv"
+    if not run.assignments and not _staged(run, path):
+        return list(_build_clustering(run)[1].assignments)
+    mapping = _cluster.load_assignments(path)
+    missing = [doc_id for doc_id in ids if doc_id not in mapping]
+    if missing:
+        raise DataError(f"assignments file {path} does not cover document(s) {missing[:3]}")
+    return [mapping[doc_id] for doc_id in ids]
 
 
-# -- subcommands ---------------------------------------------------------
-
-
-def cmd_ingest(cfg: PipelineConfig, args) -> dict:
-    corpus = _corpus(cfg)
+def _run(name: str, cfg: PipelineConfig, args: argparse.Namespace) -> dict:
+    """Run command ``name`` in the one order: load its named inputs, compute,
+    make ``--out``, write what the computation gave (bytes, or a function
+    that writes the file at a path) and record its row's artifacts in one
+    manifest update."""
+    run = Run(cfg, args, COMMANDS[name])
+    for key in run.command.inputs:
+        getattr(run, key)
+    summary, files = _COMMANDS[name](run)
     out = _out_dir(cfg)
-    dest = out / "corpus.jsonl"
-    save_jsonl(corpus, dest)
-    return {
-        "documents": len(corpus),
-        "skipped": corpus.skipped,
-        "labels": list(corpus.label_set),
-        "artifacts": _update_manifest(cfg, out, [dest]),
+    paths = [out / artifact.format_map(vars(cfg)) for artifact in run.command.writes]
+    for path in paths:
+        write = files.get(path.name)  # none for the checkpoint the sweep wrote as it computed
+        if isinstance(write, bytes):
+            path.write_bytes(write)
+        elif write:
+            write(path)
+    return {**summary, "artifacts": _update_manifest(cfg, out, paths)}
+
+
+# -- subcommands: each computes, and returns its summary and its files ---
+
+
+def cmd_ingest(run: Run) -> tuple[dict, dict]:
+    corpus = run.cfg.parsed_corpus
+    summary = {"documents": len(corpus), "skipped": corpus.skipped, "labels": list(corpus.label_set)}
+    return summary, {"corpus.jsonl": functools.partial(save_jsonl, corpus)}
+
+
+def cmd_vectorize(run: Run) -> tuple[dict, dict]:
+    corpus = run.cfg.parsed_corpus
+    weighted = _vec.build_weighted_matrix(corpus, d_percent=run.cfg.d, rank_cutoff=run.cfg.r)
+    return {"terms": len(weighted.terms), "documents": len(weighted.docs)}, {
+        "weights.mtx": functools.partial(_vec.dump_matrix_market, weighted),
+        "vocabulary.tsv": functools.partial(_vec.dump_vocabulary, weighted),
+        # The columns of weights.mtx are the corpus's documents, in order.
+        "documents.json": functools.partial(save_document_table, corpus),
     }
 
 
-def cmd_vectorize(cfg: PipelineConfig, args) -> dict:
-    corpus = _corpus(cfg)
-    out = _out_dir(cfg)
-    weighted = _vec.build_weighted_matrix(corpus, d_percent=cfg.d, rank_cutoff=cfg.r)
-    weights_path = out / "weights.mtx"
-    vocab_path = out / "vocabulary.tsv"
-    documents_path = out / "documents.json"
-    _vec.dump_matrix_market(weighted, weights_path)
-    _vec.dump_vocabulary(weighted, vocab_path)
-    # The columns of weights.mtx are the corpus's documents, in order.
-    save_document_table(corpus, documents_path)
-    artifacts = [weights_path, vocab_path, documents_path]
-    return {
-        "terms": len(weighted.terms),
-        "documents": len(weighted.docs),
-        "artifacts": _update_manifest(cfg, out, artifacts),
+def cmd_embed(run: Run) -> tuple[dict, dict]:
+    emb = _build_embedding(run)
+    return {"dims": emb.dims, "documents": len(emb.docs)}, {
+        "embedding.tsv": functools.partial(_lsa.dump_embedding, emb),
     }
 
 
-def cmd_embed(cfg: PipelineConfig, args) -> dict:
-    _require_corpus(cfg)
-    out = _out_dir(cfg)
-    emb = _build_embedding(cfg)
-    path = out / "embedding.tsv"
-    _lsa.dump_embedding(emb, path)
-    artifacts = _update_manifest(cfg, out, [path])
-    return {"dims": emb.dims, "documents": len(emb.docs), "artifacts": artifacts}
-
-
-def cmd_cluster(cfg: PipelineConfig, args) -> dict:
-    _require_corpus(cfg)
-    out = _out_dir(cfg)
-    ids, clus = _build_clustering(cfg)
-    assignments_path = out / "assignments.tsv"
-    meta_path = out / "cluster_run.json"
-    _cluster.dump_assignments(clus, ids, assignments_path)
-    meta_path.write_text(_cluster.run_metadata(clus, cfg.seed) + "\n", encoding="utf-8")
-    return {
-        "k": clus.k,
-        "dissimilarity": clus.dissimilarity,
-        "iterations": clus.iterations,
-        "artifacts": _update_manifest(cfg, out, [assignments_path, meta_path]),
+def cmd_cluster(run: Run) -> tuple[dict, dict]:
+    ids, clus = _build_clustering(run)
+    return {"k": clus.k, "dissimilarity": clus.dissimilarity, "iterations": clus.iterations}, {
+        "assignments.tsv": functools.partial(_cluster.dump_assignments, clus, ids),
+        "cluster_run.json": (_cluster.run_metadata(clus, run.cfg.seed) + "\n").encode(),
     }
 
 
-def cmd_evaluate(cfg: PipelineConfig, args) -> dict:
-    _require_corpus(cfg)
-    ids, labels = _document_table(cfg)
-    assignments = _load_or_compute_assignments(cfg, ids, getattr(args, "assignments", None))
-    out = _out_dir(cfg)
-    report = score_clustering(assignments, labels)
-    path = out / "metrics.json"
-    path.write_text(metrics_json(report) + "\n", encoding="utf-8")
-    return {
-        "homogeneity": report.homogeneity,
-        "completeness": report.completeness,
-        "v_measure": report.v_measure,
-        "artifacts": _update_manifest(cfg, out, [path]),
-    }
+def cmd_evaluate(run: Run) -> tuple[dict, dict]:
+    ids, labels = _document_table(run)
+    report = score_clustering(_assignments(run, ids), labels)
+    return {"homogeneity": report.homogeneity, "completeness": report.completeness,
+            "v_measure": report.v_measure}, {"metrics.json": (metrics_json(report) + "\n").encode()}
 
 
-def cmd_sweep(cfg: PipelineConfig, args) -> dict:
-    top = 5 if args.top is None else check_positive_int(args.top, "--top")
-    corpus = _corpus(cfg)
-    out = _out_dir(cfg)
+def cmd_sweep(run: Run) -> tuple[dict, dict]:
+    cfg = run.cfg
+    top = 5 if run.args.top is None else check_positive_int(run.args.top, "--top")
+    corpus = cfg.parsed_corpus
     spec = cfg.sweep_spec()
-    rows_path = out / "rows.jsonl"
-    rows = _sweep.run_sweep(corpus, spec, checkpoint_path=rows_path)
-    report_path = out / "report.md"
-    report_path.write_text(_sweep.render_report(rows, top_n=top), encoding="utf-8")
+    # It checkpoints its rows as it computes, so it makes --out first.
+    rows = _sweep.run_sweep(corpus, spec, checkpoint_path=_out_dir(cfg) / "rows.jsonl")
     # The curve is drawn at the config's (d, r, n_dims) over the sweep's
     # K values, from the grid's rows where it holds them (a row depends
     # only on its key, the seed and the restarts); K that did not run are
@@ -500,76 +573,35 @@ def cmd_sweep(cfg: PipelineConfig, args) -> dict:
         )
         at_point.update((row.k, row) for row in _sweep.run_sweep(corpus, curve_spec))
     curve = [(k, row.v_measure) for k, row in sorted(at_point.items()) if row.ok]
-    curve_path = out / "vk_curve.tsv"
-    _sweep.write_v_curve(curve, curve_path)
     executed = sum(1 for r in rows if r.ok)
-    return {
-        "combinations": len(rows),
-        "executed": executed,
-        "skipped": len(rows) - executed,
-        "artifacts": _update_manifest(cfg, out, [rows_path, report_path, curve_path]),
+    return {"combinations": len(rows), "executed": executed, "skipped": len(rows) - executed}, {
+        "report.md": _sweep.render_report(rows, top_n=top).encode(),
+        "vk_curve.tsv": functools.partial(_sweep.write_v_curve, curve),
     }
 
 
-def cmd_probe(cfg: PipelineConfig, args) -> dict:
-    corpus = _corpus(cfg)
-    if not cfg.dictionary:
-        raise ConfigError("no dictionary path given (flag --dict or config key 'dictionary')")
-    if not Path(cfg.dictionary).is_file():
-        raise ConfigError(f"dictionary file not found: {cfg.dictionary}")
-    dictionary = _probe.load_dictionary(cfg.dictionary)
-    assignments = _load_or_compute_assignments(cfg, corpus.doc_ids(), getattr(args, "assignments", None))
-    out = _out_dir(cfg)
-    counts = _probe.count_occurrences(corpus, assignments, dictionary, mode=cfg.probe_mode)
+def cmd_probe(run: Run) -> tuple[dict, dict]:
+    cfg, corpus = run.cfg, run.cfg.parsed_corpus
+    assignments = _assignments(run, corpus.doc_ids())
+    counts = _probe.count_occurrences(corpus, assignments, run.dictionary, mode=cfg.probe_mode)
     report = _probe.relative_weights(counts)
-    report_path = out / "probe_report.json"
-    report_path.write_text(_probe.report_to_json(report) + "\n", encoding="utf-8")
     net = _probe.build_network(report, top_n=cfg.probe_top)
-    net_path = out / f"network.{cfg.network_format}"
-    net_path.write_bytes(_probe.export_network(net, format=cfg.network_format))
-    return {
-        "entities": len(report.entity_globals),
-        "clusters": len(report.clusters),
-        "short_clusters": list(net.short_clusters),
-        "artifacts": _update_manifest(cfg, out, [report_path, net_path]),
+    summary = {"entities": len(report.entity_globals), "clusters": len(report.clusters),
+               "short_clusters": list(net.short_clusters)}
+    return summary, {
+        "probe_report.json": (_probe.report_to_json(report) + "\n").encode(),
+        f"network.{cfg.network_format}": _probe.export_network(net, format=cfg.network_format),
     }
 
 
-def cmd_export(cfg: PipelineConfig, args) -> dict:
-    explicit = getattr(args, "report", None)
-    source = explicit or str(Path(cfg.out) / "probe_report.json")
-    if not Path(source).is_file():
-        raise DataError(f"probe report not found: {source}")
-    try:
-        report = _probe.report_from_json(Path(source).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{source}: not UTF-8 text ({exc.reason})") from exc
-    except ParseError as exc:
-        raise ParseError(f"{source}: {exc}") from exc
-    # export has no corpus step to recompute the report from, so a staged
-    # one it cannot vouch for is refused.
-    if not explicit and _unvouched(Path(source), cfg):
-        raise ConfigError(
-            f"{source} has no record in manifest.json of the probe that wrote it, "
-            f"or was changed since; rerun `litclust probe` or pass the file with --report"
-        )
-    out = _out_dir(cfg)
-    net = _probe.build_network(report, top_n=cfg.probe_top)
-    net_path = out / f"network.{cfg.network_format}"
-    net_path.write_bytes(_probe.export_network(net, format=cfg.network_format))
-    return {"artifacts": _update_manifest(cfg, out, [net_path])}
+def cmd_export(run: Run) -> tuple[dict, dict]:
+    cfg = run.cfg
+    net = _probe.build_network(run.report, top_n=cfg.probe_top)
+    return {}, {f"network.{cfg.network_format}": _probe.export_network(net, format=cfg.network_format)}
 
 
-_COMMANDS = {
-    "ingest": cmd_ingest,
-    "vectorize": cmd_vectorize,
-    "embed": cmd_embed,
-    "cluster": cmd_cluster,
-    "evaluate": cmd_evaluate,
-    "sweep": cmd_sweep,
-    "probe": cmd_probe,
-    "export": cmd_export,
-}
+# ``_run`` looks each ``cmd_<name>`` up here at call time, so a wrapped one is run.
+_COMMANDS = {name: globals()[f"cmd_{name}"] for name in COMMANDS}
 
 
 # Built once per process and shared, so no caller may change it; argparse
@@ -582,51 +614,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"litclust {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "ingest": "normalize a corpus into canonical JSONL",
-        "vectorize": "dump the weighted matrix, its vocabulary and the document table",
-        "embed": "dump the document embedding",
-        "cluster": "k-means assignments and run metadata",
-        "evaluate": "homogeneity/completeness/v-measure vs labels",
-        "sweep": "randomized (D, R, N, K) grid sweep",
-        "probe": "match an entity dictionary against clusters",
-        "export": "re-export a probe report as a network file",
-    }
-    # A flag that sets a config key has the key's name as its dest and
-    # None as its default; resolve_config reads it by that name.
-    for command, help_text in helps.items():
-        p = sub.add_parser(command, help=help_text)
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--corpus", help="corpus file path")
-        p.add_argument("--corpus-format", dest="corpus_format", choices=CHOICES["corpus_format"],
-                       help="corpus file format")
-        p.add_argument("--out", help="output directory (default 'out')")
-        p.add_argument("--seed", type=int, help="top-level random seed")
-        p.add_argument("--json", action="store_true", help="print a machine-readable result")
-        p.add_argument("--allow-out-of-bounds", action="store_true", default=None,
-                       help="permit parameter values outside the documented ranges")
-        if command in ("vectorize", "embed", "cluster", "evaluate", "probe"):
-            p.add_argument("--d", type=float, help="document frequency floor, percent")
-            p.add_argument("--r", type=int, help="per-document rank cutoff")
-            p.add_argument("--n-dims", dest="n_dims", type=int, help="embedding dimensions")
-            p.add_argument("--k", type=int, help="number of clusters")
-            p.add_argument("--restarts", type=int, help="k-means restarts")
-        if command in ("evaluate", "probe"):
-            p.add_argument("--assignments", help="assignments TSV (default: staged artifact)")
-        if command == "sweep":
-            p.add_argument("--budget", type=int, help="max combinations to run")
-            p.add_argument("--top", type=int, help="rows in the rendered report (default 5)")
-        if command == "probe":
-            p.add_argument("--dict", dest="dictionary", metavar="DICT", help="entity dictionary JSON")
-            p.add_argument("--mode", dest="probe_mode", choices=CHOICES["probe_mode"],
-                           help="matching mode")
-        if command == "export":
-            p.add_argument("--report", help="probe report JSON (default: staged artifact)")
-        if command in ("probe", "export"):
-            p.add_argument("--top", dest="probe_top", type=int, metavar="TOP",
-                           help="entities per cluster in the network")
-            p.add_argument("--format", dest="network_format", choices=CHOICES["network_format"],
-                           help="network export format")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        # Its named inputs, and every MADE_FROM key of what it reads or
+        # writes that has a flag; a file's digest has the file's flag.
+        made_from = [key.removesuffix("_sha256") for artifact in (*command.reads, *command.writes)
+                     for key in MADE_FROM.get(artifact, ())]
+        for dest in dict.fromkeys((*BASE_FLAGS, *command.inputs, *made_from, *command.extras)):
+            if dest in FLAGS:
+                flag, help_text, options = FLAGS[dest]
+                p.add_argument(flag, dest=dest, help=help_text, **options)
     return parser
 
 
@@ -635,7 +632,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        result = _COMMANDS[args.command](cfg, args)
+        result = _run(args.command, cfg, args)
     except ConfigError as exc:
         print(f"litclust: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

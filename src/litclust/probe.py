@@ -463,10 +463,11 @@ def report_to_json(report: ProbeReport) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def report_from_json(text: str) -> ProbeReport:
-    """Parse :func:`report_to_json` output; malformed or mistyped text raises ParseError."""
+def load_report(path: str | Path) -> ProbeReport:
+    """Read a file :func:`report_to_json` wrote; one that is not JSON, or
+    holds another shape or types, raises ParseError naming it."""
+    doc = read_json(path)
     try:
-        doc = json.loads(text)
         clusters = tuple(
             ClusterRanking(cluster=int(cid), entries=tuple(map(_entry, entries)))
             for cid, entries in sorted(doc["clusters"].items(), key=lambda kv: int(kv[0]))
@@ -479,7 +480,7 @@ def report_from_json(text: str) -> ProbeReport:
             total_docs=_count(doc["total_docs"]),
         )
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ParseError(f"malformed probe report ({exc!r})") from exc
+        raise ParseError(f"{path}: malformed probe report ({exc!r})") from exc
 
 
 def _count(value) -> int:

@@ -222,6 +222,26 @@ class TestProbeExport:
     def test_probe_without_dictionary_exits_2(self, workspace):
         assert run_cli("probe", "--corpus", "corpus.jsonl") == 2
 
+    @pytest.mark.parametrize(
+        "chain,key,value",
+        [(("cluster", "probe", "export"), "k", 3), (("probe", "export"), "probe_mode", "molecular")],
+    )
+    def test_a_chain_by_flags_alone_exports_what_its_config_does(self, workspace, chain, key, value):
+        """Each command takes a flag for every value its staged inputs are
+        checked against, so ``export`` follows ``probe`` without a config."""
+        config = json.loads((workspace / "config.json").read_text())
+        (workspace / "configured.json").write_text(json.dumps({**config, key: value, "out": "configured"}))
+        flag = {"k": "--k", "probe_mode": "--mode"}[key]
+        named = {"--corpus": "corpus.jsonl", "--seed": "3", "--restarts": "3", "--out": "flagged"}
+        for command in chain:
+            flags = {**named, flag: str(value)}
+            if command != "cluster":
+                flags["--dict"] = config["dictionary"]
+            assert run_cli(command, *(arg for item in flags.items() for arg in item)) == 0, command
+            assert run_cli(command, "--config", "configured.json") == 0, command
+        network = "network.graphml"
+        assert (workspace / "flagged" / network).read_bytes() == (workspace / "configured" / network).read_bytes()
+
 
 class TestStaleArtifacts:
     def test_evaluate_refuses_assignments_clustered_at_another_k(self, workspace, capsys):
@@ -790,6 +810,7 @@ class TestStagedReadsAreLogged:
         assert self.run_logged(caplog, "cluster") == ["out/embedding.tsv: read"]
         assert self.run_logged(caplog, "evaluate") == ["out/documents.json: read", "out/assignments.tsv: read"]
         assert self.run_logged(caplog, "probe") == ["out/assignments.tsv: read"]
+        assert self.run_logged(caplog, "export") == ["out/probe_report.json: read"]
 
     @pytest.mark.parametrize(
         "command,name,case,why",
@@ -1072,9 +1093,14 @@ class TestExitCodes:
             (("probe", "--assignments", "nope.tsv"), 3, "nope.tsv"),
             (("export", "--report", "nope.json"), 3, "nope.json"),
             (("export",), 3, "fresh/probe_report.json"),
+            # A compute error: every command but sweep computes before it makes --out.
+            (("vectorize", "--d", "100000", "--allow-out-of-bounds"), 4, "removed all terms"),
+            *(((command, "--n-dims", "90", "--allow-out-of-bounds"), 4, "exceed min(shape)=84")
+              for command in ("embed", "cluster", "evaluate", "probe")),
         ],
         ids=["dictionary", "bad_dictionary", "evaluate_assignments", "probe_assignments",
-             "report", "staged_report"],
+             "report", "staged_report", "vectorize_compute", "embed_compute", "cluster_compute",
+             "evaluate_compute", "probe_compute"],
     )
     def test_a_refused_named_input_leaves_no_out_directory(self, workspace, capsys, argv, code, name):
         (workspace / "bad.json").write_text("{oops", encoding="utf-8")
@@ -1489,11 +1515,57 @@ def test_the_parser_is_built_once_and_no_parse_leaks_into_the_next(workspace, mo
     assert "k: 4" in capsys.readouterr().out.splitlines()
     first, second, third = parsed
     assert (first["command"], first["k"], first["json"]) == ("cluster", 3, True)
-    assert (second["command"], second["k"], second["json"]) == ("embed", None, False)
+    # embed takes no --k: it reads nothing made with k.
+    assert (second["command"], second.get("k"), second["json"]) == ("embed", None, False)
     assert (third["command"], third["k"], third["json"]) == ("cluster", None, False)
     assert "assignments" not in second
     info = litclust.cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+
+
+def parser_flags():
+    """Each command's flags, by dest, as ``build_parser`` gives them."""
+    import argparse
+
+    from litclust.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {a.dest: a.option_strings[0] for a in parser._actions if a.option_strings and a.dest != "help"}
+        for name, parser in sub.choices.items()
+    }
+
+
+def test_every_command_has_a_flag_for_each_value_its_artifacts_are_made_from():
+    """A MADE_FROM key with a flag on any command has it on every command
+    that reads or writes an artifact made from it; the digests of the
+    corpus and the dictionary have the files' flags."""
+    from litclust.cli import COMMANDS
+
+    flags = parser_flags()
+    flagged = set().union(*flags.values())
+    for name, command in COMMANDS.items():
+        for artifact in (*command.reads, *command.writes):
+            for key in MADE_FROM.get(artifact, ()):
+                dest = {"corpus_sha256": "corpus", "dictionary_sha256": "dictionary"}.get(key, key)
+                if key == "class_labels":  # a list: set in the config only
+                    assert dest not in flagged
+                else:
+                    assert dest in flags[name], (name, artifact, key)
+
+
+def test_readme_flag_table_lists_each_commands_flags():
+    lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| command | flags |")
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        command, cell = (part.strip() for part in line.strip("|").split("|"))
+        table[command.strip("`")] = {flag.strip(" `") for flag in cell.split(",") if flag.strip()}
+    every = table.pop("every command")
+    assert table == {name: set(flags.values()) - every for name, flags in parser_flags().items()}
+    assert all(every <= set(flags.values()) for flags in parser_flags().values())
 
 
 def test_flags_override_the_file_and_budget_joins_its_sweep(workspace):
@@ -1557,8 +1629,9 @@ JSON_READERS = {
     "out/manifest.json": "evaluate",
     "out/documents.json": "evaluate",
     "dictionary.json": "probe",
+    "out/probe_report.json": "export",
 }
-WRITES = {"evaluate": "metrics.json", "probe": "probe_report.json"}
+WRITES = {"evaluate": "metrics.json", "probe": "probe_report.json", "export": "network.graphml"}
 
 
 def damage(path, edit, at, value, garbage):
@@ -1620,7 +1693,7 @@ class TestDamagedJsonInputs:
         save_jsonl(gene_corpus(docs_per_topic=10), staged / "corpus.jsonl")
         shutil.copy(DATA / "dictionary_10.json", staged / "dictionary.json")
         self.write_config(staged)
-        for command in ("vectorize", "embed", "cluster"):
+        for command in ("vectorize", "embed", "cluster", "probe"):
             assert self.run_in(staged, command)[0] == 0
         clean = staged.parent / "clean"
         shutil.copytree(staged, clean)

@@ -21,9 +21,9 @@ from litclust.probe import (
     count_occurrences,
     export_network,
     load_dictionary,
+    load_report,
     parse_gene_summaries,
     relative_weights,
-    report_from_json,
     report_to_json,
 )
 
@@ -619,12 +619,13 @@ class TestExport:
             export_network(self.golden_net(), "gexf")
 
 
-def test_report_json_roundtrip():
+def test_report_json_roundtrip(tmp_path):
     corpus, assignments = probe_corpus()
     report = relative_weights(
         count_occurrences(corpus, assignments, probe_dictionary())
     )
-    back = report_from_json(report_to_json(report))
+    (tmp_path / "report.json").write_text(report_to_json(report), encoding="utf-8")
+    back = load_report(tmp_path / "report.json")
     assert back.mode == report.mode
     assert back.entity_globals == report.entity_globals
     assert back.cluster_sizes == report.cluster_sizes
@@ -632,29 +633,37 @@ def test_report_json_roundtrip():
     assert build_network(back) == build_network(report)
 
 
-def test_malformed_report_json_raises_parse_error():
-    with pytest.raises(ParseError, match="malformed probe report"):
-        report_from_json('{"mode": "gene"}')
+def test_malformed_report_json_raises_parse_error(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text('{"mode": "gene"}', encoding="utf-8")
+    with pytest.raises(ParseError, match="report.json: malformed probe report"):
+        load_report(path)
+    path.write_text('{"mode": ', encoding="utf-8")
+    with pytest.raises(ParseError, match="report.json: invalid JSON"):
+        load_report(path)
 
 
 @pytest.mark.parametrize("path,value", [
     (("total_docs",), 4.0), (("total_docs",), "4"), (("cluster_sizes", "0"), 1.5),
     (("entity_globals", "brca1"), False), (("entity_globals", "brca1"), "3"),
 ])
-def test_report_json_counts_are_integers(path, value):
+def test_report_json_counts_are_integers(tmp_path, path, value):
     doc = {
         "mode": "gene", "total_docs": 4, "cluster_sizes": {"0": 4},
         "entity_globals": {"brca1": 3},
         "clusters": {"0": [{"entity": "brca1", "count": 3, "relative_weight": 0.25}]},
     }
-    assert report_from_json(json.dumps(doc)).total_docs == 4
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_report(report_path).total_docs == 4
     *parents, key = path
     target = doc
     for parent in parents:
         target = target[parent]
     target[key] = value
+    report_path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ParseError, match="is no integer count"):
-        report_from_json(json.dumps(doc))
+        load_report(report_path)
 
 
 RECORD_TEXT = st.lists(
