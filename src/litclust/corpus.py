@@ -175,9 +175,9 @@ def load_corpus(
     """Load a corpus file in the declared format.
 
     Documents without text are skipped (counted on the returned corpus),
-    duplicate ids raise, and the result is sorted by id.  For PubMed XML,
-    ``class_labels`` restricts and prioritizes which major MeSH headings
-    may serve as labels; the first match in that order wins.
+    duplicate ids raise naming the file, and the result is sorted by id.
+    For PubMed XML, ``class_labels`` restricts and prioritizes which major
+    MeSH headings may serve as labels; the first match in that order wins.
     """
     path = Path(path)
     if format == "jsonl":
@@ -190,7 +190,10 @@ def load_corpus(
         raise EmptyCorpus(f"no usable documents in {path}")
     if skipped:
         log.warning("skipped %d records without text in %s", skipped, path)
-    return Corpus(docs, skipped=skipped)
+    try:
+        return Corpus(docs, skipped=skipped)
+    except (DuplicateId, InvalidId) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def save_jsonl(corpus: Corpus, path: str | Path) -> None:
@@ -274,39 +277,58 @@ def _read_pubmed_xml(
 ) -> tuple[list[Document], int]:
     """Parse efetch ``rettype=abstract`` XML into documents.
 
-    The abstract text is the concatenation of all AbstractText sections;
+    The file is read one ``PubmedArticle`` at a time: each article is
+    made a document at its end tag and then cleared, so memory holds the
+    documents read so far and one article's elements, not the file's
+    tree.  A ``PubmedArticle`` inside another raises ``ParseError``.
+
+    The abstract text is the concatenation of all AbstractText sections,
+    each with the text of its inline markup (``<i>``, ``<sup>``, ...);
     the label is a major-topic MeSH descriptor heading (attribute
     MajorTopicYN="Y").  A document with several major headings gets the
     first one in ``class_labels`` priority order, or the first in
     document order when no priority list is given.
     """
-    try:
-        tree = ET.parse(path)
-    except ET.ParseError as exc:
-        raise ParseError(f"{path}: malformed XML at {exc.position}") from exc
-
     docs: list[Document] = []
     skipped = 0
-    for article in tree.getroot().iter("PubmedArticle"):
-        pmid = article.findtext(".//PMID")
-        if not pmid:
-            skipped += 1
-            continue
-        pieces = [
-            (el.text or "") for el in article.findall(".//Abstract/AbstractText")
-        ]
-        text = normalize_text(" ".join(pieces))
-        if not text:
-            skipped += 1
-            continue
-        majors = [
-            (el.text or "").strip()
-            for el in article.findall(".//MeshHeading/DescriptorName")
-            if el.get("MajorTopicYN") == "Y" and (el.text or "").strip()
-        ]
-        label = _pick_label(majors, class_labels)
-        docs.append(Document(id=pmid.strip(), text=text, label=label))
+    try:
+        with path.open("rb") as fh:
+            for _, article in ET.iterparse(fh, events=("end",)):
+                if article.tag != "PubmedArticle":
+                    continue
+                # A nested article ended, and was cleared, before this one.
+                if article.find(".//PubmedArticle") is not None:
+                    raise ParseError(f"{path}: a PubmedArticle nested in another")
+                doc = _article_document(article, class_labels)
+                article.clear()
+                if doc is None:
+                    skipped += 1
+                else:
+                    docs.append(doc)
+    except ET.ParseError as exc:
+        raise ParseError(f"{path}: malformed XML at {exc.position}") from exc
     return docs, skipped
+
+
+def _article_document(
+    article: ET.Element, class_labels: Sequence[str] | None
+) -> Document | None:
+    """One ``PubmedArticle`` as a document, or None when it has no PMID
+    or no abstract text.  A blank PMID counts as none: as an empty id it
+    would be refused when the written corpus is read back."""
+    pmid = (article.findtext(".//PMID") or "").strip()
+    if not pmid:
+        return None
+    pieces = ["".join(el.itertext()) for el in article.findall(".//Abstract/AbstractText")]
+    text = normalize_text(" ".join(pieces))
+    if not text:
+        return None
+    majors = [
+        (el.text or "").strip()
+        for el in article.findall(".//MeshHeading/DescriptorName")
+        if el.get("MajorTopicYN") == "Y" and (el.text or "").strip()
+    ]
+    return Document(id=pmid, text=text, label=_pick_label(majors, class_labels))
 
 
 def _pick_label(

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import io as spio
 from scipy import sparse
 
 from litclust.base import BaseEstimator, check_positive_int
@@ -355,6 +354,8 @@ def _keep_terms(m: TermDocMatrix, keep: np.ndarray) -> TermDocMatrix:
 
 def dump_matrix_market(w: WeightedMatrix, path: str | Path) -> None:
     """MatrixMarket coordinate dump of the weights, for ``load_weighted_matrix``."""
+    from scipy import io as spio  # imported where it runs: it costs resident memory
+
     spio.mmwrite(str(path), sparse.coo_array(w.weights))
 
 
@@ -372,6 +373,8 @@ def load_weighted_matrix(
     ``dump_vocabulary`` wrote, over the documents ``docs``.  A file that
     does not parse, or a matrix whose shape is not (terms, docs), raises
     ``DataError``."""
+    from scipy import io as spio
+
     try:
         lines = Path(vocab_path).read_text(encoding="utf-8").splitlines()
         weights = sparse.csr_array(spio.mmread(str(weights_path)))

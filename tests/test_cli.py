@@ -4,11 +4,14 @@ import io
 import json
 import logging
 import os
+import random
+import re
 import shutil
 import stat
 import subprocess
 import sys
 import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -1247,6 +1250,21 @@ class TestExitCodes:
         assert code == 3
         assert "bad.xml: malformed XML at (3, 0)" in capsys.readouterr().err
 
+    def test_a_nested_pubmed_article_exits_3(self, workspace, capsys):
+        # Read as a tree, the inner abstract would leak into the outer document.
+        (workspace / "nested.xml").write_text(
+            "<PubmedArticleSet><PubmedArticle><MedlineCitation><PMID>1</PMID><Article><Abstract>"
+            "<AbstractText>outer text</AbstractText></Abstract></Article></MedlineCitation>"
+            "<PubmedArticle><MedlineCitation><PMID>2</PMID><Article><Abstract>"
+            "<AbstractText>inner text</AbstractText></Abstract></Article></MedlineCitation></PubmedArticle>"
+            "</PubmedArticle></PubmedArticleSet>",
+            encoding="utf-8",
+        )
+        code = run_cli("ingest", "--corpus", "nested.xml", "--corpus-format", "pubmed_xml", "--out", "fresh")
+        assert code == 3
+        assert "nested.xml: a PubmedArticle nested in another" in capsys.readouterr().err
+        assert not (workspace / "fresh").exists()
+
     def test_malformed_assignments_exit_3(self, workspace, capsys):
         (workspace / "bad.tsv").write_text("d0000\t1\nd0001 2\n", encoding="utf-8")
         code = run_cli("evaluate", "--config", "config.json", "--assignments", "bad.tsv")
@@ -1634,6 +1652,20 @@ JSON_READERS = {
 WRITES = {"evaluate": "metrics.json", "probe": "probe_report.json", "export": "network.graphml"}
 
 
+BYTE_EDITS = ("truncate", "flip", "insert", "append")
+
+
+def damage_bytes(data, edit, at, value, garbage):
+    """``data`` after one of ``BYTE_EDITS`` at the fraction ``at`` of its length."""
+    i = int(at * len(data))
+    return {
+        "truncate": data[:i],
+        "flip": data[:i] + bytes([data[i] ^ value]) + data[i + 1:],
+        "insert": data[:i] + b"\xff" + data[i:],
+        "append": data + garbage,
+    }[edit]
+
+
 def damage(path, edit, at, value, garbage):
     """Apply one edit to the file at ``path``: the bytes left there, or
     None when it was replaced by a directory."""
@@ -1641,14 +1673,7 @@ def damage(path, edit, at, value, garbage):
         path.unlink()
         path.mkdir()
         return None
-    data = path.read_bytes()
-    i = int(at * len(data))
-    data = {
-        "truncate": data[:i],
-        "flip": data[:i] + bytes([data[i] ^ value]) + data[i + 1:],
-        "insert": data[:i] + b"\xff" + data[i:],
-        "append": data + garbage,
-    }[edit]
+    data = damage_bytes(path.read_bytes(), edit, at, value, garbage)
     path.write_bytes(data)
     return data
 
@@ -1705,7 +1730,7 @@ class TestDamagedJsonInputs:
     @settings(max_examples=400, deadline=None)
     @given(
         name=st.sampled_from(sorted(JSON_READERS)),
-        edit=st.sampled_from(["truncate", "flip", "insert", "append", "directory"]),
+        edit=st.sampled_from([*BYTE_EDITS, "directory"]),
         at=st.floats(0, 1, exclude_max=True),
         value=st.integers(1, 255),
         garbage=st.binary(min_size=1, max_size=8),
@@ -1727,3 +1752,183 @@ class TestDamagedJsonInputs:
                 assert str(work / name) in err
             if code == 0 and name.startswith("out/"):
                 assert (work / "out" / WRITES[command]).read_bytes() == clean[command]
+
+
+# Three more articles, one per line, after the fixture's two multi-line
+# ones: a duplicated line then duplicates an article, and shuffled lines
+# can reorder whole articles.
+ONE_LINE_ARTICLES = "".join(
+    f'  <PubmedArticle><MedlineCitation><PMID Version="1">{pmid}</PMID><Article><Abstract>'
+    f"<AbstractText>{text}</AbstractText></Abstract></Article><MeshHeadingList><MeshHeading>"
+    f'<DescriptorName MajorTopicYN="{major}">{heading}</DescriptorName></MeshHeading>'
+    "</MeshHeadingList></MedlineCitation></PubmedArticle>\n"
+    for pmid, text, major, heading in [
+        ("7", "TP53 loss in ductal carcinoma.", "Y", "Carcinoma"),
+        ("8", "ESR1 &amp; HER2 status.", "N", "Humans"),
+        ("9", "Germline BRCA1 testing.", "Y", "Genetic Testing"),
+    ]
+)
+EFETCH = (DATA / "pubmed_two_records.xml").read_bytes().replace(
+    b"</PubmedArticleSet>", ONE_LINE_ARTICLES.encode() + b"</PubmedArticleSet>"
+)
+ABSTRACT_TEXT = re.compile(rb"(<AbstractText[^>]*>)(.*?)(</AbstractText>)")
+PMID = re.compile(rb"<PMID[^>]*>.*?</PMID>")
+XML_EDITS = (*BYTE_EDITS, "duplicate", "shuffle", "empty", "wrap", "drop_pmid")
+
+
+def damage_xml(data, edit, at, value, garbage, seed):
+    """PubMed XML ``data`` after one of ``XML_EDITS``: a byte edit, or one
+    on its lines or elements."""
+    if edit in BYTE_EDITS:
+        return damage_bytes(data, edit, at, value, garbage)
+    if edit == "empty":
+        return b""
+    lines = data.splitlines(keepends=True)
+    if edit == "duplicate":
+        i = int(at * len(lines))
+        return b"".join(lines[:i + 1] + lines[i:])
+    if edit == "shuffle":
+        random.Random(seed).shuffle(lines)
+        return b"".join(lines)
+    pattern = {"wrap": ABSTRACT_TEXT, "drop_pmid": PMID}[edit]
+    matches = list(pattern.finditer(data))
+    m = matches[int(at * len(matches))]
+    new = m.group(1) + b"<i>" + m.group(2) + b"</i>" + m.group(3) if edit == "wrap" else b""
+    return data[:m.start()] + new + data[m.end():]
+
+
+def tree_records(data):
+    """The records a whole-tree reader makes of PubMed XML ``data``, in
+    id order, or None where ``ingest`` must refuse it: XML that does not
+    parse, a nested article, no usable article, or an id that is repeated
+    or holds a tab or a line break."""
+    try:
+        root = ET.fromstring(data)
+    except ET.ParseError:
+        return None
+    records = []
+    for article in root.iter("PubmedArticle"):
+        if article.find(".//PubmedArticle") is not None:
+            return None
+        pmid = (article.findtext(".//PMID") or "").strip()
+        sections = ("".join(el.itertext()) for el in article.findall(".//Abstract/AbstractText"))
+        text = " ".join(" ".join(sections).split())
+        if not pmid or not text:
+            continue
+        majors = [
+            el.text.strip()
+            for el in article.findall(".//MeshHeading/DescriptorName")
+            if el.get("MajorTopicYN") == "Y" and (el.text or "").strip()
+        ]
+        records.append({"id": pmid, "label": majors[0] if majors else None, "text": text})
+    ids = [r["id"] for r in records]
+    if not ids or len(set(ids)) < len(ids) or any("\t" in i or len(f"a{i}b".splitlines()) > 1 for i in ids):
+        return None
+    return sorted(records, key=lambda r: r["id"])
+
+
+class TestDamagedPubmedXml:
+    """One edit to a PubMed XML corpus ends ``ingest`` in exit 0 or 3 with
+    no traceback; a refusal names the file, and an accepted file gives
+    the corpus a reader of the whole tree gives."""
+
+    def test_the_undamaged_file_reads_as_the_tree_reader_reads_it(self, tmp_path):
+        (tmp_path / "corpus.xml").write_bytes(EFETCH)
+        assert main(["ingest", "--corpus", str(tmp_path / "corpus.xml"), "--corpus-format", "pubmed_xml",
+                     "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in lines] == tree_records(EFETCH)
+        assert len(lines) == 5
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edit=st.sampled_from(XML_EDITS),
+        at=st.floats(0, 1, exclude_max=True),
+        value=st.integers(1, 255),
+        garbage=st.binary(min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_damaged_xml_corpus_ingests_cleanly(self, tmp_path_factory, edit, at, value, garbage, seed):
+        data = damage_xml(EFETCH, edit, at, value, garbage, seed)
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+            path = Path(tmp) / "corpus.xml"
+            path.write_bytes(data)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["ingest", "--corpus", str(path), "--corpus-format", "pubmed_xml",
+                             "--out", str(Path(tmp) / "out")])
+            expected = tree_records(data)
+            assert code in (0, 3), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            if code == 3:
+                assert str(path) in err.getvalue()
+                assert expected is None
+            else:
+                lines = (Path(tmp) / "out" / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+                assert [json.loads(line) for line in lines] == expected
+
+
+# Each prints whether scipy.io was imported: it costs resident memory and
+# serves only the Matrix Market files that vectorize writes and embed reads.
+LIBRARY_SCRIPT = """
+import sys
+import litclust
+corpus = litclust.load_corpus(sys.argv[1])
+weighted = litclust.CorpusVectorizer(d_percent=0.5, rank_cutoff=5).fit_transform(corpus)
+embedding = litclust.TruncatedLsa(n_dims=15, seed=0).fit_transform(weighted)
+model = litclust.KMeans(k=4, seed=0, restarts=4).fit(embedding.vectors)
+litclust.score_clustering(model.labels_, corpus.labels())
+counts = litclust.count_occurrences(corpus, model.labels_, litclust.load_dictionary(sys.argv[2]), mode="gene")
+litclust.export_network(litclust.build_network(litclust.relative_weights(counts)), format="graphml")
+print("scipy.io" in sys.modules)
+"""
+CLI_SCRIPT = """
+import sys
+from litclust.cli import main
+print(main(sys.argv[1:]), "scipy.io" in sys.modules)
+"""
+
+
+def test_the_readme_library_path_does_not_import_scipy_io(tmp_path):
+    save_jsonl(gene_corpus(), tmp_path / "corpus.jsonl")
+    out = subprocess.run(
+        [sys.executable, "-c", LIBRARY_SCRIPT, str(tmp_path / "corpus.jsonl"), str(DATA / "dictionary_10.json")],
+        capture_output=True, text=True, env=subprocess_env(), check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+class TestScipyIoImport:
+    @pytest.fixture(scope="class")
+    def staged(self, tmp_path_factory):
+        """A chain staged through probe, and the corpus as PubMed XML."""
+        work = tmp_path_factory.mktemp("staged")
+        corpus = gene_corpus()
+        save_jsonl(corpus, work / "corpus.jsonl")
+        write_xml_corpus(work / "corpus.xml", corpus, lambda doc: [doc.label])
+        config = {"corpus": str(work / "corpus.jsonl"), "dictionary": str(DATA / "dictionary_10.json"),
+                  "out": str(work / "out"), "seed": 3, "restarts": 3}
+        (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        for command in ("vectorize", "embed", "cluster", "probe"):
+            assert main([command, "--config", str(work / "config.json")]) == 0
+        return work
+
+    @pytest.mark.parametrize("command,imported", [
+        ("ingest", False),
+        ("cluster", False),  # from the staged embedding
+        ("evaluate", False),
+        ("probe", False),
+        ("export", False),
+        ("embed", True),  # reads the staged weights.mtx
+    ])
+    def test_only_commands_that_read_or_write_matrix_market_import_it(self, staged, command, imported):
+        argv = [command, "--config", str(staged / "config.json")]
+        if command == "ingest":
+            argv += ["--corpus", str(staged / "corpus.xml"), "--corpus-format", "pubmed_xml",
+                     "--out", str(staged / "ingested")]
+        out = subprocess.run(
+            [sys.executable, "-c", CLI_SCRIPT, *argv],
+            capture_output=True, text=True, env=subprocess_env(), check=True,
+        )
+        # The command's own summary comes first.
+        assert out.stdout.splitlines()[-1].split() == ["0", str(imported)], out.stderr

@@ -200,12 +200,53 @@ class TestPubmedXml:
             "<AbstractText>no pmid</AbstractText></Abstract></Article></MedlineCitation></PubmedArticle>"
             "<PubmedArticle><MedlineCitation><PMID>3</PMID><Article>"
             "<ArticleTitle>No abstract</ArticleTitle></Article></MedlineCitation></PubmedArticle>"
+            "<PubmedArticle><MedlineCitation><PMID> </PMID><Article><Abstract>"
+            "<AbstractText>blank pmid</AbstractText></Abstract></Article></MedlineCitation></PubmedArticle>"
             "</PubmedArticleSet>",
             encoding="utf-8",
         )
         corpus = load_corpus(p, format="pubmed_xml")
         assert [(d.id, d.text) for d in corpus] == [("1", "kept abstract")]
-        assert corpus.skipped == 2
+        assert corpus.skipped == 3
+
+    def test_inline_markup_keeps_its_text(self, tmp_path):
+        p = tmp_path / "c.xml"
+        p.write_text(
+            "<PubmedArticleSet><PubmedArticle><MedlineCitation><PMID>1</PMID><Article><Abstract>"
+            "<AbstractText>The <i>BRCA1</i> gene carries H<sub>2</sub>O-sensitive variants in "
+            "10<sup>5</sup> carriers.</AbstractText><AbstractText><b>Bold</b> and <u>under</u>"
+            "</AbstractText></Abstract></Article></MedlineCitation></PubmedArticle></PubmedArticleSet>",
+            encoding="utf-8",
+        )
+        (doc,) = load_corpus(p, format="pubmed_xml")
+        assert doc.text == "The BRCA1 gene carries H2O-sensitive variants in 105 carriers. Bold and under"
+
+    def test_a_nested_article_is_refused(self, tmp_path):
+        # Read as a tree, the inner abstract would join the outer one's text.
+        p = tmp_path / "c.xml"
+        p.write_text(
+            "<PubmedArticleSet><PubmedArticle><MedlineCitation><PMID>1</PMID><Article><Abstract>"
+            "<AbstractText>outer text</AbstractText></Abstract></Article></MedlineCitation>"
+            "<PubmedArticle><MedlineCitation><PMID>2</PMID><Article><Abstract>"
+            "<AbstractText>inner text</AbstractText></Abstract></Article></MedlineCitation></PubmedArticle>"
+            "</PubmedArticle></PubmedArticleSet>",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match=re.escape(f"{p}: a PubmedArticle nested in another")):
+            load_corpus(p, format="pubmed_xml")
+
+    def test_a_malformed_end_refuses_the_articles_before_it(self, tmp_path):
+        # The file is read one article at a time, so the first article is
+        # read before the parser meets the bad end; the file still fails.
+        p = tmp_path / "c.xml"
+        p.write_text(
+            "<PubmedArticleSet><PubmedArticle><MedlineCitation><PMID>1</PMID><Article><Abstract>"
+            "<AbstractText>one</AbstractText></Abstract></Article></MedlineCitation></PubmedArticle>"
+            "<PubmedArticle>",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match=re.escape(f"{p}: malformed XML at")):
+            load_corpus(p, format="pubmed_xml")
 
     def test_unknown_format(self, tmp_path):
         p = tmp_path / "c.bin"
@@ -354,7 +395,24 @@ def test_both_readers_refuse_an_id_with_a_tab_or_a_line_break(tmp_path, doc_id):
         encoding="utf-8",
     )
     for path, format in ((jsonl, "jsonl"), (xml, "pubmed_xml")):
-        with pytest.raises(InvalidId, match=re.escape(repr(doc_id))):
+        with pytest.raises(InvalidId, match=re.escape(f"{path}: document id {doc_id!r}")):
+            load_corpus(path, format=format)
+
+
+def test_both_readers_name_the_file_of_a_duplicate_id(tmp_path):
+    jsonl = tmp_path / "c.jsonl"
+    write_jsonl(jsonl, [{"id": "a", "text": "one"}, {"id": "a", "text": "two"}])
+    xml = tmp_path / "c.xml"
+    article = (
+        "<PubmedArticle><MedlineCitation><PMID>a</PMID><Article><Abstract><AbstractText>{}"
+        "</AbstractText></Abstract></Article></MedlineCitation></PubmedArticle>"
+    )
+    xml.write_text(
+        "<PubmedArticleSet>" + article.format("one") + article.format("two") + "</PubmedArticleSet>",
+        encoding="utf-8",
+    )
+    for path, format in ((jsonl, "jsonl"), (xml, "pubmed_xml")):
+        with pytest.raises(DuplicateId, match=re.escape(f"{path}: duplicate document id 'a'")):
             load_corpus(path, format=format)
 
 
