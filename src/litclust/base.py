@@ -7,7 +7,7 @@ they drop into sklearn pipelines and grid-search tooling when that
 library is around.
 
 ``read_json`` is the package's one JSON-file reader, ``replace_file`` its
-one atomic writer.
+one whole-file writer.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import inspect
 import json
 import math
 import os
+from collections.abc import Iterable
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -114,20 +115,20 @@ def read_json(path: str | Path, error: type[LitclustError] = ParseError):
         raise error(f"{path}: invalid JSON ({exc.msg})") from exc
 
 
-def replace_file(path: str | Path, data: bytes) -> None:
-    """Replace the file at ``path`` with ``data`` whole: written beside it,
-    flushed to disk and renamed over it, so neither a write cut short nor a
-    crash after the rename leaves a truncated file, nor a failure a stray one.
-    The file gets the mode that ``open`` would give it under the umask."""
+def replace_file(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Replace the file at ``path`` with the ``chunks`` joined, whole:
+    written beside it, flushed to disk and renamed over it, so neither a
+    failure part way nor a crash after the rename leaves a truncated file,
+    nor a failure a stray one.  It gets the mode ``open`` gives under the umask."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    # O_EXCL never opens another file; 0o666 less the umask is the mode
-    # open() gives, where mkstemp would give 0o600.
-    fd = os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        tmp.write_bytes(data)
-        os.fsync(fd)
-        os.replace(tmp, path)
-    finally:
-        os.close(fd)
-        tmp.unlink(missing_ok=True)
+    # "x" (O_EXCL) never opens a file that is already there, so only this
+    # call's file is removed; it gets open's mode, where mkstemp gives 0o600.
+    with open(tmp, "xb") as fh:
+        try:
+            fh.writelines(chunks)
+            fh.flush()
+            os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)

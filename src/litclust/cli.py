@@ -27,7 +27,7 @@ from litclust import probe as _probe
 from litclust import sweep as _sweep
 from litclust import vectorize as _vec
 from litclust.base import check_positive_int, is_number, read_json, replace_file
-from litclust.corpus import load_corpus, load_document_table, save_document_table, save_jsonl
+from litclust.corpus import document_table_json, jsonl_lines, load_corpus, load_document_table
 from litclust.errors import ComputeError, ConfigError, DataError, LitclustError
 from litclust.evaluate import metrics_json, score_clustering
 
@@ -236,10 +236,10 @@ def _read_manifest(out_dir: Path) -> dict:
     return manifest
 
 
-def _update_manifest(cfg: PipelineConfig, out_dir: Path, artifacts: list[Path]) -> list[str]:
-    """Record the artifacts' digests and, for each artifact ``MADE_FROM``
-    names, the config's values of its keys; return the artifacts' paths."""
-    manifest_path = out_dir / "manifest.json"
+def _updated_manifest(cfg: PipelineConfig, out_dir: Path, artifacts: list[Path]) -> typing.Iterator[bytes]:
+    """The directory's manifest with the artifacts' digests and, for each
+    artifact ``MADE_FROM`` names, the config's values of its keys.  A
+    generator: the digests are taken when it is written, after the artifacts."""
     manifest = _read_manifest(out_dir)
     manifest["version"] = __version__
     manifest["config_hash"] = cfg.config_hash()
@@ -253,9 +253,7 @@ def _update_manifest(cfg: PipelineConfig, out_dir: Path, artifacts: list[Path]) 
     manifest["artifacts"] = dict(sorted(digests.items()))
     if provenance:
         manifest["provenance"] = provenance
-    # Replaced whole, so a write cut short never leaves a truncated manifest.
-    replace_file(manifest_path, (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode())
-    return [str(path) for path in artifacts]
+    yield (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
 
 
 def _out_dir(cfg: PipelineConfig) -> Path:
@@ -492,56 +490,58 @@ def _assignments(run: Run, ids) -> list[int]:
 
 def _run(name: str, cfg: PipelineConfig, args: argparse.Namespace) -> dict:
     """Run command ``name`` in the one order: load its named inputs, compute,
-    make ``--out``, write what the computation gave (bytes, or a function
-    that writes the file at a path) and record its row's artifacts in one
-    manifest update."""
+    make ``--out``, replace each artifact the computation gave whole from
+    its chunks, and then the manifest that records its row's artifacts.
+    A path that cannot be written is a ConfigError naming it."""
     run = Run(cfg, args, COMMANDS[name])
     for key in run.command.inputs:
         getattr(run, key)
     summary, files = _COMMANDS[name](run)
     out = _out_dir(cfg)
     paths = [out / artifact.format_map(vars(cfg)) for artifact in run.command.writes]
-    for path in paths:
-        write = files.get(path.name)  # none for the checkpoint the sweep wrote as it computed
-        if isinstance(write, bytes):
-            path.write_bytes(write)
-        elif write:
-            write(path)
-    return {**summary, "artifacts": _update_manifest(cfg, out, paths)}
+    # The sweep gives no chunks for the checkpoint it wrote as it computed.
+    writes = {path: files[path.name] for path in paths if path.name in files}
+    writes[out / "manifest.json"] = _updated_manifest(cfg, out, paths)
+    for path, chunks in writes.items():
+        try:
+            replace_file(path, chunks)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return {**summary, "artifacts": [str(path) for path in paths]}
 
 
-# -- subcommands: each computes, and returns its summary and its files ---
+# -- subcommands: each computes, and returns its summary and its chunks --
 
 
 def cmd_ingest(run: Run) -> tuple[dict, dict]:
     corpus = run.cfg.parsed_corpus
     summary = {"documents": len(corpus), "skipped": corpus.skipped, "labels": list(corpus.label_set)}
-    return summary, {"corpus.jsonl": functools.partial(save_jsonl, corpus)}
+    return summary, {"corpus.jsonl": jsonl_lines(corpus)}
 
 
 def cmd_vectorize(run: Run) -> tuple[dict, dict]:
     corpus = run.cfg.parsed_corpus
     weighted = _vec.build_weighted_matrix(corpus, d_percent=run.cfg.d, rank_cutoff=run.cfg.r)
     return {"terms": len(weighted.terms), "documents": len(weighted.docs)}, {
-        "weights.mtx": functools.partial(_vec.dump_matrix_market, weighted),
-        "vocabulary.tsv": functools.partial(_vec.dump_vocabulary, weighted),
+        "weights.mtx": [_vec.matrix_market_bytes(weighted)],
+        "vocabulary.tsv": _vec.vocabulary_lines(weighted),
         # The columns of weights.mtx are the corpus's documents, in order.
-        "documents.json": functools.partial(save_document_table, corpus),
+        "documents.json": [(document_table_json(corpus) + "\n").encode()],
     }
 
 
 def cmd_embed(run: Run) -> tuple[dict, dict]:
     emb = _build_embedding(run)
     return {"dims": emb.dims, "documents": len(emb.docs)}, {
-        "embedding.tsv": functools.partial(_lsa.dump_embedding, emb),
+        "embedding.tsv": _lsa.embedding_lines(emb),
     }
 
 
 def cmd_cluster(run: Run) -> tuple[dict, dict]:
     ids, clus = _build_clustering(run)
     return {"k": clus.k, "dissimilarity": clus.dissimilarity, "iterations": clus.iterations}, {
-        "assignments.tsv": functools.partial(_cluster.dump_assignments, clus, ids),
-        "cluster_run.json": (_cluster.run_metadata(clus, run.cfg.seed) + "\n").encode(),
+        "assignments.tsv": _cluster.assignment_lines(clus, ids),
+        "cluster_run.json": [(_cluster.run_metadata(clus, run.cfg.seed) + "\n").encode()],
     }
 
 
@@ -549,7 +549,7 @@ def cmd_evaluate(run: Run) -> tuple[dict, dict]:
     ids, labels = _document_table(run)
     report = score_clustering(_assignments(run, ids), labels)
     return {"homogeneity": report.homogeneity, "completeness": report.completeness,
-            "v_measure": report.v_measure}, {"metrics.json": (metrics_json(report) + "\n").encode()}
+            "v_measure": report.v_measure}, {"metrics.json": [(metrics_json(report) + "\n").encode()]}
 
 
 def cmd_sweep(run: Run) -> tuple[dict, dict]:
@@ -575,8 +575,8 @@ def cmd_sweep(run: Run) -> tuple[dict, dict]:
     curve = [(k, row.v_measure) for k, row in sorted(at_point.items()) if row.ok]
     executed = sum(1 for r in rows if r.ok)
     return {"combinations": len(rows), "executed": executed, "skipped": len(rows) - executed}, {
-        "report.md": _sweep.render_report(rows, top_n=top).encode(),
-        "vk_curve.tsv": functools.partial(_sweep.write_v_curve, curve),
+        "report.md": [_sweep.render_report(rows, top_n=top).encode()],
+        "vk_curve.tsv": _sweep.v_curve_lines(curve),
     }
 
 
@@ -589,15 +589,15 @@ def cmd_probe(run: Run) -> tuple[dict, dict]:
     summary = {"entities": len(report.entity_globals), "clusters": len(report.clusters),
                "short_clusters": list(net.short_clusters)}
     return summary, {
-        "probe_report.json": (_probe.report_to_json(report) + "\n").encode(),
-        f"network.{cfg.network_format}": _probe.export_network(net, format=cfg.network_format),
+        "probe_report.json": [(_probe.report_to_json(report) + "\n").encode()],
+        f"network.{cfg.network_format}": [_probe.export_network(net, format=cfg.network_format)],
     }
 
 
 def cmd_export(run: Run) -> tuple[dict, dict]:
     cfg = run.cfg
     net = _probe.build_network(run.report, top_n=cfg.probe_top)
-    return {}, {f"network.{cfg.network_format}": _probe.export_network(net, format=cfg.network_format)}
+    return {}, {f"network.{cfg.network_format}": [_probe.export_network(net, format=cfg.network_format)]}
 
 
 # ``_run`` looks each ``cmd_<name>`` up here at call time, so a wrapped one is run.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -319,11 +320,10 @@ class KMeans(BaseEstimator):
         return self.fit(x).labels_
 
 
-def dump_assignments(clustering: Clustering, docs, path: str | Path) -> None:
-    """TSV dump: doc id, cluster index."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for doc_id, label in zip(docs, clustering.assignments):
-            fh.write(f"{doc_id}\t{int(label)}\n")
+def assignment_lines(clustering: Clustering, docs) -> Iterator[bytes]:
+    """TSV lines: doc id, cluster index."""
+    for doc_id, label in zip(docs, clustering.assignments):
+        yield f"{doc_id}\t{int(label)}\n".encode()
 
 
 def load_assignments(path: str | Path) -> dict[str, int]:

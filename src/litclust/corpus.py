@@ -15,7 +15,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from litclust.base import read_json
 from litclust.errors import DuplicateId, EmptyCorpus, InvalidId, ParseError
@@ -55,6 +55,10 @@ _SEPARATORS = _Separators()
 # artifacts (``assignments.tsv``, ``embedding.tsv``) separate a document's
 # fields with tabs and documents with line breaks, so no id may hold one.
 _ID_BREAKS = re.compile("[\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+# A lone surrogate, which a JSON escape in \ud800-\udfff decodes to: no
+# UTF-8 artifact can hold one.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 # Every code point other than U+0020 on which ``str.split()`` splits (the
 # ``str.isspace`` characters of the interpreter's Unicode database; a
@@ -196,23 +200,22 @@ def load_corpus(
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def save_jsonl(corpus: Corpus, path: str | Path) -> None:
-    """Write the canonical JSONL interchange form (UTF-8, sorted by id)."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for doc in corpus.documents:
-            rec = {"id": doc.id, "text": doc.text, "label": doc.label}
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+def jsonl_lines(corpus: Corpus) -> Iterator[bytes]:
+    """The canonical JSONL interchange form (UTF-8, sorted by id), one
+    record's line at a time."""
+    for doc in corpus.documents:
+        rec = {"id": doc.id, "text": doc.text, "label": doc.label}
+        yield (json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n").encode()
 
 
-def save_document_table(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus's ids and labels, in corpus order, as one JSON
-    object: all that a stage which reads no text needs of a corpus."""
-    table = {"ids": list(corpus.doc_ids()), "labels": list(corpus.labels())}
-    Path(path).write_text(json.dumps(table, ensure_ascii=False) + "\n", encoding="utf-8")
+def document_table_json(corpus: Corpus) -> str:
+    """The corpus's ids and labels, in corpus order, as one JSON object:
+    all that a stage which reads no text needs of a corpus."""
+    return json.dumps({"ids": list(corpus.doc_ids()), "labels": list(corpus.labels())}, ensure_ascii=False)
 
 
 def load_document_table(path: str | Path) -> tuple[tuple[str, ...], tuple[str | None, ...]]:
-    """The ids and labels ``save_document_table`` wrote; a file of another
+    """The ids and labels of a ``document_table_json`` file; a file of another
     shape raises ``ParseError``."""
     table = read_json(path)
     ids, labels = (table.get("ids"), table.get("labels")) if isinstance(table, dict) else (None, None)
@@ -265,6 +268,10 @@ def _parse_record(line: str) -> Document | None:
         raise ParseError("'text' must be a string or null")
     if not isinstance(label, (str, type(None))):
         raise ParseError("'label' must be a string or null")
+    for name, value in (("id", doc_id), ("text", text), ("label", label)):
+        # isascii is a flag read, so only a non-ASCII string is scanned.
+        if isinstance(value, str) and not value.isascii() and _SURROGATE.search(value):
+            raise ParseError(f"'{name}' holds a lone surrogate escape, which UTF-8 cannot encode")
     doc_id = str(doc_id).strip()
     if not doc_id:
         raise ParseError("empty document id")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -243,18 +244,16 @@ class TruncatedLsa(BaseEstimator):
         return self.fit(w).embedding_
 
 
-def dump_embedding(emb: EmbeddingMatrix, path: str | Path) -> None:
-    """TSV dump: doc id then each coordinate as ``repr(float)``, the
+def embedding_lines(emb: EmbeddingMatrix) -> Iterator[bytes]:
+    """TSV lines: doc id then each coordinate as ``repr(float)``, the
     shortest decimal that reads back as the same float64, so
     ``load_embedding`` returns the vectors exactly."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for doc_id, row in zip(emb.docs, emb.vectors.tolist()):
-            cols = "\t".join(map(repr, row))
-            fh.write(f"{doc_id}\t{cols}\n")
+    for doc_id, row in zip(emb.docs, emb.vectors.tolist()):
+        yield ("\t".join([doc_id, *map(repr, row)]) + "\n").encode()
 
 
 def load_embedding(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
-    """The doc ids and float64 vectors ``dump_embedding`` wrote.  A line
+    """The doc ids and float64 vectors of ``embedding_lines``.  A line
     that is not an id and finite numbers, a row of another width than the
     first, or a file without rows raises ParseError naming the file (and
     line)."""

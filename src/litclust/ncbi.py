@@ -161,4 +161,4 @@ class NcbiClient:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
         # Replaced whole, so _cache_read never replays a truncated entry.
-        replace_file(path, payload)
+        replace_file(path, [payload])

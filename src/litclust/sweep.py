@@ -25,14 +25,14 @@ from collections import Counter
 from collections.abc import Collection
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from litclust import cluster as _cluster
 from litclust import lsa as _lsa
 from litclust import vectorize as _vec
-from litclust.base import check_positive_int, is_number
+from litclust.base import check_positive_int, is_number, replace_file
 from litclust.corpus import Corpus
 from litclust.errors import (
     AllTermsRemoved,
@@ -350,7 +350,7 @@ def _resume(path: Path, expected: str) -> dict[tuple, SweepRow]:
     """
     sidecar = path.with_name(path.name + ".fingerprint")
     if not path.exists():
-        sidecar.write_text(expected + "\n", encoding="utf-8")
+        replace_file(sidecar, [(expected + "\n").encode()])
         return {}
     # Compared as bytes, so a sidecar that is not UTF-8 text differs too.
     recorded = sidecar.read_bytes().strip() if sidecar.is_file() else None
@@ -416,11 +416,10 @@ def v_curve(
     return [(row.k, row.v_measure) for row in run_sweep(corpus, spec) if row.ok]
 
 
-def write_v_curve(curve: Sequence[tuple[int, float]], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write("k\tv_measure\n")
-        for k, v in curve:
-            fh.write(f"{k}\t{v:.6f}\n")
+def v_curve_lines(curve: Sequence[tuple[int, float]]) -> Iterator[bytes]:
+    yield b"k\tv_measure\n"
+    for k, v in curve:
+        yield f"{k}\t{v:.6f}\n".encode()
 
 
 def read_rows(path: str | Path) -> list[SweepRow]:

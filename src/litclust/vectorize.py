@@ -15,10 +15,12 @@ and the CLI.
 
 from __future__ import annotations
 
+import io
 import itertools
 import logging
 from array import array
 from collections import Counter, defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -352,25 +354,26 @@ def _keep_terms(m: TermDocMatrix, keep: np.ndarray) -> TermDocMatrix:
     return TermDocMatrix(terms=terms, docs=m.docs, counts=counts)
 
 
-def dump_matrix_market(w: WeightedMatrix, path: str | Path) -> None:
-    """MatrixMarket coordinate dump of the weights, for ``load_weighted_matrix``."""
+def matrix_market_bytes(w: WeightedMatrix) -> bytes:
+    """MatrixMarket coordinate form of the weights, for ``load_weighted_matrix``."""
     from scipy import io as spio  # imported where it runs: it costs resident memory
 
-    spio.mmwrite(str(path), sparse.coo_array(w.weights))
+    buffer = io.BytesIO()
+    spio.mmwrite(buffer, sparse.coo_array(w.weights))
+    return buffer.getvalue()
 
 
-def dump_vocabulary(w: WeightedMatrix, path: str | Path) -> None:
-    """Two-column TSV: term, row index."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for i, term in enumerate(w.terms):
-            fh.write(f"{term}\t{i}\n")
+def vocabulary_lines(w: WeightedMatrix) -> Iterator[bytes]:
+    """Two-column TSV lines: term, row index."""
+    for i, term in enumerate(w.terms):
+        yield f"{term}\t{i}\n".encode()
 
 
 def load_weighted_matrix(
     weights_path: str | Path, vocab_path: str | Path, docs: tuple[str, ...]
 ) -> WeightedMatrix:
-    """Read back the weights and vocabulary that ``dump_matrix_market`` and
-    ``dump_vocabulary`` wrote, over the documents ``docs``.  A file that
+    """Read back the weights and vocabulary of ``matrix_market_bytes`` and
+    ``vocabulary_lines``, over the documents ``docs``.  A file that
     does not parse, or a matrix whose shape is not (terms, docs), raises
     ``DataError``."""
     from scipy import io as spio

@@ -15,9 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from litclust.base import replace_file
 from litclust.cli import main as cli_main
 from litclust.cluster import kmeans
-from litclust.corpus import Corpus, Document, save_jsonl
+from litclust.corpus import Corpus, Document, jsonl_lines
 from litclust.evaluate import metrics, score_clustering
 from litclust.lsa import reduce as lsa_reduce
 from litclust.lsa import truncated_svd
@@ -346,7 +347,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path, monkeypatch):
                     for d in corpus
                 ]
             )
-            save_jsonl(labeled, root / "corpus.jsonl")
+            replace_file(root / "corpus.jsonl", jsonl_lines(labeled))
             config = {
                 "corpus": "corpus.jsonl",
                 "dictionary": str(DATA / "dictionary_10.json"),

@@ -19,9 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from litclust.cli import MADE_FROM, main
-from litclust.corpus import Corpus, Document, load_corpus, save_jsonl
+from litclust.base import replace_file
+from litclust.cli import COMMANDS, MADE_FROM, main
+from litclust.corpus import Corpus, Document, document_table_json, jsonl_lines, load_corpus
+from litclust.errors import AllTermsRemoved
 from litclust.sweep import SweepSpec, run_sweep
+from litclust.vectorize import build_weighted_matrix
 
 from helpers import make_planted_corpus, subprocess_env
 
@@ -61,7 +64,7 @@ def gene_corpus(seed=0, docs_per_topic=25):
 @pytest.fixture()
 def workspace(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    save_jsonl(gene_corpus(), tmp_path / "corpus.jsonl")
+    replace_file(tmp_path / "corpus.jsonl", jsonl_lines(gene_corpus()))
     config = {
         "corpus": "corpus.jsonl",
         "dictionary": str(DATA / "dictionary_10.json"),
@@ -283,7 +286,7 @@ class TestStaleArtifacts:
 
     def test_changed_corpus_is_refused(self, workspace, capsys):
         assert run_cli("cluster", "--config", "config.json") == 0
-        save_jsonl(gene_corpus(seed=1), workspace / "corpus.jsonl")
+        replace_file(workspace / "corpus.jsonl", jsonl_lines(gene_corpus(seed=1)))
         assert run_cli("evaluate", "--config", "config.json") == 2
         assert "corpus_sha256" in capsys.readouterr().err
 
@@ -371,35 +374,63 @@ class TestStaleArtifacts:
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_manifest_is_replaced_whole(self, workspace, monkeypatch):
+        """Every artifact is written beside it and renamed over it, the
+        manifest last, holding the digests of what was renamed before it."""
         import litclust.base
 
         replaced = []
         real = litclust.base.os.replace
 
         def recording(src, dst):
-            replaced.append((Path(src).name, Path(dst).name, json.loads(Path(src).read_text())))
+            replaced.append((Path(src).name, Path(dst).name, Path(src).read_bytes()))
             return real(src, dst)
 
         monkeypatch.setattr(litclust.base.os, "replace", recording)
         assert run_cli("cluster", "--config", "config.json") == 0
-        (src, dst, written), = replaced
-        assert src.startswith("manifest.json.") and src.endswith(".tmp")
-        assert dst == "manifest.json"
         out = workspace / "out"
-        assert written == json.loads((out / "manifest.json").read_text())
+        assert [dst for _, dst, _ in replaced] == ["assignments.tsv", "cluster_run.json", "manifest.json"]
+        for src, dst, written in replaced:
+            assert src.startswith(f"{dst}.") and src.endswith(".tmp")
+            assert written == (out / dst).read_bytes()
+        recorded = json.loads(replaced[-1][2])["artifacts"]
+        assert recorded == {dst: hashlib.sha256(written).hexdigest() for _, dst, written in replaced[:-1]}
         assert sorted(p.name for p in out.iterdir()) == [
             "assignments.tsv", "cluster_run.json", "manifest.json",
         ]
 
+    def test_a_serializer_failing_part_way_leaves_the_old_files(self, workspace, monkeypatch):
+        import litclust.cluster
+
+        assert run_cli("cluster", "--config", "config.json") == 0
+        out = workspace / "out"
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        real = litclust.cluster.assignment_lines
+
+        def first_line_then_fail(clustering, docs):
+            yield next(real(clustering, docs))
+            raise RuntimeError("serializer failed")
+
+        monkeypatch.setattr(litclust.cluster, "assignment_lines", first_line_then_fail)
+        with pytest.raises(RuntimeError, match="serializer failed"):
+            run_cli("cluster", "--config", "config.json", "--k", "3")
+        # The old assignments and manifest, and no temporary beside them.
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_manifest_gets_the_mode_of_the_other_artifacts(self, workspace):
+        config = json.loads((workspace / "config.json").read_text())
+        config["sweep"] = {"d_values": [0.5], "r_values": [5], "n_values": [5], "k_values": [2], "budget": 1}
+        (workspace / "config.json").write_text(json.dumps(config))
         old = os.umask(0o027)
         try:
-            assert run_cli("cluster", "--config", "config.json") == 0
+            for command in COMMANDS:
+                assert run_cli(command, "--config", "config.json") == 0, command
         finally:
             os.umask(old)
         out = workspace / "out"
         modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out.iterdir()}
-        assert modes == dict.fromkeys(["assignments.tsv", "cluster_run.json", "manifest.json"], 0o640)
+        written = {name.format(network_format="graphml") for c in COMMANDS.values() for name in c.writes}
+        assert set(modes) == {*written, "manifest.json", "rows.jsonl.fingerprint"}
+        assert modes == dict.fromkeys(modes, 0o640)
 
     def test_explicit_assignments_are_taken_as_given(self, workspace):
         assert run_cli("cluster", "--config", "config.json", "--k", "4") == 0
@@ -541,7 +572,7 @@ class TestStagedWeights:
         out = workspace / "out"
         flags = {"d": ("--d", "0.4"), "r": ("--r", "6")}.get(case, ())
         if case == "corpus":
-            save_jsonl(gene_corpus(seed=1), workspace / "corpus.jsonl")
+            replace_file(workspace / "corpus.jsonl", jsonl_lines(gene_corpus(seed=1)))
         elif case == "weights":
             mmwrite(out / "weights.mtx", mmread(out / "weights.mtx") * 2.0)
         elif case == "vocabulary":
@@ -647,7 +678,7 @@ class TestStagedDocuments:
             del manifest["provenance"]["documents.json"]
             (out / "manifest.json").write_text(json.dumps(manifest))
         else:
-            save_jsonl(gene_corpus(seed=1), workspace / "corpus.jsonl")
+            replace_file(workspace / "corpus.jsonl", jsonl_lines(gene_corpus(seed=1)))
         calls = {}
         count_calls(monkeypatch, litclust.cli, "load_corpus", calls)
         assert run_cli(command, "--config", "config.json") == 0
@@ -1032,10 +1063,8 @@ class TestSweepCommand:
     def test_curve_at_config_point_leaves_out_skipped_k(self, workspace):
         # 12 documents: the baseline n_dims=15 cannot embed and K=20
         # cannot cluster; the curve follows the config's n_dims instead.
-        save_jsonl(
-            make_planted_corpus(n_topics=2, docs_per_topic=6, vocab_per_topic=12, tokens_per_doc=20),
-            workspace / "tiny.jsonl",
-        )
+        tiny = make_planted_corpus(n_topics=2, docs_per_topic=6, vocab_per_topic=12, tokens_per_doc=20)
+        replace_file(workspace / "tiny.jsonl", jsonl_lines(tiny))
         config = {
             "corpus": "tiny.jsonl",
             "out": "tiny",
@@ -1225,7 +1254,7 @@ class TestExitCodes:
     def test_data_error_exit_3(self, workspace):
         unlabeled = Corpus([Document(id="a", text="some words here"),
                             Document(id="b", text="other words there")])
-        save_jsonl(unlabeled, workspace / "unlabeled.jsonl")
+        replace_file(workspace / "unlabeled.jsonl", jsonl_lines(unlabeled))
         code = run_cli(
             "evaluate", "--corpus", "unlabeled.jsonl", "--out", "u",
             "--d", "0.1", "--n-dims", "1", "--k", "2", "--allow-out-of-bounds",
@@ -1425,6 +1454,27 @@ class TestExitCodes:
         assert run_cli(command, "--config", "config.json") == 3
         assert repr(doc_id) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,blocked", [("embed", "embedding.tsv"), ("cluster", "cluster_run.json")])
+    def test_an_artifact_path_that_cannot_be_written_exits_2(self, workspace, capsys, command, blocked):
+        (workspace / "out" / blocked).mkdir(parents=True)
+        assert run_cli(command, "--config", "config.json") == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {Path('out') / blocked}" in err and "Traceback" not in err
+        assert (workspace / "out" / blocked).is_dir()
+        assert not list((workspace / "out").glob("*.tmp"))
+        assert not (workspace / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("field", ["id", "text", "label"])
+    @pytest.mark.parametrize("command", ["ingest", "vectorize"])
+    def test_a_lone_surrogate_in_the_corpus_exits_3(self, workspace, capsys, command, field):
+        lines = (workspace / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[4] = lines[4].replace(f'"{field}": "', f'"{field}": "\\ud800', 1)
+        (workspace / "corpus.jsonl").write_text("".join(lines), encoding="utf-8")
+        assert run_cli(command, "--config", "config.json") == 3
+        err = capsys.readouterr().err
+        assert "corpus.jsonl:5:" in err and f"'{field}' holds a lone surrogate" in err
+        assert not (workspace / "out").exists()
+
     def test_compute_error_exit_4(self, workspace):
         code = run_cli(
             "cluster", "--config", "config.json", "--k", "500",
@@ -1440,7 +1490,7 @@ def test_end_to_end_determinism(tmp_path, monkeypatch):
         root = tmp_path / run
         root.mkdir()
         monkeypatch.chdir(root)
-        save_jsonl(gene_corpus(), root / "corpus.jsonl")
+        replace_file(root / "corpus.jsonl", jsonl_lines(gene_corpus()))
         config = {
             "corpus": "corpus.jsonl",
             "dictionary": str(DATA / "dictionary_10.json"),
@@ -1715,7 +1765,7 @@ class TestDamagedJsonInputs:
         """A staged chain, and the outputs of clean runs of each reader."""
         staged = tmp_path_factory.mktemp("chain") / "staged"
         staged.mkdir()
-        save_jsonl(gene_corpus(docs_per_topic=10), staged / "corpus.jsonl")
+        replace_file(staged / "corpus.jsonl", jsonl_lines(gene_corpus(docs_per_topic=10)))
         shutil.copy(DATA / "dictionary_10.json", staged / "dictionary.json")
         self.write_config(staged)
         for command in ("vectorize", "embed", "cluster", "probe"):
@@ -1752,6 +1802,65 @@ class TestDamagedJsonInputs:
                 assert str(work / name) in err
             if code == 0 and name.startswith("out/"):
                 assert (work / "out" / WRITES[command]).read_bytes() == clean[command]
+
+
+JSONL_EDITS = (*BYTE_EDITS, "surrogate_id", "surrogate_text")
+
+
+def damage_jsonl(data, edit, at, value, garbage):
+    """JSONL ``data`` after one of ``JSONL_EDITS``: a byte edit, or the
+    escape of a lone surrogate put at the start of one record's id or text."""
+    if edit in BYTE_EDITS:
+        return damage_bytes(data, edit, at, value, garbage)
+    lines = data.splitlines(keepends=True)
+    i = int(at * len(lines))
+    field = b'"%s": "' % edit.removeprefix("surrogate_").encode()
+    lines[i] = lines[i].replace(field, field + b"\\ud800", 1)
+    return b"".join(lines)
+
+
+class TestDamagedJsonlCorpus:
+    """One edit to a JSONL corpus ends ``ingest`` and ``vectorize`` alike,
+    in exit 0 or 3 with no traceback and no temporary file left; a refusal
+    names the file, and an accepted one is written as the serializer
+    writes what ``load_corpus`` reads from it."""
+
+    CORPUS = b"".join(jsonl_lines(gene_corpus(docs_per_topic=3)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edit=st.sampled_from(JSONL_EDITS),
+        at=st.floats(0, 1, exclude_max=True),
+        value=st.integers(1, 255),
+        garbage=st.binary(min_size=1, max_size=8),
+    )
+    def test_a_damaged_jsonl_corpus_exits_cleanly(self, tmp_path_factory, edit, at, value, garbage):
+        data = damage_jsonl(self.CORPUS, edit, at, value, garbage)
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+            path, out = Path(tmp) / "corpus.jsonl", Path(tmp) / "out"
+            path.write_bytes(data)
+            codes, errs = {}, {}
+            for command in ("ingest", "vectorize"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    codes[command] = main([command, "--corpus", str(path), "--out", str(out)])
+                errs[command] = err.getvalue()
+                assert "Traceback" not in errs[command]
+                assert not list(Path(tmp).rglob("*.tmp"))
+            assert codes["ingest"] in (0, 3), errs["ingest"]
+            if codes["ingest"] == 3:
+                assert codes["vectorize"] == 3
+                assert all(str(path) in err for err in errs.values())
+                return
+            corpus = load_corpus(path)
+            assert (out / "corpus.jsonl").read_bytes() == b"".join(jsonl_lines(corpus))
+            if codes["vectorize"] == 4:
+                # What is left may be too small to weigh: a compute error.
+                with pytest.raises(AllTermsRemoved):
+                    build_weighted_matrix(corpus, d_percent=0.5, rank_cutoff=5)
+            else:
+                assert codes["vectorize"] == 0, errs["vectorize"]
+                assert (out / "documents.json").read_text(encoding="utf-8") == document_table_json(corpus) + "\n"
 
 
 # Three more articles, one per line, after the fixture's two multi-line
@@ -1890,7 +1999,7 @@ print(main(sys.argv[1:]), "scipy.io" in sys.modules)
 
 
 def test_the_readme_library_path_does_not_import_scipy_io(tmp_path):
-    save_jsonl(gene_corpus(), tmp_path / "corpus.jsonl")
+    replace_file(tmp_path / "corpus.jsonl", jsonl_lines(gene_corpus()))
     out = subprocess.run(
         [sys.executable, "-c", LIBRARY_SCRIPT, str(tmp_path / "corpus.jsonl"), str(DATA / "dictionary_10.json")],
         capture_output=True, text=True, env=subprocess_env(), check=True,
@@ -1904,7 +2013,7 @@ class TestScipyIoImport:
         """A chain staged through probe, and the corpus as PubMed XML."""
         work = tmp_path_factory.mktemp("staged")
         corpus = gene_corpus()
-        save_jsonl(corpus, work / "corpus.jsonl")
+        replace_file(work / "corpus.jsonl", jsonl_lines(corpus))
         write_xml_corpus(work / "corpus.xml", corpus, lambda doc: [doc.label])
         config = {"corpus": str(work / "corpus.jsonl"), "dictionary": str(DATA / "dictionary_10.json"),
                   "out": str(work / "out"), "seed": 3, "restarts": 3}

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import litclust.cluster as cluster_mod
+from litclust.base import replace_file
 from litclust.cluster import (
     KMeans,
-    dump_assignments,
+    assignment_lines,
     kmeans,
     load_assignments,
     run_metadata,
@@ -580,7 +581,7 @@ def test_assignment_dump_roundtrip(tmp_path):
     clustering = kmeans(x, k=2, seed=0)
     docs = [f"doc{i:02d}" for i in range(len(x))]
     path = tmp_path / "assignments.tsv"
-    dump_assignments(clustering, docs, path)
+    replace_file(path, assignment_lines(clustering, docs))
     back = load_assignments(path)
     assert [back[d] for d in docs] == clustering.assignments.tolist()
 

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from litclust.base import replace_file
 from litclust.corpus import (
     _ID_BREAKS,
     _OTHER_WHITESPACE,
     Corpus,
     Document,
+    document_table_json,
+    jsonl_lines,
     load_corpus,
     load_document_table,
     normalize_text,
-    save_document_table,
-    save_jsonl,
     tokenize,
     tokenize_text,
 )
@@ -159,7 +160,7 @@ class TestLoadJsonl:
         ])
         corpus = load_corpus(p)
         q = tmp_path / "copy.jsonl"
-        save_jsonl(corpus, q)
+        replace_file(q, jsonl_lines(corpus))
         assert load_corpus(q) == corpus
 
 
@@ -420,7 +421,7 @@ def test_document_table_round_trips(tmp_path):
     corpus = Corpus([Document(id="b", text="x", label="L"), Document(id="a", text="y"),
                      Document(id="\u00e9", text="z", label="\u4e2d")])
     path = tmp_path / "documents.json"
-    save_document_table(corpus, path)
+    replace_file(path, [(document_table_json(corpus) + "\n").encode()])
     assert load_document_table(path) == (corpus.doc_ids(), corpus.labels())
 
 

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import litclust.lsa as lsa_mod
-from litclust.corpus import save_jsonl
+from litclust.base import replace_file
+from litclust.corpus import jsonl_lines
 from litclust.errors import ConfigError, ConvergenceFailure, DimsTooLarge, ParseError
 from litclust.lsa import (
     EmbeddingMatrix,
     TruncatedLsa,
     _fix_signs,
-    dump_embedding,
+    embedding_lines,
     load_embedding,
     reduce,
     truncated_svd,
@@ -342,7 +343,7 @@ def test_pipeline_does_not_import_scipy_linear_algebra(tmp_path):
     # Either module costs 8-10 MB of resident memory at import; the
     # pipeline needs neither.  The corpus is big enough for the Krylov path.
     path = tmp_path / "corpus.jsonl"
-    save_jsonl(make_planted_corpus(n_topics=4, docs_per_topic=30, tokens_per_doc=25), path)
+    replace_file(path, jsonl_lines(make_planted_corpus(n_topics=4, docs_per_topic=30, tokens_per_doc=25)))
     out = subprocess.run(
         [sys.executable, "-c", PIPELINE_SCRIPT, str(path)],
         capture_output=True, text=True, env=subprocess_env(), check=True,
@@ -381,7 +382,7 @@ def test_dump_embedding_format(tmp_path):
         singular_values=np.array([2.0, 1.0]),
     )
     path = tmp_path / "emb.tsv"
-    dump_embedding(emb, path)
+    replace_file(path, embedding_lines(emb))
     lines = path.read_text().splitlines()
     assert lines[0] == "a\t1.23456789012\t-2.0"
     assert lines[1] == "b\t1.2345e-05\t3.5"
@@ -408,7 +409,7 @@ def test_embedding_reads_back_exactly(tmp_path):
     ])
     emb = embedding_of(vectors)
     path = tmp_path / "emb.tsv"
-    dump_embedding(emb, path)
+    replace_file(path, embedding_lines(emb))
     docs, back = load_embedding(path)
     assert docs == emb.docs
     assert back.dtype == np.float64 and back.shape == vectors.shape
@@ -420,7 +421,7 @@ def test_embedding_reads_back_exactly(tmp_path):
 def test_any_finite_row_reads_back_exactly(tmp_path_factory, row):
     vectors = np.array([row, row[::-1]], dtype=np.float64)
     path = tmp_path_factory.mktemp("emb") / "emb.tsv"
-    dump_embedding(embedding_of(vectors), path)
+    replace_file(path, embedding_lines(embedding_of(vectors)))
     assert load_embedding(path)[1].tobytes() == vectors.tobytes()
 
 

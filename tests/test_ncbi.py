@@ -9,6 +9,7 @@ from urllib.parse import parse_qs, urlparse
 
 import pytest
 
+import litclust.base
 from litclust.errors import ConfigError, EmptyResult, NetworkError, RateLimited
 from litclust.ncbi import NcbiClient
 from litclust.probe import parse_gene_summaries
@@ -101,15 +102,18 @@ def test_cache_replay_is_byte_identical(fixture_server, tmp_path):
     assert len(fixture_server.hits) == hits_after_first
 
 
-def test_cache_write_failing_part_way_leaves_no_entry(fixture_server, tmp_path, monkeypatch):
-    real_write_bytes = Path.write_bytes
+class WritesHalfThenFails(io.FileIO):
+    """A file that takes half of what it is given, then finds the disk full."""
 
-    def write_half_then_fail(self, data):
-        real_write_bytes(self, data[: len(data) // 2])
+    def write(self, data):
+        super().write(bytes(data)[: len(data) // 2])
         raise OSError(28, "No space left on device")
 
+
+def test_cache_write_failing_part_way_leaves_no_entry(fixture_server, tmp_path, monkeypatch):
     client = _client(fixture_server, cache_dir=tmp_path / "cache")
-    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+    # replace_file opens its temporary with the builtin open.
+    monkeypatch.setattr(litclust.base, "open", WritesHalfThenFails, raising=False)
     with pytest.raises(OSError):
         client.fetch("breast neoplasms", db="pubmed", max_records=2)
     monkeypatch.undo()
@@ -127,9 +131,12 @@ def test_cache_entry_is_flushed_to_disk_before_the_rename(fixture_server, tmp_pa
     real_fsync = os.fsync
 
     def recording_fsync(fd):
-        # The temporary file's inode, its contents, and the entries visible
-        # at the moment of the flush.
-        synced.append((os.fstat(fd).st_ino, os.pread(fd, 1 << 20, 0), sorted(p.name for p in cache.iterdir())))
+        # The temporary file's inode, its contents (read by name: it is
+        # open for writing only), and the entries visible at the moment
+        # of the flush.
+        inode = os.fstat(fd).st_ino
+        (contents,) = [p.read_bytes() for p in cache.iterdir() if p.stat().st_ino == inode]
+        synced.append((inode, contents, sorted(p.name for p in cache.iterdir())))
         real_fsync(fd)
 
     client = _client(fixture_server, cache_dir=cache)

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import litclust.sweep as sweep_mod
+from litclust.base import replace_file
 from litclust.cluster import kmeans
 from litclust.corpus import Corpus, Document
 from litclust.errors import AllTermsRemoved, ConfigError, EmptySpec, NoLabeledDocuments, ParseError
@@ -25,7 +26,7 @@ from litclust.sweep import (
     render_report,
     run_sweep,
     v_curve,
-    write_v_curve,
+    v_curve_lines,
 )
 from litclust.vectorize import build_weighted_matrix
 
@@ -672,7 +673,7 @@ def test_v_curve_over_k(tmp_path):
     assert [k for k, _ in curve] == [2, 3, 4, 5]
     assert all(0.0 <= v <= 1.0 for _, v in curve)
     path = tmp_path / "vk.tsv"
-    write_v_curve(curve, path)
+    replace_file(path, v_curve_lines(curve))
     lines = path.read_text().splitlines()
     assert lines[0] == "k\tv_measure"
     assert len(lines) == 5

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import litclust.vectorize as vec_mod
+from litclust.base import replace_file
 from litclust.corpus import Corpus, Document, tokenize
 from litclust.errors import AllTermsRemoved, ConfigError, EmptyCorpus
 from litclust.vectorize import (
@@ -26,11 +27,11 @@ from litclust.vectorize import (
     build_weighted_matrix,
     count_matrix,
     df_threshold,
-    dump_matrix_market,
-    dump_vocabulary,
     l2_normalize,
     load_weighted_matrix,
+    matrix_market_bytes,
     tfidf,
+    vocabulary_lines,
     weigh,
 )
 
@@ -752,8 +753,8 @@ def test_dumps_roundtrip(tmp_path):
     and weights that were dumped."""
     corpus = make_zipf_corpus(n_docs=60, tokens_per_doc=20, seed=2)
     w = build_weighted_matrix(corpus)
-    dump_matrix_market(w, tmp_path / "weights.mtx")
-    dump_vocabulary(w, tmp_path / "vocab.tsv")
+    replace_file(tmp_path / "weights.mtx", [matrix_market_bytes(w)])
+    replace_file(tmp_path / "vocab.tsv", vocabulary_lines(w))
     lines = (tmp_path / "vocab.tsv").read_text().splitlines()
     assert lines == [f"{t}\t{i}" for i, t in enumerate(w.terms)]
     back = load_weighted_matrix(tmp_path / "weights.mtx", tmp_path / "vocab.tsv", w.docs)
