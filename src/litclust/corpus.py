@@ -12,13 +12,14 @@ import json
 import logging
 import re
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from litclust.base import read_json
-from litclust.errors import DuplicateId, EmptyCorpus, InvalidId, ParseError
+from litclust.errors import DuplicateId, EmptyCorpus, InvalidId, LoneSurrogate, ParseError
 
 if TYPE_CHECKING:
     from litclust.vectorize import TermDocMatrix
@@ -60,6 +61,12 @@ _ID_BREAKS = re.compile("[\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 # UTF-8 artifact can hold one.
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
+
+def _has_surrogate(value: object) -> bool:
+    # isascii is a flag read, so only a non-ASCII string is scanned.
+    return isinstance(value, str) and not value.isascii() and _SURROGATE.search(value) is not None
+
+
 # Every code point other than U+0020 on which ``str.split()`` splits (the
 # ``str.isspace`` characters of the interpreter's Unicode database; a
 # test checks the list against it).
@@ -80,8 +87,31 @@ class Document:
 
 @dataclass(frozen=True)
 class TokenStream:
+    """A document's runs of token characters, lowercased, in text order.
+
+    Two streams are equal, and hash alike, when their ids and runs are:
+    texts that differ only in shorter runs give equal ``tokens`` but
+    unequal streams.
+    """
+
     doc_id: str
-    tokens: tuple[str, ...]
+    runs: tuple[str, ...]
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        """The runs of at least ``_MIN_TOKEN_LEN`` characters, in order."""
+        return tuple([t for t in self.runs if len(t) >= _MIN_TOKEN_LEN])
+
+    def counts(self) -> Counter[str]:
+        """Each token's count, keyed in order of first occurrence.
+
+        The runs are tallied first and the short ones deleted after, so
+        the length rule runs once per distinct run, not once per run.
+        """
+        tally = Counter(self.runs)
+        for run in [r for r in tally if len(r) < _MIN_TOKEN_LEN]:
+            del tally[run]
+        return tally
 
 
 class Corpus:
@@ -89,7 +119,8 @@ class Corpus:
 
     ``label_set`` is the sorted set of distinct non-null labels and
     ``skipped`` counts input records dropped for having no usable text.
-    Duplicate ids, and ids holding a tab or a line break, are refused.
+    Duplicate ids, ids holding a tab or a line break, and a lone surrogate
+    in any field (no UTF-8 artifact could hold the document) are refused.
     """
 
     def __init__(self, documents: Iterable[Document], skipped: int = 0):
@@ -103,6 +134,11 @@ class Corpus:
                     f"document id {doc.id!r} holds a tab or a line break, "
                     f"which no line-per-document artifact can store"
                 )
+            for name, value in (("id", doc.id), ("text", doc.text), ("label", doc.label)):
+                if _has_surrogate(value):
+                    raise LoneSurrogate(
+                        f"document {doc.id!r}: '{name}' holds a lone surrogate, which UTF-8 cannot encode"
+                    )
             seen.add(doc.id)
         self.documents: tuple[Document, ...] = tuple(docs)
         self.label_set: tuple[str, ...] = tuple(
@@ -160,15 +196,19 @@ def normalize_text(text: str) -> str:
 
 
 def tokenize_text(text: str) -> tuple[str, ...]:
-    """Lowercase tokens of ``text``; the scan runs in ``str.translate``
-    and ``str.split``."""
-    runs = text.lower().translate(_SEPARATORS).split()
-    return tuple([t for t in runs if len(t) >= _MIN_TOKEN_LEN])
+    """Lowercase tokens of ``text``."""
+    return TokenStream(doc_id="", runs=_runs(text)).tokens
 
 
 def tokenize(doc: Document) -> TokenStream:
-    """Lowercase tokens of a document; pure and deterministic."""
-    return TokenStream(doc_id=doc.id, tokens=tokenize_text(doc.text))
+    """Lowercase token runs of a document; pure and deterministic."""
+    return TokenStream(doc_id=doc.id, runs=_runs(doc.text))
+
+
+def _runs(text: str) -> tuple[str, ...]:
+    """Lowercase runs of token characters in ``text``; the scan runs in
+    ``str.translate`` and ``str.split``."""
+    return tuple(text.lower().translate(_SEPARATORS).split())
 
 
 def load_corpus(
@@ -269,8 +309,7 @@ def _parse_record(line: str) -> Document | None:
     if not isinstance(label, (str, type(None))):
         raise ParseError("'label' must be a string or null")
     for name, value in (("id", doc_id), ("text", text), ("label", label)):
-        # isascii is a flag read, so only a non-ASCII string is scanned.
-        if isinstance(value, str) and not value.isascii() and _SURROGATE.search(value):
+        if _has_surrogate(value):
             raise ParseError(f"'{name}' holds a lone surrogate escape, which UTF-8 cannot encode")
     doc_id = str(doc_id).strip()
     if not doc_id:

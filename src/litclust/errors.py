@@ -36,6 +36,10 @@ class InvalidId(DataError):
     """A document identifier holds a tab or a line break."""
 
 
+class LoneSurrogate(DataError):
+    """A document field holds a lone surrogate, which UTF-8 cannot encode."""
+
+
 class EmptyCorpus(DataError):
     """No usable documents remain."""
 

@@ -19,7 +19,7 @@ import io
 import itertools
 import logging
 from array import array
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,7 +73,8 @@ def count_matrix(corpus: Corpus) -> TermDocMatrix:
 
     Each document is tallied on its own, so besides the result counting
     holds one code and one count per nonzero and the longest document's
-    tokens: its memory follows the nonzeros, not the tokens.
+    runs (``TokenStream.counts``): its memory follows the nonzeros, not
+    the tokens.
 
     The result's ``indptr``, ``indices`` and ``data`` are int32.  A corpus
     past that range (more than 2**31 - 1 nonzeros or terms, or a term
@@ -96,7 +97,7 @@ def count_matrix(corpus: Corpus) -> TermDocMatrix:
     tallies = array("i")
     indptr = array("i", [0])
     for doc in corpus:
-        tally = Counter(tokenize(doc).tokens)
+        tally = tokenize(doc).counts()
         codes.extend(map(index.__getitem__, tally))
         tallies.extend(tally.values())
         indptr.append(len(codes))

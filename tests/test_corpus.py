@@ -21,7 +21,7 @@ from litclust.corpus import (
     tokenize,
     tokenize_text,
 )
-from litclust.errors import DuplicateId, EmptyCorpus, InvalidId, ParseError
+from litclust.errors import DataError, DuplicateId, EmptyCorpus, InvalidId, LoneSurrogate, ParseError
 
 from helpers import oracle_tokens
 
@@ -268,6 +268,14 @@ class TestTokenize:
         doc = Document(id="x", text="Alpha beta-2 GAMMA_delta 7q21")
         assert tokenize(doc) == tokenize(doc)
 
+    def test_streams_compare_by_runs(self):
+        # One-character runs are no tokens, but they are in the runs that
+        # equality and hashing compare.
+        with_short, without = tokenize(Document("x", "a bb")), tokenize(Document("x", "bb"))
+        assert with_short.tokens == without.tokens == ("bb",)
+        assert with_short.runs == ("a", "bb") and with_short != without
+        assert hash(tokenize(Document("x", "a bb"))) == hash(with_short)
+
     def test_short_tokens_dropped(self):
         assert tokenize_text("a I x2 ok") == ("x2", "ok")
 
@@ -381,6 +389,16 @@ def test_corpus_refuses_an_id_with_a_tab_or_a_line_break(char):
     doc_id = f"d{char}5"
     with pytest.raises(InvalidId, match=re.escape(repr(doc_id))):
         Corpus([Document(id="a", text="x"), Document(id=doc_id, text="y")])
+
+
+@pytest.mark.parametrize("field", ["id", "text", "label"])
+def test_corpus_refuses_a_lone_surrogate_in_any_field(field):
+    # No UTF-8 file could hold the corpus: writing it would raise
+    # UnicodeEncodeError part way through.
+    fields = {"id": "d5", "text": "some text", "label": "L", field: "x\ud800y"}
+    with pytest.raises(DataError, match=f"'{field}' holds a lone surrogate") as refused:
+        Corpus([Document(id="a", text="x"), Document(**fields)])
+    assert refused.type is LoneSurrogate
 
 
 @pytest.mark.parametrize("doc_id", ["d\t5", "d\n5"])

@@ -14,7 +14,7 @@ from scipy import sparse
 
 import litclust.vectorize as vec_mod
 from litclust.base import replace_file
-from litclust.corpus import Corpus, Document, tokenize
+from litclust.corpus import Corpus, Document, TokenStream, tokenize, tokenize_text
 from litclust.errors import AllTermsRemoved, ConfigError, EmptyCorpus
 from litclust.vectorize import (
     CorpusVectorizer,
@@ -86,6 +86,23 @@ def counter_count_matrix(corpus):
     return tuple(vocab), indptr, indices, data
 
 
+def counter_tokens_count_matrix(corpus):
+    """Counts from a ``Counter`` of each document's length-filtered
+    ``tokens``, as counting was done before runs were tallied first."""
+    tallies = [Counter(tokenize(doc).tokens) for doc in corpus]
+    vocab = sorted(set().union(*tallies))
+    row = {term: i for i, term in enumerate(vocab)}
+    rows, cols, data = [], [], []
+    for j, tally in enumerate(tallies):
+        for term, n in tally.items():
+            rows.append(row[term])
+            cols.append(j)
+            data.append(n)
+    rows, cols, data = (np.array(values, dtype=np.int32) for values in (rows, cols, data))
+    counts = sparse.csr_array((data, (rows, cols)), shape=(len(vocab), len(corpus)))
+    return TermDocMatrix(terms=tuple(vocab), docs=corpus.doc_ids(), counts=counts)
+
+
 def assert_same_counts(got, want):
     """Equal terms, docs and shape, and CSR arrays equal byte for byte in
     the same dtypes, both in canonical format."""
@@ -107,6 +124,10 @@ WORDS = (
 # character and ẞ lowers to it.
 EDGE_WORDS = (*WORDS, "İ", "İİ", "İstanbul", "STRASSE", "straße", "ẞẞ", "x-", "a-b", "__init__", "q")
 SHORT_WORDS = ("a", "Q", "7", "ß", "ẞ", "İ", "İİ", "é", "-", "_", ".", "")
+# One-character tokens, "_", "-", digits, and letters whose lowercase
+# differs (Σ, Ǆ, Kelvin sign K, ﬁ), as words and as random characters.
+MIXED_WORDS = (*EDGE_WORDS, *SHORT_WORDS, "Σ", "ΣΑΣ", "ǄǄ", "\u212a", "ﬁ", "07", "1-2", "x_1")
+MIXED_CHARS = "aZ7_-.éÉßẞİΣǄ\u212aﬁ "
 
 
 def documents(words, separators):
@@ -214,6 +235,21 @@ class TestCountMatrix:
         assert_same_counts(m, reference_count_matrix(corpus))
         assert m.counts.data.sum() == sum(len(tokenize(doc).tokens) for doc in corpus)
 
+    @settings(max_examples=300, deadline=None)
+    @given(texts=st.lists(
+        st.lists(st.sampled_from(MIXED_WORDS) | st.text(MIXED_CHARS, max_size=5), max_size=16)
+        .flatmap(lambda words: st.sampled_from(" _-\n").map(lambda sep: sep.join(words))),
+        min_size=1, max_size=8,
+    ))
+    def test_equals_counter_over_filtered_tokens(self, texts):
+        corpus = corpus_of(*texts)
+        for doc in corpus:
+            stream = tokenize(doc)
+            assert stream.tokens == tokenize_text(doc.text)
+            # Same keys in the same order, so the interned codes agree too.
+            assert list(stream.counts().items()) == list(Counter(stream.tokens).items())
+        assert_same_counts(count_matrix(corpus), counter_tokens_count_matrix(corpus))
+
     def test_peak_memory_follows_nonzeros_not_tokens(self):
         # 999,900 tokens but 300 nonzeros: one int64 per token alone
         # would take 8 MB.
@@ -230,7 +266,7 @@ class TestCountMatrix:
     @pytest.mark.parametrize("times", [2**31 - 1, 2**31])
     def test_a_count_past_int32_raises_instead_of_wrapping(self, monkeypatch, times):
         # Each term tallied as if it occurred ``times`` times.
-        monkeypatch.setattr(vec_mod, "Counter", lambda tokens: Counter(dict.fromkeys(tokens, times)))
+        monkeypatch.setattr(TokenStream, "counts", lambda stream: Counter(dict.fromkeys(stream.tokens, times)))
         corpus = corpus_of("aa bb", "bb")
         if times > np.iinfo(np.int32).max:
             with pytest.raises(OverflowError):
