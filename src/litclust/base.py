@@ -16,7 +16,7 @@ import inspect
 import json
 import math
 import os
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -115,11 +115,15 @@ def read_json(path: str | Path, error: type[LitclustError] = ParseError):
         raise error(f"{path}: invalid JSON ({exc.msg})") from exc
 
 
-def replace_file(path: str | Path, chunks: Iterable[bytes]) -> None:
+def replace_file(
+    path: str | Path, chunks: Iterable[bytes], before_rename: Callable[[], None] | None = None
+) -> None:
     """Replace the file at ``path`` with the ``chunks`` joined, whole:
     written beside it, flushed to disk and renamed over it, so neither a
     failure part way nor a crash after the rename leaves a truncated file,
-    nor a failure a stray one.  It gets the mode ``open`` gives under the umask."""
+    nor a failure a stray one.  It gets the mode ``open`` gives under the umask.
+    ``before_rename`` runs once the new file is on disk, the last moment
+    before the old one is gone."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     # "x" (O_EXCL) never opens a file that is already there, so only this
@@ -129,6 +133,8 @@ def replace_file(path: str | Path, chunks: Iterable[bytes]) -> None:
             fh.writelines(chunks)
             fh.flush()
             os.fsync(fh.fileno())
+            if before_rename is not None:
+                before_rename()
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)

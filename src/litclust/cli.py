@@ -253,7 +253,26 @@ def _updated_manifest(cfg: PipelineConfig, out_dir: Path, artifacts: list[Path])
     manifest["artifacts"] = dict(sorted(digests.items()))
     if provenance:
         manifest["provenance"] = provenance
-    yield (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
+    yield _manifest_json(manifest)
+
+
+def _manifest_without(out_dir: Path, names: set[str]) -> list[bytes] | None:
+    """The directory's manifest without its digests and provenance of the
+    artifacts ``names``, or None when it records none of them."""
+    manifest = _read_manifest(out_dir)
+    records = [manifest[key] for key in ("artifacts", "provenance") if key in manifest]
+    if not any(names & record.keys() for record in records):
+        return None
+    for record in records:
+        for name in names & record.keys():
+            del record[name]
+    if manifest.get("provenance") == {}:
+        del manifest["provenance"]
+    return [_manifest_json(manifest)]
+
+
+def _manifest_json(manifest: dict) -> bytes:
+    return (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
 
 
 def _out_dir(cfg: PipelineConfig) -> Path:
@@ -492,22 +511,35 @@ def _run(name: str, cfg: PipelineConfig, args: argparse.Namespace) -> dict:
     """Run command ``name`` in the one order: load its named inputs, compute,
     make ``--out``, replace each artifact the computation gave whole from
     its chunks, and then the manifest that records its row's artifacts.
-    A path that cannot be written is a ConfigError naming it."""
+    Once the first artifact is on disk, and before it replaces the old one,
+    the manifest drops its records of every artifact the command writes, so
+    a write that fails later leaves none vouched for under an old digest;
+    one that fails before leaves the directory as it was.  A path that
+    cannot be written is a ConfigError naming it."""
     run = Run(cfg, args, COMMANDS[name])
     for key in run.command.inputs:
         getattr(run, key)
     summary, files = _COMMANDS[name](run)
     out = _out_dir(cfg)
     paths = [out / artifact.format_map(vars(cfg)) for artifact in run.command.writes]
+    manifest = out / "manifest.json"
+    kept = _manifest_without(out, {path.name for path in paths})
+    before_rename = None if kept is None else lambda: _replace(manifest, kept)
     # The sweep gives no chunks for the checkpoint it wrote as it computed.
-    writes = {path: files[path.name] for path in paths if path.name in files}
-    writes[out / "manifest.json"] = _updated_manifest(cfg, out, paths)
-    for path, chunks in writes.items():
-        try:
-            replace_file(path, chunks)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    writes = [(path, files[path.name]) for path in paths if path.name in files]
+    writes.append((manifest, _updated_manifest(cfg, out, paths)))
+    for path, chunks in writes:
+        _replace(path, chunks, before_rename)
+        before_rename = None
     return {**summary, "artifacts": [str(path) for path in paths]}
+
+
+def _replace(path: Path, chunks, before_rename=None) -> None:
+    """``replace_file``, with an OSError as a ConfigError naming ``path``."""
+    try:
+        replace_file(path, chunks, before_rename)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # -- subcommands: each computes, and returns its summary and its chunks --

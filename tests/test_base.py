@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from litclust.base import BaseEstimator, check_positive_int, check_vectors
+from litclust.base import BaseEstimator, check_positive_int, check_vectors, replace_file
 from litclust.errors import ConfigError
 
 
@@ -60,3 +60,24 @@ def test_sklearn_clone_compatibility():
         cloned = sklearn_base.clone(est)
         assert cloned is not est
         assert cloned.get_params() == est.get_params()
+
+
+def test_replace_file_runs_before_rename_with_the_new_file_on_disk(tmp_path):
+    path = tmp_path / "f"
+    path.write_bytes(b"old")
+    seen = []
+
+    def look():
+        seen.append((path.read_bytes(), [p.read_bytes() for p in tmp_path.glob("f.*.tmp")]))
+
+    replace_file(path, [b"ne", b"w"], look)
+    assert seen == [(b"old", [b"new"])]
+    assert path.read_bytes() == b"new"
+
+    def refuse():
+        raise OSError("refused")
+
+    with pytest.raises(OSError, match="refused"):
+        replace_file(path, [b"newer"], refuse)
+    assert path.read_bytes() == b"new"
+    assert not list(tmp_path.glob("*.tmp"))

@@ -1456,13 +1456,27 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,blocked", [("embed", "embedding.tsv"), ("cluster", "cluster_run.json")])
     def test_an_artifact_path_that_cannot_be_written_exits_2(self, workspace, capsys, command, blocked):
-        (workspace / "out" / blocked).mkdir(parents=True)
+        out = workspace / "out"
+        (out / blocked).mkdir(parents=True)
         assert run_cli(command, "--config", "config.json") == 2
         err = capsys.readouterr().err
         assert f"cannot write {Path('out') / blocked}" in err and "Traceback" not in err
-        assert (workspace / "out" / blocked).is_dir()
-        assert not list((workspace / "out").glob("*.tmp"))
-        assert not (workspace / "out" / "manifest.json").exists()
+        assert (out / blocked).is_dir()
+        assert not list(out.glob("*.tmp"))
+        assert not (out / "manifest.json").exists()
+        # Over a manifest that records the command's artifacts, every
+        # artifact the manifest still names has its recorded digest.
+        (out / blocked).rmdir()
+        assert run_cli("vectorize", "--config", "config.json") == 0
+        assert run_cli(command, "--config", "config.json") == 0
+        (out / blocked).unlink()
+        (out / blocked).mkdir()
+        assert run_cli(command, "--config", "config.json", "--seed", "4") == 2
+        recorded = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["artifacts"]
+        assert set(recorded) >= {"weights.mtx", "vocabulary.tsv", "documents.json"}
+        for name, digest in recorded.items():
+            assert (out / name).is_file(), name
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     @pytest.mark.parametrize("field", ["id", "text", "label"])
     @pytest.mark.parametrize("command", ["ingest", "vectorize"])

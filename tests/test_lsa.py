@@ -175,12 +175,17 @@ def test_vectors_match_dense_svd(shape):
     assert np.max(np.abs(u - u_ref)) <= 1e-9
 
 
+def repeated_spectrum(copies, block):
+    """``copies`` copies of one random sparse block down the diagonal."""
+    one = sparse.csr_array(random_sparse(*block, density=0.3, seed=copies))
+    return sparse.csr_array(sparse.block_diag([one] * copies))
+
+
 @pytest.mark.parametrize("copies, block", [(2, (300, 250)), (4, (150, 120))])
 def test_repeated_singular_values_match_dense(copies, block):
     # Every singular value appears `copies` times; a block of width 4
     # must find all copies of each.
-    one = sparse.csr_array(random_sparse(*block, density=0.3, seed=copies))
-    a = sparse.csr_array(sparse.block_diag([one] * copies))
+    a = repeated_spectrum(copies, block)
     u, s, vt = truncated_svd(a, 20, seed=0)
     dense = a.toarray()
     _, s_ref, _ = sign_fixed_reference(dense, 20)
@@ -193,11 +198,15 @@ def test_repeated_singular_values_match_dense(copies, block):
     assert np.allclose(vt @ vt.T, np.eye(20), atol=1e-12)
 
 
+def low_rank(rank):
+    return random_sparse(90, rank, density=0.5, seed=14) @ random_sparse(rank, 75, density=0.5, seed=15)
+
+
 @pytest.mark.parametrize("rank", [10, 0])
 def test_rank_below_n_dims(rank):
     # 15 dims wanted: the Krylov space is exhausted before the basis holds
     # 15 columns, so it is completed with directions of the null space.
-    low = random_sparse(90, rank, density=0.5, seed=14) @ random_sparse(rank, 75, density=0.5, seed=15)
+    low = low_rank(rank)
     u, s, vt = truncated_svd(sparse.csr_array(low), 15, seed=0)
     s_ref = np.linalg.svd(low, compute_uv=False)
     assert np.all(np.abs(s[:rank] - s_ref[:rank]) <= 1e-12 * s_ref[:rank])
@@ -292,26 +301,85 @@ def test_debug_log_names_the_path(caplog):
         assert part in krylov_msg
 
 
-def ritz_rounds(caplog, a, k):
-    """The spectrum of a Krylov solve and its logged Rayleigh-Ritz rounds."""
+def logged_solve(caplog, a, k):
+    """The spectrum of a Krylov solve, its logged basis columns and its
+    Rayleigh-Ritz rounds."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="litclust.lsa"):
         _, s, _ = truncated_svd(a, k, seed=0)
     (message,) = (r.getMessage() for r in caplog.records)
-    return s, int(re.search(r"(\d+) Rayleigh-Ritz rounds", message).group(1))
+    counts = re.search(r"(\d+) basis columns, (\d+) Rayleigh-Ritz rounds", message)
+    return s, int(counts.group(1)), int(counts.group(2))
+
+
+def planted_weights():
+    weighted = build_weighted_matrix(make_planted_corpus(vocab_per_topic=150), 0.5, 5)
+    assert weighted.shape == (600, 400)
+    return weighted.weights
 
 
 def test_residual_spacing_takes_fewer_rayleigh_ritz_rounds(caplog, monkeypatch):
-    weighted = build_weighted_matrix(make_planted_corpus(vocab_per_topic=150), 0.5, 5)
-    assert weighted.shape == (600, 400)
-    s, spaced = ritz_rounds(caplog, weighted.weights, 15)
+    weights = planted_weights()
+    s, _, spaced = logged_solve(caplog, weights, 15)
     # The fixed schedule: a step every RITZ_INTERVAL columns.
     monkeypatch.setattr(lsa_mod, "_ritz_gap", lambda *args: lsa_mod.RITZ_INTERVAL)
-    s_fixed, fixed = ritz_rounds(caplog, weighted.weights, 15)
+    s_fixed, _, fixed = logged_solve(caplog, weights, 15)
     assert spaced < fixed
-    s_ref = np.linalg.svd(weighted.weights.toarray(), compute_uv=False)[:15]
+    s_ref = np.linalg.svd(weights.toarray(), compute_uv=False)[:15]
     for got in (s, s_fixed):
         assert np.all(np.abs(got - s_ref) <= 1e-12 * s_ref[0])
+
+
+def test_squared_growth_takes_fewer_basis_columns(caplog):
+    # Grown from A^T A q, as block Lanczos on the Gram operator does, this
+    # solve took 196 columns.
+    _, columns, _ = logged_solve(caplog, planted_weights(), 15)
+    assert columns == 140
+
+
+def below_square_floor():
+    """Random sparse columns scaled so that sigma_15 is about 1e-4 of
+    sigma_1, below the sigma_1 / 1000 that (A^T A)^2 q resolves; the side
+    of 600 is above the 15 + BASIS_MARGIN columns the basis may hold."""
+    dense = random_sparse(700, 600, density=0.3, seed=22)
+    return dense * 10.0 ** (-4 * np.arange(600) / 14)
+
+
+@pytest.mark.parametrize("side", ["doc-side", "term-side"])
+def test_singular_values_below_the_square_floor_match_dense(side):
+    dense = below_square_floor() if side == "doc-side" else below_square_floor().T
+    u, s, vt = truncated_svd(sparse.csr_array(dense), 15, seed=0)
+    s_all = np.linalg.svd(dense, compute_uv=False)
+    assert 5e-5 < s_all[14] / s_all[0] < 2e-4
+    assert np.all(np.abs(s - s_all[:15]) <= 1e-12 * s_all[0])
+    best = np.sqrt(np.sum(s_all[15:] ** 2))
+    assert np.linalg.norm(dense - (u * s) @ vt) <= best * (1 + 1e-9)
+    assert np.allclose(vt @ vt.T, np.eye(15), atol=1e-12)
+    assert np.allclose(u.T @ u, np.eye(15), atol=1e-12)
+
+
+RESIDUAL_CASES = {
+    "planted": lambda: (planted_weights(), 15),
+    "block_diag-2": lambda: (repeated_spectrum(2, (300, 250)), 20),
+    "block_diag-4": lambda: (repeated_spectrum(4, (150, 120)), 20),
+    "rank-10": lambda: (sparse.csr_array(low_rank(10)), 15),
+    "below-floor": lambda: (sparse.csr_array(below_square_floor()), 15),
+}
+
+
+@pytest.mark.parametrize("case", RESIDUAL_CASES)
+def test_returned_triplets_meet_the_residual_tolerance(case):
+    a, k = RESIDUAL_CASES[case]()
+    dense = a.toarray()
+    u, s, vt = truncated_svd(a, k, seed=0)
+    # The solver works on the smaller side's Gram operator.
+    side = min(dense.shape)
+    v = vt.T if dense.shape[1] == side else u
+    gram_v = dense.T @ (dense @ v) if dense.shape[1] == side else dense @ (dense.T @ v)
+    residual = np.linalg.norm(gram_v - v * s**2, axis=0)
+    # Recomputing A^T A v in float64 rounds by at most about side * eps * s_1^2.
+    slack = side * np.finfo(np.float64).eps * s[0] ** 2
+    assert np.all(residual <= lsa_mod.RESIDUAL_TOL * s[0] ** 2 + slack)
 
 
 def test_ritz_gap_extrapolates_the_residual_decay():
@@ -320,11 +388,15 @@ def test_ritz_gap_extrapolates_the_residual_decay():
     # 100x over 16 columns; 1e4 more to go takes 32 columns at that
     # rate, and the next step goes halfway.
     assert gap((16, 1e-2), 32, 1e-4, 1e-8) == 16
-    assert gap((16, 1e-2), 32, 1e-4, 1e-30) == lsa_mod.MAX_RITZ_GAP
     assert gap((16, 1e-2), 32, 1e-9, 1e-10) == lsa_mod.BLOCK
-    # No decay, or a zero target: the longest gap.
-    assert gap((16, 1e-4), 32, 1e-4, 1e-8) == lsa_mod.MAX_RITZ_GAP
-    assert gap((16, 1e-4), 32, 1e-3, 0.0) == lsa_mod.MAX_RITZ_GAP
+    # No gap exceeds the basis: at 32 columns, a rate that would take
+    # 104 more, no decay or a zero target all give 32.
+    assert gap((16, 1e-2), 32, 1e-4, 1e-30) == 32
+    assert gap((16, 1e-4), 32, 1e-4, 1e-8) == 32
+    assert gap((16, 1e-4), 32, 1e-3, 0.0) == 32
+    # Past 64 columns the longest gap is MAX_RITZ_GAP.
+    assert gap((64, 1e-2), 96, 1e-4, 1e-30) == lsa_mod.MAX_RITZ_GAP
+    assert gap((64, 1e-4), 96, 1e-4, 1e-8) == lsa_mod.MAX_RITZ_GAP
 
 
 PIPELINE_SCRIPT = """
