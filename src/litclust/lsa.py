@@ -39,12 +39,15 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from litclust.base import BaseEstimator, check_positive_int, tsv_rows
 from litclust.errors import ConvergenceFailure, DimsTooLarge, ParseError
-from litclust.vectorize import WeightedMatrix
+
+if TYPE_CHECKING:
+    from litclust.vectorize import WeightedMatrix
 
 logger = logging.getLogger(__name__)
 

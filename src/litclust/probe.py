@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
-from scipy import sparse
 
 from litclust.base import is_number, read_json
 from litclust.corpus import Corpus, normalize_text, tokenize_text
@@ -264,17 +263,19 @@ def _gene_counts(
     cluster_of: np.ndarray,
     n_clusters: int,
 ) -> np.ndarray:
-    """Symbol x cluster token counts as the int64 product
-    S (symbol x key) @ counts (key x doc) @ C (doc x cluster).
+    """Symbol x cluster token counts, an int64 tally of every stored
+    count of a matched key into its (symbol, cluster) bin.
 
     The counts are the rows of the matched keys in the corpus's held raw
-    counts, before any ablation, so only those rows are widened from
-    int32.  A key matches only a whole token of the same tokenizer, so a
-    key that is not in the vocabulary (one with a space or an
-    underscore, or of a single character) matches nothing.
+    counts, before any ablation, taken once.  The tally adds integers,
+    so it stays exact where float64 weights would round (past 2^53).  A
+    key matches only a whole token of the same tokenizer, so a key that
+    is not in the vocabulary (one with a space or an underscore, or of a
+    single character) matches nothing.
     """
+    out = np.zeros((len(symbols), n_clusters), dtype=np.int64)
     if len(corpus) == 0:
-        return np.zeros((len(symbols), n_clusters), dtype=np.int64)
+        return out
     m = corpus.term_counts
     row = {s: i for i, s in enumerate(symbols)}
     hits = []
@@ -283,15 +284,11 @@ def _gene_counts(
         if t < len(m.terms) and m.terms[t] == key:
             hits.append((row[sym], t))
     hits = np.array(hits, dtype=np.int64).reshape(-1, 2)
-    s = sparse.csr_array(
-        (np.ones(len(hits), dtype=np.int64), (hits[:, 0], np.arange(len(hits)))),
-        shape=(len(symbols), len(hits)),
-    )
-    c = sparse.csr_array(
-        (np.ones(len(corpus), dtype=np.int64), (np.arange(len(corpus)), cluster_of)),
-        shape=(len(corpus), n_clusters),
-    )
-    return (s @ m.counts[hits[:, 1]] @ c).toarray()
+    matched = m.counts[hits[:, 1]]
+    # Each stored count's symbol (from its row) and cluster (from its document).
+    entry_symbols = np.repeat(hits[:, 0], np.diff(matched.indptr))
+    np.add.at(out, (entry_symbols, cluster_of[matched.indices]), matched.data)
+    return out
 
 
 def relative_weights(counts: ProbeCounts) -> ProbeReport:

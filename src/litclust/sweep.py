@@ -15,7 +15,6 @@ one-(d, r, n) sweep of the same kind.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
@@ -38,7 +37,9 @@ from litclust.errors import (
     AllTermsRemoved,
     ConfigError,
     ConvergenceFailure,
+    DimsTooLarge,
     EmptySpec,
+    KTooLarge,
     NoLabeledDocuments,
     ParseError,
 )
@@ -218,12 +219,16 @@ def run_sweep(
     weighted matrix and embedding is built once and only the current one
     of each is held; the weighted matrices share one tf-idf and one sort
     of the weights of the terms over the lowest D floor that runs.
-    Combinations that cannot run (the filters removed
-    everything, the embedding dimensionality exceeds the matrix rank
-    bound, more clusters than documents) become skip rows with a reason
-    rather than errors.  Completed rows are appended to
-    ``checkpoint_path`` as they finish and are not recomputed on a rerun;
-    each row computed is logged at DEBUG with the seconds it took.
+    Combinations that cannot run become skip rows whose reason is taken
+    from the error the library raises for them: ``AllTermsRemoved``
+    (all_terms_removed), ``DimsTooLarge`` (n_dims_too_large),
+    ``ConvergenceFailure`` (svd_convergence_failure) and ``KTooLarge``
+    (k_too_large).  A corpus where every term is a singleton raises
+    AllTermsRemoved from the ablation instead, aborting the sweep: that
+    is a corpus-level failure, not a skippable combination.  Completed
+    rows are appended to ``checkpoint_path`` as they finish and are not
+    recomputed on a rerun; each row computed is logged at DEBUG with the
+    seconds it took.
     Rows are a pure function of the corpus and the spec, so the
     checkpoint's sidecar ``<checkpoint_path>.fingerprint`` records a
     digest of both (the budget aside), and a checkpoint whose sidecar is
@@ -239,7 +244,7 @@ def run_sweep(
     labels = corpus.labels()
 
     rows: list[SweepRow] = []
-    weighing = weighted = emb = reason = None
+    ablated = weighing = weighted = emb = reason = None
     prefix: tuple = ()  # the (d, r, n) that weighted and emb belong to
     out = None
     if checkpoint_path is not None:
@@ -250,13 +255,19 @@ def run_sweep(
                 rows.append(done[(d, r, n, k)])
                 continue
             start = time.perf_counter()
-            if weighing is None:
-                # Built on first use so a fully checkpointed rerun touches
-                # nothing; rows run in d order, so d is the lowest that runs.
-                weighing = _shared_weighing(corpus, d)
+            if weighing is None and ablated is None:
+                # On first use, so a fully checkpointed rerun touches
+                # nothing.  A corpus of singletons raises AllTermsRemoved
+                # here and aborts the sweep.
+                ablated = _vec.ablate_singletons(corpus.term_counts)
             if prefix[:2] != (d, r):
                 try:
-                    weighted = weighing(d, r)
+                    if weighing is None:
+                        # Rows run in d order, so d is the lowest floor that
+                        # runs; its ranking replaces the ablated counts.
+                        weighing = _vec.SharedWeighing(_vec.apply_df_threshold(ablated, d))
+                        ablated = None
+                    weighted = weighing.at(d, r)
                 except AllTermsRemoved:
                     weighted = None
             if prefix != (d, r, n):
@@ -264,14 +275,16 @@ def run_sweep(
                 prefix = (d, r, n)
 
             row = SweepRow(d=d, r=r, n=n, k=k, skip_reason=reason)
-            if reason is None and k > weighted.shape[1]:
-                row.skip_reason = "k_too_large"
-            elif reason is None:
-                clus = cluster_at(emb.vectors, spec.seed, d, r, n, k, spec.restarts)
-                report = score_clustering(clus.assignments, labels)
-                row.completeness = report.completeness
-                row.homogeneity = report.homogeneity
-                row.v_measure = report.v_measure
+            if reason is None:
+                try:
+                    clus = cluster_at(emb.vectors, spec.seed, d, r, n, k, spec.restarts)
+                except KTooLarge:
+                    row.skip_reason = "k_too_large"
+                else:
+                    report = score_clustering(clus.assignments, labels)
+                    row.completeness = report.completeness
+                    row.homogeneity = report.homogeneity
+                    row.v_measure = report.v_measure
             seconds = time.perf_counter() - start
             logger.debug("sweep: row %s %s in %.3f s", row.key, row.skip_reason or "scored", seconds)
             rows.append(row)
@@ -284,33 +297,15 @@ def run_sweep(
     return rows
 
 
-def _shared_weighing(corpus: Corpus, d_min: float):
-    """``weigh`` of the corpus's ablated counts at any (d, r) with d >=
-    ``d_min``, from one ``SharedWeighing`` over the terms that d_min's
-    floor keeps: the floor only rises with d.
-
-    A corpus where every term is a singleton raises AllTermsRemoved
-    here, aborting the sweep: that is a corpus-level failure, not a
-    skippable combo.  When d_min's floor removes every term, every
-    higher floor does too, and ``weigh`` raises it for each (d, r)
-    before any tf-idf.
-    """
-    ablated = _vec.ablate_singletons(corpus.term_counts)
-    try:
-        return _vec.SharedWeighing(_vec.apply_df_threshold(ablated, d_min)).at
-    except AllTermsRemoved:
-        return functools.partial(_vec.weigh, ablated)
-
-
 def _embed(weighted, seed: int, d: float, r: int, n: int):
     """The (d, r, n) embedding and None, or None and the reason every row
     under that prefix is skipped."""
     if weighted is None:
         return None, "all_terms_removed"
-    if n > min(weighted.shape):
-        return None, "n_dims_too_large"
     try:
         return embed_at(weighted, seed, d, r, n), None
+    except DimsTooLarge:
+        return None, "n_dims_too_large"
     except ConvergenceFailure:
         return None, "svd_convergence_failure"
 

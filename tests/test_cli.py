@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import litclust
 from litclust.base import replace_file
 from litclust.cli import COMMANDS, MADE_FROM, main
 from litclust.corpus import Corpus, Document, document_table_json, jsonl_lines, load_corpus
@@ -1818,6 +1819,46 @@ class TestDamagedJsonInputs:
                 assert (work / "out" / WRITES[command]).read_bytes() == clean[command]
 
 
+class TestDamagedAssignments:
+    """One edit to an explicit ``--assignments`` TSV ends ``evaluate`` and
+    ``probe`` in a documented exit code with no traceback, and a refusal
+    names the file.  An explicit file is taken as given, so an edit that
+    still parses may exit 0 with other scores."""
+
+    @pytest.fixture(scope="class")
+    def given_files(self, tmp_path_factory):
+        """A corpus, a dictionary and an assignments TSV that covers the corpus."""
+        work = tmp_path_factory.mktemp("assignments")
+        corpus = gene_corpus(docs_per_topic=10)
+        replace_file(work / "corpus.jsonl", jsonl_lines(corpus))
+        shutil.copy(DATA / "dictionary_10.json", work / "dictionary.json")
+        rows = "".join(f"{doc.id}\t{i % 4}\n" for i, doc in enumerate(corpus))
+        (work / "assignments.tsv").write_text(rows, encoding="utf-8")
+        return work
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        edit=st.sampled_from(BYTE_EDITS),
+        at=st.floats(0, 1, exclude_max=True),
+        value=st.integers(1, 255),
+        garbage=st.binary(min_size=1, max_size=8),
+    )
+    def test_a_damaged_assignments_file_exits_cleanly(self, given_files, edit, at, value, garbage):
+        with tempfile.TemporaryDirectory(dir=given_files.parent) as tmp:
+            path = Path(tmp) / "assignments.tsv"
+            path.write_bytes(damage_bytes((given_files / "assignments.tsv").read_bytes(), edit, at, value, garbage))
+            common = ["--corpus", str(given_files / "corpus.jsonl"), "--assignments", str(path),
+                      "--out", str(Path(tmp) / "out")]
+            for argv in (["evaluate", *common], ["probe", *common, "--dict", str(given_files / "dictionary.json")]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 2, 3, 4), err.getvalue()
+                assert "Traceback" not in err.getvalue()
+                if code != 0:
+                    assert str(path) in err.getvalue()
+
+
 JSONL_EDITS = (*BYTE_EDITS, "surrogate_id", "surrogate_text")
 
 
@@ -2055,3 +2096,25 @@ class TestScipyIoImport:
         )
         # The command's own summary comes first.
         assert out.stdout.splitlines()[-1].split() == ["0", str(imported)], out.stderr
+
+
+# The package's own modules, imported past litclust/__init__.py (which
+# imports every module eagerly): it prints the scipy modules they load.
+LAYERING_SCRIPT = """
+import sys, types
+package = types.ModuleType("litclust")
+package.__path__ = [sys.argv[1]]
+sys.modules["litclust"] = package
+import litclust.lsa, litclust.probe, litclust.cluster, litclust.evaluate, litclust.corpus
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_only_vectorize_imports_scipy():
+    # vectorize owns every sparse matrix and the Matrix Market I/O; the
+    # stages that take its output import none of scipy.
+    out = subprocess.run(
+        [sys.executable, "-c", LAYERING_SCRIPT, str(Path(litclust.__file__).parent)],
+        capture_output=True, text=True, env=subprocess_env(), check=True,
+    )
+    assert out.stdout.strip() == "[]", out.stdout

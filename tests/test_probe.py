@@ -284,6 +284,7 @@ class TestGeneModeEqualsTokenLoop:
             ids = rng.choice([-3, 0, 1, 2, 7, 40], size=int(rng.integers(1, 5)), replace=False)
             assignments = rng.choice(ids, size=len(corpus)).tolist()
             counts = assert_equals_reference(corpus, assignments, random_dictionary(rng))
+            assert counts.per_cluster.dtype == np.int64
             matched += int(counts.per_cluster.sum())
         assert matched > 100
 
