@@ -324,9 +324,10 @@ def _read_pubmed_xml(
     """Parse efetch ``rettype=abstract`` XML into documents.
 
     The file is read one ``PubmedArticle`` at a time: each article is
-    made a document at its end tag and then cleared, so memory holds the
-    documents read so far and one article's elements, not the file's
-    tree.  A ``PubmedArticle`` inside another raises ``ParseError``.
+    made a document at its end tag, then cleared and removed from its
+    parent, so memory holds the documents read so far and one article's
+    elements, not the file's tree.  A ``PubmedArticle`` inside another
+    raises ``ParseError`` at its start tag.
 
     The abstract text is the concatenation of all AbstractText sections,
     each with the text of its inline markup (``<i>``, ``<sup>``, ...);
@@ -337,16 +338,28 @@ def _read_pubmed_xml(
     """
     docs: list[Document] = []
     skipped = 0
+    # The elements whose start tag has been read and end tag not yet:
+    # the last one is the parent of the next element to start.
+    open_elements: list[ET.Element] = []
     try:
         with path.open("rb") as fh:
-            for _, article in ET.iterparse(fh, events=("end",)):
-                if article.tag != "PubmedArticle":
+            for event, element in ET.iterparse(fh, events=("start", "end")):
+                if event == "start":
+                    if element.tag == "PubmedArticle" and any(
+                        e.tag == "PubmedArticle" for e in open_elements
+                    ):
+                        raise ParseError(f"{path}: a PubmedArticle nested in another")
+                    open_elements.append(element)
                     continue
-                # A nested article ended, and was cleared, before this one.
-                if article.find(".//PubmedArticle") is not None:
-                    raise ParseError(f"{path}: a PubmedArticle nested in another")
-                doc = _article_document(article, class_labels)
-                article.clear()
+                open_elements.pop()
+                if element.tag != "PubmedArticle":
+                    continue
+                doc = _article_document(element, class_labels)
+                element.clear()
+                # The parent holds no article but this one: each earlier
+                # one was removed at its own end tag.
+                if open_elements:
+                    open_elements[-1].remove(element)
                 if doc is None:
                     skipped += 1
                 else:
@@ -362,16 +375,20 @@ def _article_document(
     """One ``PubmedArticle`` as a document, or None when it has no PMID
     or no abstract text.  A blank PMID counts as none: as an empty id it
     would be refused when the written corpus is read back."""
-    pmid = (article.findtext(".//PMID") or "").strip()
+    # The searches of ``.//PMID``, ``.//Abstract/AbstractText`` and
+    # ``.//MeshHeading/DescriptorName`` in document order, as ``iter``
+    # and ``findall`` by tag, which need no path parsing.
+    pmid = next((el.text or "" for el in article.iter("PMID")), "").strip()
     if not pmid:
         return None
-    pieces = ["".join(el.itertext()) for el in article.findall(".//Abstract/AbstractText")]
+    pieces = ["".join(el.itertext()) for ab in article.iter("Abstract") for el in ab.findall("AbstractText")]
     text = normalize_text(" ".join(pieces))
     if not text:
         return None
     majors = [
         (el.text or "").strip()
-        for el in article.findall(".//MeshHeading/DescriptorName")
+        for heading in article.iter("MeshHeading")
+        for el in heading.findall("DescriptorName")
         if el.get("MajorTopicYN") == "Y" and (el.text or "").strip()
     ]
     return Document(id=pmid, text=text, label=_pick_label(majors, class_labels))

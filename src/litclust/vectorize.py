@@ -23,13 +23,20 @@ from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from litclust.base import BaseEstimator, check_positive_int
 from litclust.corpus import Corpus, tokenize
 from litclust.errors import AllTermsRemoved, DataError, EmptyCorpus, ParseError
+
+# Each function that builds or converts a sparse matrix imports
+# scipy.sparse itself: the import takes about 0.2 s, which a process
+# that never builds one (ingest, a staged cluster, evaluate, export)
+# does not pay.
+if TYPE_CHECKING:
+    from scipy import sparse
 
 log = logging.getLogger(__name__)
 
@@ -86,6 +93,8 @@ def count_matrix(corpus: Corpus) -> TermDocMatrix:
     input record order.  ``Corpus.term_counts`` holds this matrix for a
     corpus, so callers that have the corpus read it from there.
     """
+    from scipy import sparse
+
     if len(corpus) == 0:
         raise EmptyCorpus("cannot build a count matrix from an empty corpus")
     # One pass: each document's distinct terms are interned to codes in
@@ -160,6 +169,8 @@ def tfidf(m: TermDocMatrix) -> WeightedMatrix:
     Terms present in every document weigh exactly zero and their entries
     are removed from storage; all stored weights are positive.
     """
+    from scipy import sparse
+
     if len(m.terms) == 0 or len(m.docs) == 0:
         raise EmptyCorpus("cannot weight an empty matrix")
     n_docs = len(m.docs)
@@ -193,6 +204,8 @@ def l2_normalize(w: WeightedMatrix) -> WeightedMatrix:
     The columns with m entries are summed as the rows of one (docs, m)
     block, which numpy sums bit for bit as it would each column alone.
     """
+    from scipy import sparse
+
     # The weights are CSR, so tocsc builds new arrays to scale in place.
     csc = w.weights.tocsc()
     lengths = np.diff(csc.indptr)
@@ -313,6 +326,8 @@ class _Ranking:
     def top(self, keep: np.ndarray, r: int) -> WeightedMatrix:
         """Each document's first ``r`` entries of the terms in ``keep``,
         over those terms only."""
+        from scipy import sparse
+
         check_positive_int(r, "r")
         # Rank each kept entry within its document by counting the kept
         # entries up to it in the sorted order.  The leading 0 of the
@@ -350,6 +365,8 @@ def _df_keep(doc_freq: np.ndarray, n_docs: int, d_percent: float) -> np.ndarray:
 
 
 def _keep_terms(m: TermDocMatrix, keep: np.ndarray) -> TermDocMatrix:
+    from scipy import sparse
+
     terms = tuple(itertools.compress(m.terms, keep))
     counts = sparse.csr_array(m.counts[keep])
     return TermDocMatrix(terms=terms, docs=m.docs, counts=counts)
@@ -358,6 +375,7 @@ def _keep_terms(m: TermDocMatrix, keep: np.ndarray) -> TermDocMatrix:
 def matrix_market_bytes(w: WeightedMatrix) -> bytes:
     """MatrixMarket coordinate form of the weights, for ``load_weighted_matrix``."""
     from scipy import io as spio  # imported where it runs: it costs resident memory
+    from scipy import sparse
 
     buffer = io.BytesIO()
     spio.mmwrite(buffer, sparse.coo_array(w.weights))
@@ -378,6 +396,7 @@ def load_weighted_matrix(
     does not parse, or a matrix whose shape is not (terms, docs), raises
     ``DataError``."""
     from scipy import io as spio
+    from scipy import sparse
 
     try:
         lines = Path(vocab_path).read_text(encoding="utf-8").splitlines()

@@ -2098,23 +2098,73 @@ class TestScipyIoImport:
         assert out.stdout.splitlines()[-1].split() == ["0", str(imported)], out.stderr
 
 
-# The package's own modules, imported past litclust/__init__.py (which
-# imports every module eagerly): it prints the scipy modules they load.
+# Every module of the package: it prints the scipy modules they load,
+# then whether a count matrix built by vectorize loaded scipy.sparse.
 LAYERING_SCRIPT = """
-import sys, types
-package = types.ModuleType("litclust")
-package.__path__ = [sys.argv[1]]
-sys.modules["litclust"] = package
-import litclust.lsa, litclust.probe, litclust.cluster, litclust.evaluate, litclust.corpus
+import sys
+import litclust.cli, litclust.lsa, litclust.probe, litclust.cluster, litclust.evaluate, litclust.corpus
+import litclust.vectorize
+from litclust.corpus import Corpus, Document
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+litclust.vectorize.count_matrix(Corpus([Document("a", "alpha beta")]))
+print("scipy.sparse" in sys.modules)
 """
 
 
 def test_only_vectorize_imports_scipy():
-    # vectorize owns every sparse matrix and the Matrix Market I/O; the
-    # stages that take its output import none of scipy.
+    # vectorize owns every sparse matrix and the Matrix Market I/O, and
+    # imports scipy.sparse only where it builds one; the stages that take
+    # its output import none of scipy.
     out = subprocess.run(
-        [sys.executable, "-c", LAYERING_SCRIPT, str(Path(litclust.__file__).parent)],
+        [sys.executable, "-c", LAYERING_SCRIPT],
         capture_output=True, text=True, env=subprocess_env(), check=True,
     )
-    assert out.stdout.strip() == "[]", out.stdout
+    assert out.stdout.splitlines() == ["[]", "True"], out.stdout
+
+
+SPARSE_SCRIPT = """
+import sys
+from litclust.cli import main
+print(main(sys.argv[1:]), "scipy.sparse" in sys.modules)
+"""
+
+
+class TestScipySparseImport:
+    """scipy.sparse costs about 0.2 s to import, and only a command that
+    builds a sparse matrix imports it."""
+
+    @pytest.fixture(scope="class")
+    def staged(self, tmp_path_factory):
+        """A molecular chain staged through export, and the corpus as PubMed XML."""
+        work = tmp_path_factory.mktemp("staged")
+        corpus = gene_corpus()
+        replace_file(work / "corpus.jsonl", jsonl_lines(corpus))
+        write_xml_corpus(work / "corpus.xml", corpus, lambda doc: [doc.label])
+        config = {"corpus": str(work / "corpus.jsonl"), "dictionary": str(DATA / "dictionary_10.json"),
+                  "out": str(work / "out"), "seed": 3, "restarts": 3, "probe_mode": "molecular"}
+        (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        for command in ("vectorize", "embed", "cluster", "probe", "export"):
+            assert main([command, "--config", str(work / "config.json")]) == 0
+        return work
+
+    @pytest.mark.parametrize("argv,imported", [
+        (["ingest"], False),
+        (["vectorize"], True),
+        (["embed"], True),  # reads the staged weights.mtx
+        (["cluster"], False),  # from the staged embedding
+        (["evaluate"], False),
+        (["probe"], False),
+        (["probe", "--mode", "gene"], True),  # counts the corpus's terms
+        (["export"], False),
+    ], ids=["ingest", "vectorize", "embed", "cluster", "evaluate", "probe", "gene-probe", "export"])
+    def test_only_commands_that_build_a_sparse_matrix_import_it(self, staged, tmp_path, argv, imported):
+        # Each command runs on its own copy of the staged chain.
+        shutil.copytree(staged / "out", tmp_path / "out")
+        argv = [*argv, "--config", str(staged / "config.json"), "--out", str(tmp_path / "out")]
+        if argv[0] == "ingest":
+            argv += ["--corpus", str(staged / "corpus.xml"), "--corpus-format", "pubmed_xml"]
+        out = subprocess.run(
+            [sys.executable, "-c", SPARSE_SCRIPT, *argv],
+            capture_output=True, text=True, env=subprocess_env(), check=True,
+        )
+        assert out.stdout.splitlines()[-1].split() == ["0", str(imported)], out.stderr
