@@ -51,45 +51,4 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
 
-__all__ = [
-    "__version__",
-    "Clustering",
-    "ContingencyTable",
-    "Corpus",
-    "CorpusVectorizer",
-    "Document",
-    "EmbeddingMatrix",
-    "GeneDictionary",
-    "KMeans",
-    "MetricsReport",
-    "NcbiClient",
-    "Network",
-    "ProbeReport",
-    "SweepSpec",
-    "TermDocMatrix",
-    "TokenStream",
-    "TruncatedLsa",
-    "WeightedMatrix",
-    "ablate_singletons",
-    "apply_df_threshold",
-    "apply_rank_cutoff",
-    "build_network",
-    "build_weighted_matrix",
-    "contingency",
-    "count_matrix",
-    "count_occurrences",
-    "enumerate_grid",
-    "export_network",
-    "kmeans",
-    "load_corpus",
-    "load_dictionary",
-    "metrics",
-    "relative_weights",
-    "render_report",
-    "run_sweep",
-    "score_clustering",
-    "tfidf",
-    "tokenize",
-    "v_curve",
-    "variability",
-]
+__all__ = ["__version__", *sorted(_HOMES)]

@@ -1,4 +1,5 @@
-"""Estimator base class, input validation and file helpers.
+"""Estimator base class, the baseline configuration, input validation
+and file helpers.
 
 The estimators in this package follow the scikit-learn parameter
 conventions (``get_params`` / ``set_params``, constructor args stored
@@ -6,8 +7,10 @@ verbatim as attributes) without depending on scikit-learn itself, so
 they drop into sklearn pipelines and grid-search tooling when that
 library is around.
 
-``read_json`` is the package's one JSON-file reader, ``replace_file`` its
-one whole-file writer.
+``BASELINE_PRESET`` is the one statement of the paper's baseline point:
+the estimators, ``build_weighted_matrix``, ``sweep.v_curve`` and the
+CLI's config take their defaults from it.  ``read_json`` is the package's one
+JSON-file reader, ``replace_file`` its one whole-file writer.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import inspect
 import json
 import math
 import os
+import re
 from collections.abc import Callable, Iterable
 from numbers import Integral, Real
 from pathlib import Path
@@ -23,6 +27,22 @@ from pathlib import Path
 import numpy as np
 
 from litclust.errors import ConfigError, LitclustError, ParseError
+
+# The paper's baseline configuration.
+BASELINE_PRESET = {"d": 0.5, "r": 5, "n_dims": 15, "k": 4}
+
+# A lone surrogate, which a JSON escape in \ud800-\udfff decodes to: no
+# UTF-8 artifact can hold one.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+# Strict UTF-8 decoding refuses an encoded surrogate, so in decoded JSON
+# text only such an escape can give one (a pair of them gives none).
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def has_surrogate(value: object) -> bool:
+    """Whether ``value`` is a string holding a lone surrogate."""
+    # isascii is a flag read, so only a non-ASCII string is scanned.
+    return isinstance(value, str) and not value.isascii() and _SURROGATE.search(value) is not None
 
 
 class BaseEstimator:
@@ -80,11 +100,11 @@ def is_number(value, integer: bool = False) -> bool:
     return isinstance(value, Integral if integer else Real) and not isinstance(value, bool)
 
 
-def check_positive_int(value, name: str, minimum: int = 1) -> int:
+def check_positive_int(value, name: str) -> int:
     if not is_number(value, integer=True):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
     return int(value)
 
 
@@ -104,15 +124,22 @@ def tsv_rows(path: str | Path):
 
 def read_json(path: str | Path, error: type[LitclustError] = ParseError):
     """The JSON value in the file at ``path``; a directory, a file that is
-    not UTF-8 text or one that is not JSON raises ``error`` naming it."""
+    not UTF-8 text or one that is not JSON, and a value holding a lone
+    surrogate (which no UTF-8 output could hold), raise ``error`` naming it."""
     try:
-        return json.loads(Path(path).read_bytes().decode("utf-8"))
+        text = Path(path).read_bytes().decode("utf-8")
+        value = json.loads(text)
     except IsADirectoryError as exc:
         raise error(f"{path}: is a directory") from exc
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise error(f"{path}: invalid JSON ({exc.msg})") from exc
+    # Dumped without escapes, every string of the value, keys too, is
+    # written out as it decoded.
+    if _SURROGATE_ESCAPE.search(text) and _SURROGATE.search(json.dumps(value, ensure_ascii=False)):
+        raise error(f"{path}: holds a lone surrogate escape, which UTF-8 cannot encode")
+    return value
 
 
 def replace_file(

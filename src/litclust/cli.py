@@ -26,7 +26,7 @@ from litclust import lsa as _lsa
 from litclust import probe as _probe
 from litclust import sweep as _sweep
 from litclust import vectorize as _vec
-from litclust.base import check_positive_int, is_number, read_json, replace_file
+from litclust.base import BASELINE_PRESET, check_positive_int, is_number, read_json, replace_file
 from litclust.corpus import document_table_json, jsonl_lines, load_corpus, load_document_table
 from litclust.errors import ComputeError, ConfigError, DataError, LitclustError
 from litclust.evaluate import metrics_json, score_clustering
@@ -44,7 +44,7 @@ EXIT_COMPUTE = 4
 # spec that every config builds).
 CHOICES = {
     "corpus_format": ("jsonl", "pubmed_xml"),
-    "probe_mode": ("gene", "molecular"),
+    "probe_mode": _probe.MODES,
     "network_format": _probe.EXPORT_FORMATS,
 }
 MINIMUM = {"r": 1, "n_dims": 1, "k": 1, "restarts": 1, "probe_top": 1}
@@ -67,26 +67,28 @@ MADE_FROM = {
 
 @dataclass
 class PipelineConfig:
-    """Resolved run configuration; defaults are the baseline preset.
+    """Resolved run configuration.
 
     The fields are the only statement of each config key's type and
-    default.  ``sweep`` holds ``SweepSpec``'s fields but ``seed`` and
-    ``enforce_bounds``, which come from ``seed`` and ``allow_out_of_bounds``.
+    default; d, r, n_dims and k default to ``base.BASELINE_PRESET`` and
+    probe_top to ``probe.DEFAULT_TOP_N``.  ``sweep`` holds ``SweepSpec``'s
+    fields but ``seed`` and ``enforce_bounds``, which come from ``seed``
+    and ``allow_out_of_bounds``.
     """
 
     corpus: str | None = None
     corpus_format: str = "jsonl"
     class_labels: list[str] | None = None
-    d: float = 0.5
-    r: int = 5
-    n_dims: int = 15
-    k: int = 4
+    d: float = BASELINE_PRESET["d"]
+    r: int = BASELINE_PRESET["r"]
+    n_dims: int = BASELINE_PRESET["n_dims"]
+    k: int = BASELINE_PRESET["k"]
     seed: int = 0
     restarts: int = 4
     dictionary: str | None = None
     out: str = "out"
     probe_mode: str = "gene"
-    probe_top: int = 5
+    probe_top: int = _probe.DEFAULT_TOP_N
     network_format: str = "graphml"
     allow_out_of_bounds: bool = False
     sweep: dict = field(default_factory=dict)

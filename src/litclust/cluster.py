@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from litclust.base import BaseEstimator, check_positive_int, check_vectors, tsv_rows
+from litclust.base import BASELINE_PRESET, BaseEstimator, check_positive_int, check_vectors, tsv_rows
 from litclust.errors import ComputeError, ConfigError, EmptyCluster, KTooLarge, ParseError
 
 logger = logging.getLogger(__name__)
@@ -294,7 +294,7 @@ def _means(x: np.ndarray, labels: np.ndarray, sizes: np.ndarray, codes: np.ndarr
 class KMeans(BaseEstimator):
     """Estimator facade over :func:`kmeans` with predict for new points."""
 
-    def __init__(self, k: int = 4, seed: int = 0, restarts: int = 4):
+    def __init__(self, k: int = BASELINE_PRESET["k"], seed: int = 0, restarts: int = 4):
         self.k = k
         self.seed = seed
         self.restarts = restarts

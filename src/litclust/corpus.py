@@ -18,7 +18,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from litclust.base import read_json
+from litclust.base import has_surrogate, read_json
 from litclust.errors import DuplicateId, EmptyCorpus, InvalidId, LoneSurrogate, ParseError
 
 if TYPE_CHECKING:
@@ -56,16 +56,6 @@ _SEPARATORS = _Separators()
 # artifacts (``assignments.tsv``, ``embedding.tsv``) separate a document's
 # fields with tabs and documents with line breaks, so no id may hold one.
 _ID_BREAKS = re.compile("[\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
-
-# A lone surrogate, which a JSON escape in \ud800-\udfff decodes to: no
-# UTF-8 artifact can hold one.
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
-def _has_surrogate(value: object) -> bool:
-    # isascii is a flag read, so only a non-ASCII string is scanned.
-    return isinstance(value, str) and not value.isascii() and _SURROGATE.search(value) is not None
-
 
 # Every code point other than U+0020 on which ``str.split()`` splits (the
 # ``str.isspace`` characters of the interpreter's Unicode database; a
@@ -125,9 +115,9 @@ class Corpus:
 
     def __init__(self, documents: Iterable[Document], skipped: int = 0):
         docs = sorted(documents, key=lambda d: d.id)
-        seen: set[str] = set()
-        for doc in docs:
-            if doc.id in seen:
+        # Sorted, a duplicate id sits right after the first of its kind.
+        for i, doc in enumerate(docs):
+            if i and doc.id == docs[i - 1].id:
                 raise DuplicateId(f"duplicate document id {doc.id!r}")
             if _ID_BREAKS.search(doc.id):
                 raise InvalidId(
@@ -135,11 +125,10 @@ class Corpus:
                     f"which no line-per-document artifact can store"
                 )
             for name, value in (("id", doc.id), ("text", doc.text), ("label", doc.label)):
-                if _has_surrogate(value):
+                if has_surrogate(value):
                     raise LoneSurrogate(
                         f"document {doc.id!r}: '{name}' holds a lone surrogate, which UTF-8 cannot encode"
                     )
-            seen.add(doc.id)
         self.documents: tuple[Document, ...] = tuple(docs)
         self.label_set: tuple[str, ...] = tuple(
             sorted({d.label for d in docs if d.label is not None})
@@ -309,7 +298,7 @@ def _parse_record(line: str) -> Document | None:
     if not isinstance(label, (str, type(None))):
         raise ParseError("'label' must be a string or null")
     for name, value in (("id", doc_id), ("text", text), ("label", label)):
-        if _has_surrogate(value):
+        if has_surrogate(value):
             raise ParseError(f"'{name}' holds a lone surrogate escape, which UTF-8 cannot encode")
     doc_id = str(doc_id).strip()
     if not doc_id:

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from litclust.base import BaseEstimator, check_positive_int, tsv_rows
+from litclust.base import BASELINE_PRESET, BaseEstimator, check_positive_int, tsv_rows
 from litclust.errors import ConvergenceFailure, DimsTooLarge, ParseError
 
 if TYPE_CHECKING:
@@ -246,7 +246,7 @@ class TruncatedLsa(BaseEstimator):
     the embedding of the matrix it was fit on.
     """
 
-    def __init__(self, n_dims: int = 15, seed: int = 0):
+    def __init__(self, n_dims: int = BASELINE_PRESET["n_dims"], seed: int = 0):
         self.n_dims = n_dims
         self.seed = seed
 

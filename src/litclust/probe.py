@@ -23,7 +23,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
-from litclust.base import is_number, read_json
+from litclust.base import has_surrogate, is_number, read_json
 from litclust.corpus import Corpus, normalize_text, tokenize_text
 from litclust.errors import EmptyDictionary, ParseError
 
@@ -33,6 +33,7 @@ log = logging.getLogger(__name__)
 # aliases collide with ordinary prose far too often.
 MIN_ALIAS_LEN = 3
 DEFAULT_TOP_N = 5
+MODES = ("gene", "molecular")
 EXPORT_FORMATS = ("graphml", "dot", "json")
 
 
@@ -145,8 +146,9 @@ def parse_gene_summaries(payload: bytes) -> list[DictionaryEntry]:
 
     Uses the summary fields name (symbol), otheraliases (comma list),
     and description, each a string when present.  A uid whose record is
-    missing or has no name is skipped; a record of another shape raises
-    ParseError naming the uid and the field.
+    missing or has no name is skipped; a record of another shape, or a
+    field holding a lone surrogate, raises ParseError naming the uid and
+    the field.
     """
     try:
         doc = json.loads(payload)
@@ -165,6 +167,11 @@ def parse_gene_summaries(payload: bytes) -> list[DictionaryEntry]:
         for field, value in fields.items():
             if not isinstance(value, str):
                 raise ParseError(f"gene summary uid {uid!r}: {field!r} must be a string")
+            if has_surrogate(value):
+                raise ParseError(
+                    f"gene summary uid {uid!r}: {field!r} holds a lone surrogate escape, "
+                    f"which UTF-8 cannot encode"
+                )
         symbol = fields["name"].strip()
         if not symbol:
             continue
@@ -212,7 +219,7 @@ def count_occurrences(
     dictionary: GeneDictionary,
     mode: str = "gene",
 ) -> ProbeCounts:
-    """Tally dictionary matches per cluster.
+    """Tally dictionary matches per cluster, in one of ``MODES``.
 
     gene mode: every matching token counts once (several mentions in one
     document all count), read from the corpus's held term counts, so the
@@ -220,8 +227,8 @@ def count_occurrences(
     at most once per description phrase, via substring search over its
     normalized lowercase text.
     """
-    if mode not in ("gene", "molecular"):
-        raise ValueError(f"mode must be 'gene' or 'molecular', got {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if len(assignments) != len(corpus):
         raise ValueError(
             f"assignments cover {len(assignments)} docs, corpus has {len(corpus)}"

@@ -10,7 +10,8 @@ floor, R cutoff and L2 per (d, r), the embedding per (d, r, n).  Rows
 are checkpointed as they complete, beside a fingerprint of the corpus
 and the spec that a resume must match; a checkpoint line torn by a
 crash mid-write is dropped on resume.  The V-vs-K curve is a
-one-(d, r, n) sweep of the same kind.
+one-(d, r, n) sweep of the same kind, by default at the paper's baseline
+point, ``base.BASELINE_PRESET``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from litclust import cluster as _cluster
 from litclust import lsa as _lsa
 from litclust import vectorize as _vec
-from litclust.base import check_positive_int, is_number, replace_file
+from litclust.base import BASELINE_PRESET, check_positive_int, is_number, replace_file
 from litclust.corpus import Corpus
 from litclust.errors import (
     AllTermsRemoved,
@@ -47,10 +48,6 @@ from litclust.evaluate import score_clustering
 
 logger = logging.getLogger(__name__)
 
-# The paper's baseline configuration: the point ``v_curve`` draws its
-# V-vs-K curve at by default.  ``cli.PipelineConfig`` repeats it as its
-# defaults.
-BASELINE_PRESET = {"d": 0.5, "r": 5, "n_dims": 15, "k": 4}
 # Documented range of each tuned parameter.  SweepSpec and the CLI
 # check it unless told not to; library functions accept any value.
 BOUNDS = {"d": (0.1, 1.0), "r": (5, 14), "n": (1, 20), "k": (2, 20)}

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from litclust.base import BaseEstimator, check_positive_int
+from litclust.base import BASELINE_PRESET, BaseEstimator, check_positive_int
 from litclust.corpus import Corpus, tokenize
 from litclust.errors import AllTermsRemoved, DataError, EmptyCorpus, ParseError
 
@@ -257,7 +257,7 @@ class SharedWeighing:
 
 
 def build_weighted_matrix(
-    corpus: Corpus, d_percent: float = 0.5, rank_cutoff: int = 5
+    corpus: Corpus, d_percent: float = BASELINE_PRESET["d"], rank_cutoff: int = BASELINE_PRESET["r"]
 ) -> WeightedMatrix:
     """Run the fixed pipeline order on a corpus's held counts."""
     return weigh(ablate_singletons(corpus.term_counts), d_percent, rank_cutoff)
@@ -271,7 +271,7 @@ class CorpusVectorizer(BaseEstimator):
     weighted matrix of the corpus it was fit on.
     """
 
-    def __init__(self, d_percent: float = 0.5, rank_cutoff: int = 5):
+    def __init__(self, d_percent: float = BASELINE_PRESET["d"], rank_cutoff: int = BASELINE_PRESET["r"]):
         self.d_percent = d_percent
         self.rank_cutoff = rank_cutoff
 

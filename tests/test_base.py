@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from litclust.base import BaseEstimator, check_positive_int, check_vectors, replace_file
-from litclust.errors import ConfigError
+from litclust.base import BaseEstimator, check_positive_int, check_vectors, read_json, replace_file
+from litclust.errors import ConfigError, ParseError
 
 
 class Toy(BaseEstimator):
@@ -49,6 +51,30 @@ def test_check_positive_int():
         check_positive_int(2.0, "k")
     with pytest.raises(ConfigError):
         check_positive_int(True, "k")
+
+
+@pytest.mark.parametrize("text", [
+    r'{"a\ud800": 1}',
+    r'[[{"x": ["ok", "\uDFFFz"]}]]',
+    r'"\ud83d"',
+])
+def test_read_json_refuses_a_lone_surrogate_anywhere(tmp_path, text):
+    path = tmp_path / "f.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: holds a lone surrogate escape")):
+        read_json(path)
+    with pytest.raises(ConfigError, match="lone surrogate"):
+        read_json(path, ConfigError)
+
+
+@pytest.mark.parametrize("text,value", [
+    (r'["\ud83d\ude00"]', ["\U0001f600"]),  # a surrogate pair is one code point
+    (r'["\\ud800"]', ["\\ud800"]),  # an escaped backslash, then text
+])
+def test_read_json_takes_surrogate_pairs_and_escaped_backslashes(tmp_path, text, value):
+    path = tmp_path / "f.json"
+    path.write_text(text, encoding="utf-8")
+    assert read_json(path) == value
 
 
 def test_sklearn_clone_compatibility():

@@ -1490,6 +1490,36 @@ class TestExitCodes:
         assert "corpus.jsonl:5:" in err and f"'{field}' holds a lone surrogate" in err
         assert not (workspace / "out").exists()
 
+    # A JSON input decodes a \ud800 escape to a lone surrogate, which no
+    # UTF-8 output can hold: the file is refused as it is read.
+    @pytest.mark.parametrize("fmt", ["graphml", "dot", "json"])
+    def test_a_lone_surrogate_in_the_dictionary_exits_3(self, workspace, capsys, fmt):
+        entries = json.loads((DATA / "dictionary_10.json").read_text(encoding="utf-8"))
+        entries.append({"symbol": "GENE\ud800X", "description": "brca1"})
+        (workspace / "dictionary.json").write_text(json.dumps(entries), encoding="utf-8")
+        assert run_cli("cluster", "--config", "config.json") == 0
+        argv = ("--config", "config.json", "--dict", "dictionary.json", "--mode", "molecular", "--format", fmt)
+        assert run_cli("probe", *argv) == 3
+        err = capsys.readouterr().err
+        assert "dictionary.json: holds a lone surrogate escape" in err and "Traceback" not in err
+
+    def test_a_lone_surrogate_in_a_probe_report_exits_3(self, workspace, capsys):
+        report = json.loads(json.dumps(self.REPORT))
+        report["clusters"]["1"][0]["entity"] = "a\ud800"
+        (workspace / "report.json").write_text(json.dumps(report), encoding="utf-8")
+        assert run_cli("export", "--config", "config.json", "--format", "graphml", "--report", "report.json") == 3
+        err = capsys.readouterr().err
+        assert "report.json: holds a lone surrogate escape" in err and "Traceback" not in err
+        assert not (workspace / "out").exists()
+
+    def test_a_lone_surrogate_in_the_config_exits_2(self, workspace, capsys):
+        config = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+        (workspace / "config.json").write_text(json.dumps({**config, "out": "o\ud800"}), encoding="utf-8")
+        assert run_cli("vectorize", "--config", "config.json") == 2
+        err = capsys.readouterr().err
+        assert "config.json: holds a lone surrogate escape" in err and "Traceback" not in err
+        assert sorted(path.name for path in workspace.iterdir()) == ["config.json", "corpus.jsonl"]
+
     def test_compute_error_exit_4(self, workspace):
         code = run_cli(
             "cluster", "--config", "config.json", "--k", "500",
@@ -1713,6 +1743,9 @@ JSON_READERS = {
     "out/documents.json": "evaluate",
     "dictionary.json": "probe",
     "out/probe_report.json": "export",
+    # A copy of the staged report, given with --report: taken as given, it
+    # is parsed whatever its digest.
+    "report.json": "export",
 }
 WRITES = {"evaluate": "metrics.json", "probe": "probe_report.json", "export": "network.graphml"}
 
@@ -1731,22 +1764,34 @@ def damage_bytes(data, edit, at, value, garbage):
     }[edit]
 
 
+JSON_STRING = re.compile(rb'"(?:[^"\\]|\\.)*"')
+
+
 def damage(path, edit, at, value, garbage):
     """Apply one edit to the file at ``path``: the bytes left there, or
-    None when it was replaced by a directory."""
+    None when it was replaced by a directory.  A "surrogate" edit puts the
+    escape of a lone surrogate at the start of one of its JSON strings."""
     if edit == "directory":
         path.unlink()
         path.mkdir()
         return None
-    data = damage_bytes(path.read_bytes(), edit, at, value, garbage)
+    data = path.read_bytes()
+    if edit == "surrogate":
+        starts = [m.start() + 1 for m in JSON_STRING.finditer(data)]
+        i = starts[int(at * len(starts))]
+        data = data[:i] + b"\\ud800" + data[i:]
+    else:
+        data = damage_bytes(data, edit, at, value, garbage)
     path.write_bytes(data)
     return data
 
 
 def is_json(data):
+    """Whether ``data`` is UTF-8 JSON whose value UTF-8 can hold: a lone
+    surrogate decodes from JSON but encodes to no UTF-8."""
     try:
-        json.loads(data.decode("utf-8"))
-    except ValueError:  # UnicodeDecodeError and JSONDecodeError both are
+        json.dumps(json.loads(data.decode("utf-8")), ensure_ascii=False).encode("utf-8")
+    except ValueError:  # UnicodeDecodeError, JSONDecodeError and UnicodeEncodeError all are
         return False
     return True
 
@@ -1769,10 +1814,10 @@ class TestDamagedJsonInputs:
         (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
 
     @staticmethod
-    def run_in(work, command):
+    def run_in(work, command, *argv):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main([command, "--config", str(work / "config.json"), "--out", str(work / "out")])
+            code = main([command, "--config", str(work / "config.json"), "--out", str(work / "out"), *argv])
         return code, err.getvalue()
 
     @pytest.fixture(scope="class")
@@ -1785,6 +1830,7 @@ class TestDamagedJsonInputs:
         self.write_config(staged)
         for command in ("vectorize", "embed", "cluster", "probe"):
             assert self.run_in(staged, command)[0] == 0
+        shutil.copy(staged / "out" / "probe_report.json", staged / "report.json")
         clean = staged.parent / "clean"
         shutil.copytree(staged, clean)
         self.write_config(clean)
@@ -1795,7 +1841,7 @@ class TestDamagedJsonInputs:
     @settings(max_examples=400, deadline=None)
     @given(
         name=st.sampled_from(sorted(JSON_READERS)),
-        edit=st.sampled_from([*BYTE_EDITS, "directory"]),
+        edit=st.sampled_from([*BYTE_EDITS, "directory", "surrogate"]),
         at=st.floats(0, 1, exclude_max=True),
         value=st.integers(1, 255),
         garbage=st.binary(min_size=1, max_size=8),
@@ -1808,7 +1854,8 @@ class TestDamagedJsonInputs:
             self.write_config(work)
             left = damage(work / name, edit, at, value, garbage)
             command = JSON_READERS[name]
-            code, err = self.run_in(work, command)
+            given = ("--report", str(work / name)) if name == "report.json" else ()
+            code, err = self.run_in(work, command, *given)
             assert code in (0, 2, 3, 4), err
             assert "Traceback" not in err
             # An edit that leaves JSON makes another input, whose refusal

@@ -211,7 +211,12 @@ class TestDictionary:
         ({"uids": ["1"], "1": {"name": "TP53", "otheraliases": 3}},
          "uid '1': 'otheraliases' must be a string"),
         ({"uids": ["1"], "1": {"name": "TP53", "description": 3}}, "uid '1': 'description' must be a string"),
-    ], ids=["uids", "record", "name", "null-name", "otheraliases", "description"])
+        # json.dumps writes a lone surrogate as its escape.
+        ({"uids": ["1"], "1": {"name": "GENE\ud800X"}}, "uid '1': 'name' holds a lone surrogate"),
+        ({"uids": ["1"], "1": {"name": "TP53", "description": "p\udfff"}},
+         "uid '1': 'description' holds a lone surrogate"),
+    ], ids=["uids", "record", "name", "null-name", "otheraliases", "description", "surrogate-name",
+            "surrogate-description"])
     def test_gene_summary_of_another_shape_raises_parse_error(self, result, message):
         with pytest.raises(ParseError, match=re.escape(message)):
             parse_gene_summaries(json.dumps({"result": result}).encode())
